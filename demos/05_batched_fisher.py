@@ -32,8 +32,7 @@ for batch_size in (1, 40, 400):
         print(f"{batch_size:6d}  {passes:6d}  (reference)")
     else:
         same = sum(
-            int(np.sum((a == 1) & (b == 1)))
-            for a, b in zip(masks[1].layers, masks[batch_size].layers)
+            int(np.sum(a & b)) for a, b in zip(masks[1].layers, masks[batch_size].layers)
         )
         kept = masks[1].kept_count()
         print(f"{batch_size:6d}  {passes:6d}  {same}/{kept} = {same / kept:.2%}")

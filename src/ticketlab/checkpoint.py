@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, ShapeError
 from .masks import PruneMask
 from .nn import DenseNetwork
 
@@ -73,7 +73,7 @@ def save_checkpoint(state: CheckpointState, path) -> None:
         "config_hash": state.config_hash,
         "initial": _net_to_json(state.initial),
         "baseline": _net_to_json(state.baseline),
-        "mask": [m.tolist() for m in state.mask.layers],
+        "mask": [m.astype(np.uint8).tolist() for m in state.mask.layers],
         "trained": _net_to_json(state.trained),
         "rows": [asdict(r) for r in state.rows],
     }
@@ -82,6 +82,8 @@ def save_checkpoint(state: CheckpointState, path) -> None:
 
 def load_checkpoint(path, expected_config_hash: Optional[str] = None) -> CheckpointState:
     """Read a checkpoint, rejecting corrupt files and other format versions.
+
+    A mask that does not pair with the stored networks marks the file corrupt.
 
     A config-hash mismatch is reported as a warning, not an error: the
     caller may be resuming deliberately under an edited config.
@@ -108,11 +110,14 @@ def load_checkpoint(path, expected_config_hash: Optional[str] = None) -> Checkpo
             config_hash=payload["config_hash"],
             initial=_net_from_json(payload["initial"]),
             baseline=_net_from_json(payload["baseline"]),
-            mask=PruneMask([np.asarray(m, dtype=np.uint8) for m in payload["mask"]]),
+            mask=PruneMask([np.asarray(m) for m in payload["mask"]]),
             trained=_net_from_json(payload["trained"]),
             rows=[RoundRow(**r) for r in payload["rows"]],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        for net in (state.initial, state.baseline, state.trained):
+            if net is not None:
+                state.mask.check_pairing(net.weights)
+    except (KeyError, TypeError, ValueError, ShapeError) as exc:
         raise DataFormatError(f"corrupt checkpoint {path}: {exc}") from exc
 
     if expected_config_hash is not None and state.config_hash != expected_config_hash:

@@ -38,25 +38,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_arch(text: str) -> tuple[int, ...]:
-    try:
-        return check_layer_sizes([int(p) for p in text.split(",")])
-    except ValueError as exc:
-        raise UsageError(f"bad architecture {text!r}: {exc}") from exc
-
-
 def _parse_synthetic(text: str):
+    usage = "--synthetic takes CLASSES,DIM,PER_CLASS[,NOISE[,SEED]]"
     parts = text.split(",")
     if len(parts) < 3 or len(parts) > 5:
-        raise UsageError("--synthetic takes CLASSES,DIM,PER_CLASS[,NOISE[,SEED]]")
-    classes, dim, per_class = (int(p) for p in parts[:3])
-    noise = float(parts[3]) if len(parts) > 3 else 0.1
-    seed = int(parts[4]) if len(parts) > 4 else 0
+        raise UsageError(usage)
+    try:
+        classes, dim, per_class = (int(p) for p in parts[:3])
+        noise = float(parts[3]) if len(parts) > 3 else 0.1
+        seed = int(parts[4]) if len(parts) > 4 else 0
+    except ValueError as exc:
+        raise UsageError(f"{usage}: {exc}") from exc
     return gen_synthetic(classes, dim, per_class, seed, noise=noise)
 
 
 def _cmd_train(args) -> int:
-    arch = _parse_arch(args.arch)
+    arch = check_layer_sizes(args.arch.split(","))
     if args.synthetic is not None:
         if args.images or args.labels:
             raise UsageError("give either --synthetic or --images/--labels, not both")
@@ -145,8 +142,12 @@ def _apply_per_file_values(records_by_file, values_text, attr, caster, flag):
     if len(values) != len(records_by_file):
         raise UsageError(f"{flag} needs one value per input CSV ({len(records_by_file)} given)")
     for recs, value in zip(records_by_file, values):
+        try:
+            value = caster(value)
+        except ValueError as exc:
+            raise UsageError(f"{flag}: bad value {value!r}") from exc
         for rec in recs:
-            setattr(rec, attr, caster(value))
+            setattr(rec, attr, value)
 
 
 def _cmd_report(args) -> int:

@@ -153,7 +153,10 @@ def parse_spec(obj: dict, base_dir: Optional[Path] = None) -> ExperimentSpec:
     if seeds is not None:
         if not isinstance(seeds, list) or not seeds:
             raise UsageError("seeds must be a non-empty list of integers")
-        seeds = tuple(int(s) for s in seeds)
+        try:
+            seeds = tuple(int(s) for s in seeds)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"seeds must be a non-empty list of integers, got {seeds!r}") from exc
 
     return ExperimentSpec(
         lottery=LotteryConfig(**lottery_kwargs),

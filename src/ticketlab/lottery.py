@@ -191,6 +191,25 @@ def _validate_fisher_budget(cfg: LotteryConfig, train_data: Dataset) -> None:
         )
 
 
+def _dense_round(
+    cfg: LotteryConfig,
+    presentation: Dataset,
+    test_data: Dataset,
+    on_round: Optional[RoundHook],
+) -> tuple[DenseNetwork, PruneMask, DenseNetwork, list[RoundRow]]:
+    """Round 0: train the dense network; returns (initial, full mask, trained, [row 0])."""
+    initial = init_network(cfg.arch, cfg.init_seed)
+    mask = full_mask(cfg.arch)
+    start = time.perf_counter()
+    masked_init = apply_mask(initial, mask)
+    trained, history = train(masked_init, mask, presentation, cfg.train, eval_data=test_data)
+    _ensure_finite(trained, "round 0 (dense) training")
+    rows = [_round_row(0, mask, history, trained, trained, 0, time.perf_counter() - start)]
+    if on_round is not None:
+        on_round(0, mask, masked_init, trained)
+    return initial, mask, trained, rows
+
+
 def _make_record(cfg: LotteryConfig, rows: list[RoundRow]) -> ExperimentRecord:
     return ExperimentRecord(
         experiment_id=cfg.experiment_id,
@@ -238,18 +257,8 @@ def run_iterative(
         if baseline is None:
             raise UsageError("checkpoint lacks the round-0 baseline; cannot resume")
     else:
-        initial = init_network(cfg.arch, cfg.init_seed)
-        mask = full_mask(cfg.arch)
-        start = time.perf_counter()
-        masked_init = apply_mask(initial, mask)
-        trained, history = train(masked_init, mask, presentation, cfg.train, eval_data=test_data)
-        _ensure_finite(trained, "round 0 training")
+        initial, mask, trained, rows = _dense_round(cfg, presentation, test_data, on_round)
         baseline = trained
-        rows = [
-            _round_row(0, mask, history, baseline, trained, 0, time.perf_counter() - start)
-        ]
-        if on_round is not None:
-            on_round(0, mask, masked_init, trained)
         if checkpoint_dir is not None:
             ckpt.save_round(checkpoint_dir, cfg, 0, initial, baseline, mask, trained, rows)
         first_round = 1
@@ -292,19 +301,7 @@ def run_one_shot(
     _validate_fisher_budget(cfg, train_data)
     presentation = _presentation_order(cfg, train_data)
 
-    initial = init_network(cfg.arch, cfg.init_seed)
-    dense_mask = full_mask(cfg.arch)
-    start = time.perf_counter()
-    masked_init = apply_mask(initial, dense_mask)
-    trained, history = train(masked_init, dense_mask, presentation, cfg.train, eval_data=test_data)
-    _ensure_finite(trained, "dense training")
-    baseline = trained
-    rows = [
-        _round_row(0, dense_mask, history, baseline, trained, 0, time.perf_counter() - start)
-    ]
-    if on_round is not None:
-        on_round(0, dense_mask, masked_init, trained)
-
+    initial, dense_mask, trained, rows = _dense_round(cfg, presentation, test_data, on_round)
     scores, passes = _compute_scores(cfg, trained, dense_mask, presentation, 1)
     for i, target in enumerate(cfg.one_shot_targets, start=1):
         start = time.perf_counter()
@@ -313,7 +310,7 @@ def run_one_shot(
         retrained, hist = train(start_net, mask, presentation, cfg.final_train, eval_data=test_data)
         _ensure_finite(retrained, f"target {target} training")
         rows.append(
-            _round_row(i, mask, hist, baseline, retrained, passes, time.perf_counter() - start)
+            _round_row(i, mask, hist, trained, retrained, passes, time.perf_counter() - start)
         )
         if on_round is not None:
             on_round(i, mask, start_net, retrained)

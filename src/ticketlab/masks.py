@@ -1,9 +1,9 @@
 """Binary pruning masks, sparsity accounting, and weight rewinding.
 
-A mask mirrors a network's weight matrices with uint8 entries: 1 keeps the
-weight, 0 prunes it. Biases are never masked. Masks are stored densely so
-positional lookup stays O(1) for the scoring strategies. All operations
-here are pure functions over immutable values.
+A mask mirrors a network's weight matrices with bool entries: True keeps
+the weight, False prunes it. Biases are never masked. Masks are stored
+densely so positional lookup stays O(1) for the scoring strategies. All
+operations here are pure functions over immutable values.
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ShapeError
-from .nn import DenseNetwork, check_layer_sizes
+from .nn import DenseNetwork, check_layer_sizes, masked_weights
 
 
 @dataclass(eq=False)
 class PruneMask:
-    """Per-layer keep/drop indicators, shape-identical to the paired weights."""
+    """Per-layer bool keep indicators, shape-identical to the paired weights (0/1 input is fine)."""
 
     layers: list[np.ndarray]
 
@@ -29,15 +29,20 @@ class PruneMask:
             m = np.asarray(m)
             if m.ndim != 2:
                 raise ShapeError(f"mask layer {l} must be 2-D, got shape {m.shape}")
-            if not np.isin(m, (0, 1)).all():
+            if m.dtype != bool and not np.isin(m, (0, 1)).all():
                 raise ShapeError(f"mask layer {l} has entries outside {{0, 1}}")
             if l > 0 and m.shape[1] != clean[l - 1].shape[0]:
                 raise ShapeError(f"mask layer {l} does not chain with layer {l - 1}")
-            clean.append(m.astype(np.uint8))
+            clean.append(np.array(m, dtype=bool))
         self.layers = clean
 
-    def copy(self) -> "PruneMask":
-        return PruneMask([m.copy() for m in self.layers])
+    def check_pairing(self, arrays: Sequence[np.ndarray], what: str = "weight") -> None:
+        """Raise ShapeError unless `arrays` has one array per mask layer, shaped alike."""
+        if len(arrays) != len(self.layers):
+            raise ShapeError(f"mask has {len(self.layers)} layers, {what}s have {len(arrays)}")
+        for l, (m, a) in enumerate(zip(self.layers, arrays)):
+            if m.shape != a.shape:
+                raise ShapeError(f"layer {l}: mask shape {m.shape} vs {what} shape {a.shape}")
 
     def kept_count(self) -> int:
         return int(sum(int(m.sum()) for m in self.layers))
@@ -67,27 +72,16 @@ class SparsityReport:
 
 
 def full_mask(arch: Sequence[int]) -> PruneMask:
-    """All-ones mask for the given architecture (nothing pruned)."""
+    """All-True mask for the given architecture (nothing pruned)."""
     sizes = check_layer_sizes(arch)
     return PruneMask(
-        [np.ones((sizes[l + 1], sizes[l]), dtype=np.uint8) for l in range(len(sizes) - 1)]
+        [np.ones((sizes[l + 1], sizes[l]), dtype=bool) for l in range(len(sizes) - 1)]
     )
-
-
-def _check_pairing(net: DenseNetwork, mask: PruneMask) -> None:
-    if len(mask.layers) != len(net.weights):
-        raise ShapeError(
-            f"mask has {len(mask.layers)} layers, network has {len(net.weights)}"
-        )
-    for l, (m, w) in enumerate(zip(mask.layers, net.weights)):
-        if m.shape != w.shape:
-            raise ShapeError(f"layer {l}: mask shape {m.shape} vs weight shape {w.shape}")
 
 
 def apply_mask(net: DenseNetwork, mask: PruneMask) -> DenseNetwork:
     """Zero the masked weight positions; kept positions and biases are untouched."""
-    _check_pairing(net, mask)
-    weights = [np.where(m.astype(bool), w, 0.0) for m, w in zip(mask.layers, net.weights)]
+    _, weights = masked_weights(net, mask)
     return DenseNetwork(weights, [b.copy() for b in net.biases])
 
 
@@ -97,10 +91,7 @@ def rewind(trained: DenseNetwork, initial: DenseNetwork, mask: PruneMask) -> Den
     Masked positions come out exactly 0 even where the initial value was
     nonzero; `trained` only contributes its architecture.
     """
-    if trained.layer_sizes != initial.layer_sizes:
-        raise ShapeError(
-            f"architectures differ: {trained.layer_sizes} vs {initial.layer_sizes}"
-        )
+    mask.check_pairing(trained.weights)
     return apply_mask(initial, mask)
 
 

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import ShapeError, UsageError
+from .errors import UsageError
 from .masks import PruneMask
 from .nn import DenseNetwork
 from .results import Table
@@ -70,19 +70,11 @@ def weight_movement(
     Only positions kept by `mask` enter the sum. Raises UsageError when the
     mask keeps nothing (the average would be undefined).
     """
-    if baseline.layer_sizes != current.layer_sizes:
-        raise ShapeError(
-            f"architectures differ: {baseline.layer_sizes} vs {current.layer_sizes}"
-        )
-    if len(mask.layers) != len(baseline.weights):
-        raise ShapeError("mask layer count does not match the networks")
-    parts = []
-    for l, (b, c, m) in enumerate(zip(baseline.weights, current.weights, mask.layers)):
-        if m.shape != b.shape:
-            raise ShapeError(f"layer {l}: mask shape {m.shape} vs weight shape {b.shape}")
-        diffs = np.abs(b - c).ravel()
-        parts.append(diffs[m.astype(bool).ravel()])
-    kept = np.concatenate(parts)
+    mask.check_pairing(baseline.weights)
+    mask.check_pairing(current.weights)
+    kept = np.concatenate(
+        [np.abs(b - c)[m] for b, c, m in zip(baseline.weights, current.weights, mask.layers)]
+    )
     if kept.size == 0:
         raise UsageError("mask keeps no weights; average movement is undefined")
     abs_dif = float(np.add.accumulate(kept)[-1])

@@ -30,8 +30,11 @@ _SHUFFLE_STREAM = 2
 
 
 def check_layer_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
-    """Validate an architecture: at least [input, output], all dims >= 1."""
-    sizes = tuple(int(s) for s in sizes)
+    """Validate an architecture: at least [input, output], all dims integers >= 1."""
+    try:
+        sizes = tuple(int(s) for s in sizes)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"layer sizes must be integers, got {sizes!r}") from exc
     if len(sizes) < 2:
         raise UsageError(f"architecture needs at least 2 layer sizes, got {sizes!r}")
     if any(s < 1 for s in sizes):
@@ -159,18 +162,16 @@ def init_network(arch: Sequence[int], seed: int) -> DenseNetwork:
     return DenseNetwork(weights, biases)
 
 
-def _kept_layers(net: DenseNetwork, mask: Optional["PruneMask"]) -> list[np.ndarray]:
-    """Boolean keep-indicators per layer; a missing mask keeps everything."""
+def masked_weights(
+    net: DenseNetwork, mask: Optional["PruneMask"]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(keep-indicators, weights with +0.0 at masked positions); no mask keeps everything."""
     if mask is None:
-        return [np.ones(w.shape, dtype=bool) for w in net.weights]
-    if len(mask.layers) != len(net.weights):
-        raise ShapeError(f"mask has {len(mask.layers)} layers, network has {len(net.weights)}")
-    kept = []
-    for l, (m, w) in enumerate(zip(mask.layers, net.weights)):
-        if m.shape != w.shape:
-            raise ShapeError(f"layer {l}: mask shape {m.shape} vs weight shape {w.shape}")
-        kept.append(m.astype(bool))
-    return kept
+        kept = [np.ones(w.shape, dtype=bool) for w in net.weights]
+    else:
+        mask.check_pairing(net.weights)
+        kept = list(mask.layers)
+    return kept, [np.where(k, w, 0.0) for k, w in zip(kept, net.weights)]
 
 
 def _forward_arrays(
@@ -207,8 +208,7 @@ def forward(net: DenseNetwork, mask: Optional["PruneMask"], inputs: np.ndarray) 
         raise ShapeError(
             f"inputs must be (N, {net.layer_sizes[0]}), got {inputs.shape}"
         )
-    kept = _kept_layers(net, mask)
-    weights = [np.where(k, w, 0.0) for k, w in zip(kept, net.weights)]
+    _, weights = masked_weights(net, mask)
     pre, _ = _forward_arrays(weights, net.biases, inputs)
     probs, _ = _softmax_from_logits(pre[-1])
     return probs
@@ -259,12 +259,21 @@ def loss_and_grads(
         raise UsageError(
             f"label {int(batch.labels.max())} out of range for {net.num_classes} classes"
         )
-    kept = _kept_layers(net, mask)
-    weights = [np.where(k, w, 0.0) for k, w in zip(kept, net.weights)]
+    kept, weights = masked_weights(net, mask)
     loss, grad_w, grad_b = _loss_and_grads_arrays(
         weights, net.biases, kept, batch.inputs, batch.labels
     )
     return loss, GradientSet(grad_w, grad_b)
+
+
+def _sgd_update(
+    net: DenseNetwork, kept: list[np.ndarray], grads: GradientSet, lr: float
+) -> DenseNetwork:
+    """w <- w - lr*g at kept positions and +0.0 elsewhere; b <- b - lr*g everywhere."""
+    return DenseNetwork(
+        [np.where(k, w - lr * g, 0.0) for k, w, g in zip(kept, net.weights, grads.weights)],
+        [b - lr * g for b, g in zip(net.biases, grads.biases)],
+    )
 
 
 def sgd_step(
@@ -274,12 +283,8 @@ def sgd_step(
 
     Biases are always updated.
     """
-    kept = _kept_layers(net, mask)
-    weights = [
-        np.where(k, w - lr * g, 0.0) for k, w, g in zip(kept, net.weights, grads.weights)
-    ]
-    biases = [b - lr * g for b, g in zip(net.biases, grads.biases)]
-    return DenseNetwork(weights, biases)
+    kept, _ = masked_weights(net, mask)
+    return _sgd_update(net, kept, grads, lr)
 
 
 def train(
@@ -306,15 +311,13 @@ def train(
         raise UsageError("training labels exceed the network's class count")
     measure = eval_data if eval_data is not None else data
 
-    kept = _kept_layers(net, mask)
-    weights = [np.where(k, w, 0.0) for k, w in zip(kept, net.weights)]
-    biases = [b.copy() for b in net.biases]
+    kept, weights = masked_weights(net, mask)
+    current = DenseNetwork(weights, net.biases)
     n = len(data)
     bs = cfg.train_batch_size
     lr = cfg.learning_rate
 
     history: list[tuple[float, float]] = []
-    current = DenseNetwork(weights, biases)
     for epoch in range(cfg.epochs):
         if cfg.shuffle_each_epoch:
             order = rng.permutation(rng.derive(cfg.seed, _SHUFFLE_STREAM, epoch), n)
@@ -324,13 +327,10 @@ def train(
         for start in range(0, n, bs):
             idx = order[start : start + bs]
             loss, grad_w, grad_b = _loss_and_grads_arrays(
-                weights, biases, kept, data.inputs[idx], data.labels[idx]
+                current.weights, current.biases, kept, data.inputs[idx], data.labels[idx]
             )
             loss_sum += loss * idx.shape[0]
-            for l in range(len(weights)):
-                weights[l] = np.where(kept[l], weights[l] - lr * grad_w[l], 0.0)
-                biases[l] = biases[l] - lr * grad_b[l]
-        current = DenseNetwork(list(weights), list(biases))
+            current = _sgd_update(current, kept, GradientSet(grad_w, grad_b), lr)
         history.append((loss_sum / n, evaluate(current, mask, measure)))
     return current, history
 

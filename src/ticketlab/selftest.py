@@ -64,9 +64,7 @@ def check_masked_freeze() -> bool:
     mask.layers[1][1, :] = 0
     data = gen_synthetic(3, 4, 30, seed=9)
     trained, _ = train(net, mask, data, TrainConfig(epochs=2, seed=4))
-    return all(
-        np.all(w[~m.astype(bool)] == 0.0) for w, m in zip(trained.weights, mask.layers)
-    )
+    return all(np.all(w[~m] == 0.0) for w, m in zip(trained.weights, mask.layers))
 
 
 def check_fisher_oracle() -> bool:
@@ -111,8 +109,7 @@ def check_mask_algebra() -> bool:
     trained = init_network(arch, seed=20)
     rewound = rewind(trained, net, mask)
     fidelity = all(
-        np.array_equal(r[m.astype(bool)], w[m.astype(bool)])
-        and np.all(r[~m.astype(bool)] == 0.0)
+        np.array_equal(r[m], w[m]) and np.all(r[~m] == 0.0)
         for r, w, m in zip(rewound.weights, net.weights, mask.layers)
     )
     return idempotent and fidelity

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ShapeError, UsageError
 from . import rng
 from .masks import PruneMask
-from .nn import Dataset, DenseNetwork, _kept_layers, _loss_and_grads_arrays
+from .nn import Dataset, DenseNetwork, _loss_and_grads_arrays, masked_weights
 
 # Stream tag for random scoring substreams (see rng.derive).
 _SCORE_STREAM = 3
@@ -82,9 +82,9 @@ def _excluded_where_pruned(values: np.ndarray, kept: np.ndarray) -> np.ndarray:
 
 def score_l1(net: DenseNetwork, mask: PruneMask) -> PruneScore:
     """Absolute weight value at every kept position."""
-    kept = _kept_layers(net, mask)
+    mask.check_pairing(net.weights)
     return PruneScore(
-        [_excluded_where_pruned(np.abs(w), k) for w, k in zip(net.weights, kept)]
+        [_excluded_where_pruned(np.abs(w), k) for w, k in zip(net.weights, mask.layers)]
     )
 
 
@@ -98,7 +98,7 @@ def score_random(mask: PruneMask, seed: int) -> PruneScore:
     layers = []
     for l, m in enumerate(mask.layers):
         u = rng.uniforms(rng.derive(seed, _SCORE_STREAM, l), m.size).reshape(m.shape)
-        layers.append(_excluded_where_pruned(u, m.astype(bool)))
+        layers.append(_excluded_where_pruned(u, m))
     return PruneScore(layers)
 
 
@@ -131,8 +131,7 @@ def score_fisher(
         raise UsageError(
             f"fisher set has {len(fisher_set)} rows, need sample_count={cfg.sample_count}"
         )
-    kept = _kept_layers(net, mask)
-    weights = [np.where(k, w, 0.0) for k, w in zip(kept, net.weights)]
+    kept, weights = masked_weights(net, mask)
     sq_sums = [np.zeros_like(w) for w in weights]
 
     bs = cfg.fisher_batch_size
@@ -161,15 +160,11 @@ def global_prune(mask: PruneMask, scores: PruneScore, fraction: float) -> PruneM
     """
     if not 0.0 <= fraction <= 1.0:
         raise UsageError(f"fraction must be in [0, 1], got {fraction}")
-    if len(scores.layers) != len(mask.layers):
-        raise ShapeError("scores and mask have different layer counts")
+    mask.check_pairing(scores.layers, what="score")
 
     kept_scores, layer_ids, flat_ids = [], [], []
     for l, (m, s) in enumerate(zip(mask.layers, scores.layers)):
-        if s.shape != m.shape:
-            raise ShapeError(f"layer {l}: score shape {s.shape} vs mask shape {m.shape}")
-        k = m.astype(bool).ravel()
-        flat = np.nonzero(k)[0]
+        flat = np.flatnonzero(m)
         vals = s.ravel()[flat]
         if not np.isfinite(vals).all():
             raise UsageError(f"layer {l} has non-finite scores at kept positions")
@@ -192,5 +187,5 @@ def global_prune(mask: PruneMask, scores: PruneScore, fraction: float) -> PruneM
     for l in range(len(new_layers)):
         in_layer = victims[all_layers[victims] == l]
         if in_layer.size:
-            new_layers[l].ravel()[all_flats[in_layer]] = 0
+            new_layers[l].ravel()[all_flats[in_layer]] = False
     return PruneMask(new_layers)

@@ -72,6 +72,37 @@ class TestSaveLoad:
         with pytest.raises(DataFormatError):
             load_checkpoint(path)
 
+    def test_mask_written_as_json_integers(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(make_state(), path)
+        entries = {
+            (type(v), v)
+            for layer in json.loads(path.read_text())["mask"]
+            for row in layer
+            for v in row
+        }
+        assert entries == {(int, 0), (int, 1)}
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda p: p["mask"][0][0].__setitem__(0, 2), id="mask-entry-2"),
+            pytest.param(lambda p: p["mask"].pop(), id="mask-network-mismatch"),
+            pytest.param(
+                lambda p: [row.pop() for row in p["trained"]["weights"][1]],
+                id="mis-chained-weights",
+            ),
+        ],
+    )
+    def test_corrupt_contents_rejected(self, tmp_path, corrupt):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(make_state(), path)
+        payload = json.loads(path.read_text())
+        corrupt(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError, match="corrupt"):
+            load_checkpoint(path)
+
     def test_hash_mismatch_warns(self, tmp_path):
         path = tmp_path / "ckpt.json"
         save_checkpoint(make_state(), path)

@@ -6,6 +6,7 @@ import pytest
 from ticketlab import UsageError, load_spec, read_records_csv, seed_configs
 from ticketlab.cli import main
 from ticketlab.config import build_datasets
+from ticketlab.results import RECORD_COLUMNS
 
 
 def spec_dict(**overrides):
@@ -35,6 +36,26 @@ def write_spec(tmp_path, **overrides):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec_dict(**overrides)))
     return path
+
+
+def write_records_csv(tmp_path):
+    """A one-row record CSV in the fixed schema; returns its path."""
+    path = tmp_path / "records.csv"
+    path.write_text(
+        ",".join(RECORD_COLUMNS) + "\nunit,fisher,iterative,1,0,0.0,0.5,0.5,1.0,0.0,0.0,0,0.1\n"
+    )
+    return str(path)
+
+
+def write_corrupt_checkpoint(tmp_path):
+    """A trained-network checkpoint whose first mask entry is 2; returns its path."""
+    path = tmp_path / "net.json"
+    assert main(["train", "--arch", "6,8,3", "--synthetic", "3,6,10",
+                 "--epochs", "1", "--save", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    payload["mask"][0][0][0] = 2
+    path.write_text(json.dumps(payload))
+    return str(path)
 
 
 class TestSpecParsing:
@@ -145,6 +166,56 @@ class TestCli:
         bad.write_bytes(b"\x00\x00\x08\x01\x00\x00\x00\x01\x05")
         assert main(["train", "--arch", "6,8,3", "--images", str(bad),
                      "--labels", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(
+                lambda tmp: ["train", "--arch", "6,8,3", "--synthetic", "2,x,5"],
+                id="train-synthetic-non-integer",
+            ),
+            pytest.param(
+                lambda tmp: ["report", "--figure", "batch_comparison", "--out",
+                             str(tmp / "fig.csv"), write_records_csv(tmp), "--batch-sizes", "q"],
+                id="report-batch-sizes-non-integer",
+            ),
+            pytest.param(
+                lambda tmp: ["lottery", "--config", str(write_spec(tmp, arch=[3, "x"]))],
+                id="spec-arch-non-integer",
+            ),
+            pytest.param(
+                lambda tmp: ["lottery", "--config", str(write_spec(tmp, seeds=["a"]))],
+                id="spec-seeds-non-integer",
+            ),
+        ],
+    )
+    def test_non_integer_values_exit_1(self, tmp_path, capsys, argv):
+        assert main(argv(tmp_path)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(
+                lambda tmp: ["train", "--arch", "4,6,2", "--images", str(tmp / "no-images.idx"),
+                             "--labels", str(tmp / "no-labels.idx")],
+                id="train-missing-idx",
+            ),
+            pytest.param(
+                lambda tmp: ["lottery", "--config", str(write_spec(tmp, dataset={"idx": {
+                    "train_images": "a.idx", "train_labels": "b.idx",
+                    "test_images": "c.idx", "test_labels": "d.idx"}}))],
+                id="spec-missing-idx",
+            ),
+            pytest.param(
+                lambda tmp: ["inspect", write_corrupt_checkpoint(tmp)],
+                id="inspect-mask-entry-2",
+            ),
+        ],
+    )
+    def test_unreadable_inputs_exit_2(self, tmp_path, capsys, argv):
+        assert main(argv(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
 
     @pytest.mark.filterwarnings("ignore:(invalid value|overflow)")
     def test_numerical_error_exit_3(self, tmp_path, capsys):

@@ -6,13 +6,19 @@ from hypothesis import strategies as st
 from ticketlab import (
     PruneMask,
     ShapeError,
+    TrainConfig,
     apply_mask,
     full_mask,
+    gen_synthetic,
     global_prune,
     init_network,
+    loss_and_grads,
     rewind,
     score_random,
+    sgd_step,
     sparsity,
+    train,
+    weight_movement,
 )
 
 from conftest import masks_equal, networks_equal
@@ -143,5 +149,55 @@ class TestSparsity:
         assert frac == pytest.approx(0.9962, abs=5e-4)
 
     def test_entries_validated(self):
-        with pytest.raises(ShapeError):
-            PruneMask([np.array([[2, 0]])])
+        for bad in ([[2, 0]], [[1, -1]], [[0.5, 1.0]]):
+            with pytest.raises(ShapeError):
+                PruneMask([np.array(bad)])
+
+
+class TestMaskContract:
+    """Masks are stored as bool, and masked weights come out as +0.0, never -0.0."""
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64])
+    def test_stores_bool(self, dtype):
+        mask = PruneMask([np.array([[1, 0, 1]], dtype=dtype)])
+        assert mask.layers[0].dtype == bool
+        assert mask.layers[0].tolist() == [[True, False, True]]
+
+    def test_full_mask_is_bool(self):
+        assert all(m.dtype == bool for m in full_mask([4, 3, 2]).layers)
+
+    def test_input_is_copied(self):
+        source = np.array([[1, 0, 1]], dtype=np.uint8)
+        mask = PruneMask([source])
+        source[0, 1] = 1
+        assert mask.layers[0].tolist() == [[True, False, True]]
+
+    @pytest.mark.parametrize("operation", ["apply_mask", "rewind", "sgd_step", "train"])
+    def test_masked_positions_are_positive_zero(self, operation):
+        arch = (6, 5, 3)
+        net = init_network(arch, seed=31)
+        # Mask exactly the negative weights: zeroing them by multiplication would give -0.0.
+        mask = PruneMask([w > 0 for w in net.weights])
+        data = gen_synthetic(3, 6, 10, seed=2)
+        if operation == "apply_mask":
+            out = apply_mask(net, mask)
+        elif operation == "rewind":
+            out = rewind(init_network(arch, seed=32), net, mask)
+        elif operation == "sgd_step":
+            _, grads = loss_and_grads(net, None, data)
+            out = sgd_step(net, grads, mask, lr=0.5)
+        else:
+            out, _ = train(net, mask, data, TrainConfig(epochs=1, train_batch_size=8))
+        for w, m in zip(out.weights, mask.layers):
+            assert np.all(w[~m] == 0.0)
+            assert not np.signbit(w[~m]).any()
+
+    @pytest.mark.parametrize(
+        "operation", [rewind, weight_movement], ids=["rewind", "weight_movement"]
+    )
+    def test_networks_of_another_architecture_rejected(self, operation):
+        arch = (4, 5, 3)
+        net, other = init_network(arch, seed=1), init_network((4, 6, 3), seed=2)
+        for first, second in ((net, other), (other, net)):
+            with pytest.raises(ShapeError):
+                operation(first, second, full_mask(arch))
