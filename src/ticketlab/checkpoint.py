@@ -21,9 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataFormatError, ShapeError
+from .errors import DataFormatError, ShapeError, UsageError
 from .masks import PruneMask
-from .nn import DenseNetwork
+from .nn import DenseNetwork, check_layer_sizes
 
 CHECKPOINT_VERSION = 1
 
@@ -83,7 +83,8 @@ def save_checkpoint(state: CheckpointState, path) -> None:
 def load_checkpoint(path, expected_config_hash: Optional[str] = None) -> CheckpointState:
     """Read a checkpoint, rejecting corrupt files and other format versions.
 
-    A mask that does not pair with the stored networks marks the file corrupt.
+    A mask that does not pair with the stored networks, or an `arch` that
+    differs from their layer sizes, marks the file corrupt.
 
     A config-hash mismatch is reported as a warning, not an error: the
     caller may be resuming deliberately under an edited config.
@@ -105,7 +106,7 @@ def load_checkpoint(path, expected_config_hash: Optional[str] = None) -> Checkpo
         )
     try:
         state = CheckpointState(
-            arch=tuple(payload["arch"]),
+            arch=check_layer_sizes(payload["arch"]),
             round_index=int(payload["round_index"]),
             config_hash=payload["config_hash"],
             initial=_net_from_json(payload["initial"]),
@@ -117,7 +118,12 @@ def load_checkpoint(path, expected_config_hash: Optional[str] = None) -> Checkpo
         for net in (state.initial, state.baseline, state.trained):
             if net is not None:
                 state.mask.check_pairing(net.weights)
-    except (KeyError, TypeError, ValueError, ShapeError) as exc:
+                if net.layer_sizes != state.arch:
+                    raise ShapeError(
+                        f"arch {state.arch} but a stored network has layer sizes "
+                        f"{net.layer_sizes}"
+                    )
+    except (KeyError, TypeError, ValueError, UsageError) as exc:
         raise DataFormatError(f"corrupt checkpoint {path}: {exc}") from exc
 
     if expected_config_hash is not None and state.config_hash != expected_config_hash:

@@ -28,13 +28,23 @@ if TYPE_CHECKING:
 _INIT_STREAM = 1
 _SHUFFLE_STREAM = 2
 
+# Rows per chunk of `_per_sample_sq_grad_sums`; bounds its intermediates
+# (1024 rows of a 784-300-100-10 network hold ~6 MB in layer 0).
+_SQ_GRAD_CHUNK_ROWS = 1024
+
 
 def check_layer_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
-    """Validate an architecture: at least [input, output], all dims integers >= 1."""
+    """Validate an architecture: at least [input, output], all dims integers >= 1.
+
+    Sizes may be integer strings or integral numbers; 8.9 is rejected, not truncated.
+    """
     try:
-        sizes = tuple(int(s) for s in sizes)
+        parsed = tuple(int(s) for s in sizes)
+        if any(not isinstance(s, str) and p != s for s, p in zip(sizes, parsed)):
+            raise ValueError("non-integral size")
     except (TypeError, ValueError) as exc:
         raise UsageError(f"layer sizes must be integers, got {sizes!r}") from exc
+    sizes = parsed
     if len(sizes) < 2:
         raise UsageError(f"architecture needs at least 2 layer sizes, got {sizes!r}")
     if any(s < 1 for s in sizes):
@@ -174,6 +184,23 @@ def masked_weights(
     return kept, [np.where(k, w, 0.0) for k, w in zip(kept, net.weights)]
 
 
+def _check_labelled_rows(
+    net: DenseNetwork, inputs: np.ndarray, labels: np.ndarray, what: str
+) -> None:
+    """UsageError for no rows or a label past the class count; ShapeError for a wrong width.
+
+    Takes the arrays of a Dataset, which has already checked their shapes and values.
+    """
+    if inputs.shape[0] == 0:
+        raise UsageError(f"{what} is empty")
+    if inputs.shape[1] != net.layer_sizes[0]:
+        raise ShapeError(f"{what} dim {inputs.shape[1]} vs network input dim {net.layer_sizes[0]}")
+    if int(labels.max()) >= net.num_classes:
+        raise UsageError(
+            f"{what} label {int(labels.max())} out of range for {net.num_classes} classes"
+        )
+
+
 def _forward_arrays(
     weights: list[np.ndarray], biases: list[np.ndarray], inputs: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -243,6 +270,34 @@ def _loss_and_grads_arrays(
     return loss, grad_w, grad_b
 
 
+def _per_sample_sq_grad_sums(
+    weights: list[np.ndarray],
+    biases: list[np.ndarray],
+    inputs: np.ndarray,
+    labels: np.ndarray,
+) -> list[np.ndarray]:
+    """Per layer, the sum over rows n of (dL_n/dW)**2, L_n being row n's own loss.
+
+    Row n's weight gradient is the outer product of its output delta and
+    its layer input, so the sum of squares is (delta**2).T @ (a**2)
+    (Goodfellow, arXiv:1510.01799). One pass per chunk of rows replaces one
+    backward pass per row. Weights must already be masked; sums at masked
+    positions are not zeroed.
+    """
+    sums = [np.zeros_like(w) for w in weights]
+    for start in range(0, inputs.shape[0], _SQ_GRAD_CHUNK_ROWS):
+        x = inputs[start : start + _SQ_GRAD_CHUNK_ROWS]
+        pre, layer_in = _forward_arrays(weights, biases, x)
+        delta, _ = _softmax_from_logits(pre[-1])
+        delta[np.arange(x.shape[0]), labels[start : start + _SQ_GRAD_CHUNK_ROWS]] -= 1.0
+        for l in range(len(weights) - 1, -1, -1):
+            a = layer_in[l]
+            sums[l] += (delta * delta).T @ (a * a)
+            if l > 0:
+                delta = (delta @ weights[l]) * (pre[l - 1] > 0.0)
+    return sums
+
+
 def loss_and_grads(
     net: DenseNetwork, mask: Optional["PruneMask"], batch: Dataset
 ) -> tuple[float, GradientSet]:
@@ -251,14 +306,7 @@ def loss_and_grads(
     Gradients at masked positions are exactly 0. Raises UsageError on an
     empty batch or out-of-range labels.
     """
-    if len(batch) == 0:
-        raise UsageError("loss_and_grads requires a non-empty batch")
-    if batch.dim != net.layer_sizes[0]:
-        raise ShapeError(f"batch dim {batch.dim} vs network input dim {net.layer_sizes[0]}")
-    if int(batch.labels.max()) >= net.num_classes:
-        raise UsageError(
-            f"label {int(batch.labels.max())} out of range for {net.num_classes} classes"
-        )
+    _check_labelled_rows(net, batch.inputs, batch.labels, "batch")
     kept, weights = masked_weights(net, mask)
     loss, grad_w, grad_b = _loss_and_grads_arrays(
         weights, net.biases, kept, batch.inputs, batch.labels
@@ -303,12 +351,7 @@ def train(
     identical (net, mask, data, cfg) reproduce bit-identical results.
     Masked weights are zeroed before the first step and stay 0 throughout.
     """
-    if len(data) == 0:
-        raise UsageError("cannot train on an empty dataset")
-    if data.dim != net.layer_sizes[0]:
-        raise ShapeError(f"data dim {data.dim} vs network input dim {net.layer_sizes[0]}")
-    if int(data.labels.max()) >= net.num_classes:
-        raise UsageError("training labels exceed the network's class count")
+    _check_labelled_rows(net, data.inputs, data.labels, "training data")
     measure = eval_data if eval_data is not None else data
 
     kept, weights = masked_weights(net, mask)

@@ -11,6 +11,11 @@ is the gradient of the mean loss of batch b. Batch size 1 makes B equal
 to the sample count and recovers the per-sample definition; larger batch
 sizes trade scoring fidelity for backward passes (exactly B of them).
 
+Batch size 1 is computed in one vectorised pass over chunks of rows: a
+row's weight gradient is an outer product, so its squared sum is
+(delta**2).T @ (a**2) per layer. The reported backward-pass count is the
+estimator's B, not the wall cost of computing it.
+
 `global_prune` then removes the lowest-scored fraction of the currently
 kept weights across all layers jointly.
 
@@ -28,7 +33,8 @@ import numpy as np
 from .errors import ShapeError, UsageError
 from . import rng
 from .masks import PruneMask
-from .nn import Dataset, DenseNetwork, _loss_and_grads_arrays, masked_weights
+from .nn import Dataset, DenseNetwork, masked_weights
+from .nn import _check_labelled_rows, _loss_and_grads_arrays, _per_sample_sq_grad_sums
 
 # Stream tag for random scoring substreams (see rng.derive).
 _SCORE_STREAM = 3
@@ -54,8 +60,8 @@ class PruneScore:
 class FisherConfig:
     """Size of the Fisher scoring set and how it is batched.
 
-    batch_count is ceil(sample_count / fisher_batch_size); the scorer runs
-    exactly that many backward passes.
+    batch_count is ceil(sample_count / fisher_batch_size); the scorer
+    reports that many backward passes, the estimator's count.
     """
 
     sample_count: int = 10_000
@@ -125,23 +131,30 @@ def score_fisher(
 
     Uses the first cfg.sample_count rows of `fisher_set`, split into
     batch_count consecutive batches; each batch contributes the squared
-    gradient of its mean loss. Returns (scores, batch_count).
+    gradient of its mean loss. Returns (scores, batch_count). Raises
+    ShapeError for rows of the wrong width and UsageError for too few rows
+    or labels beyond the network's classes.
     """
     if len(fisher_set) < cfg.sample_count:
         raise UsageError(
             f"fisher set has {len(fisher_set)} rows, need sample_count={cfg.sample_count}"
         )
+    inputs = fisher_set.inputs[: cfg.sample_count]
+    labels = fisher_set.labels[: cfg.sample_count]
+    _check_labelled_rows(net, inputs, labels, "fisher set")
     kept, weights = masked_weights(net, mask)
-    sq_sums = [np.zeros_like(w) for w in weights]
 
     bs = cfg.fisher_batch_size
-    for start in range(0, cfg.sample_count, bs):
-        stop = min(start + bs, cfg.sample_count)
-        _, grad_w, _ = _loss_and_grads_arrays(
-            weights, net.biases, kept, fisher_set.inputs[start:stop], fisher_set.labels[start:stop]
-        )
-        for l, g in enumerate(grad_w):
-            sq_sums[l] += g * g
+    if bs == 1:
+        sq_sums = _per_sample_sq_grad_sums(weights, net.biases, inputs, labels)
+    else:
+        sq_sums = [np.zeros_like(w) for w in weights]
+        for start in range(0, cfg.sample_count, bs):
+            _, grad_w, _ = _loss_and_grads_arrays(
+                weights, net.biases, kept, inputs[start : start + bs], labels[start : start + bs]
+            )
+            for l, g in enumerate(grad_w):
+                sq_sums[l] += g * g
     return _fisher_combine(weights, sq_sums, cfg.batch_count, kept), cfg.batch_count
 
 

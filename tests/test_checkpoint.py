@@ -92,6 +92,7 @@ class TestSaveLoad:
                 lambda p: [row.pop() for row in p["trained"]["weights"][1]],
                 id="mis-chained-weights",
             ),
+            pytest.param(lambda p: p.__setitem__("arch", [1, 2]), id="arch-mismatch"),
         ],
     )
     def test_corrupt_contents_rejected(self, tmp_path, corrupt):
@@ -102,6 +103,15 @@ class TestSaveLoad:
         path.write_text(json.dumps(payload))
         with pytest.raises(DataFormatError, match="corrupt"):
             load_checkpoint(path)
+
+    def test_integral_float_arch_loads_as_integers(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(make_state(), path)
+        payload = json.loads(path.read_text())
+        payload["arch"] = [4, 5.0, 3]
+        path.write_text(json.dumps(payload))
+        arch = load_checkpoint(path).arch
+        assert arch == (4, 5, 3) and all(type(s) is int for s in arch)
 
     def test_hash_mismatch_warns(self, tmp_path):
         path = tmp_path / "ckpt.json"

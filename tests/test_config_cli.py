@@ -47,13 +47,13 @@ def write_records_csv(tmp_path):
     return str(path)
 
 
-def write_corrupt_checkpoint(tmp_path):
-    """A trained-network checkpoint whose first mask entry is 2; returns its path."""
+def write_corrupt_checkpoint(tmp_path, corrupt=lambda p: p["mask"][0][0].__setitem__(0, 2)):
+    """A trained-network checkpoint edited by `corrupt` (default: first mask entry 2)."""
     path = tmp_path / "net.json"
     assert main(["train", "--arch", "6,8,3", "--synthetic", "3,6,10",
                  "--epochs", "1", "--save", str(path)]) == 0
     payload = json.loads(path.read_text())
-    payload["mask"][0][0][0] = 2
+    corrupt(payload)
     path.write_text(json.dumps(payload))
     return str(path)
 
@@ -187,6 +187,10 @@ class TestCli:
                 lambda tmp: ["lottery", "--config", str(write_spec(tmp, seeds=["a"]))],
                 id="spec-seeds-non-integer",
             ),
+            pytest.param(
+                lambda tmp: ["lottery", "--config", str(write_spec(tmp, arch=[6, 8.9, 3]))],
+                id="spec-arch-non-integral",
+            ),
         ],
     )
     def test_non_integer_values_exit_1(self, tmp_path, capsys, argv):
@@ -210,6 +214,11 @@ class TestCli:
             pytest.param(
                 lambda tmp: ["inspect", write_corrupt_checkpoint(tmp)],
                 id="inspect-mask-entry-2",
+            ),
+            pytest.param(
+                lambda tmp: ["inspect", write_corrupt_checkpoint(
+                    tmp, lambda p: p.__setitem__("arch", [1, 2]))],
+                id="inspect-arch-mismatch",
             ),
         ],
     )

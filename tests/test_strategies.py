@@ -19,6 +19,8 @@ from ticketlab import (
     score_l1,
     score_random,
 )
+from ticketlab import nn, rng, strategies
+from ticketlab.errors import ShapeError
 from ticketlab.nn import DenseNetwork
 from ticketlab.strategies import PruneScore, _fisher_combine
 
@@ -113,6 +115,25 @@ class TestFisherFormula:
         assert np.all(scores.layers[0] == 0.0)
 
 
+def per_sample_fisher_oracle(net, mask, data, sample_count):
+    """Explicit loop over samples accumulating g^2; NaN at pruned positions."""
+    acc = [np.zeros_like(w) for w in net.weights]
+    for n in range(sample_count):
+        _, g = loss_and_grads(net, mask, Dataset(data.inputs[n : n + 1], data.labels[n : n + 1]))
+        for l in range(len(acc)):
+            acc[l] += g.weights[l] ** 2
+    return [
+        np.where(m, w * w * a / (2 * sample_count), np.nan)
+        for w, a, m in zip(net.weights, acc, mask.layers)
+    ]
+
+
+def assert_matches_oracle(scores, expected):
+    for s, e in zip(scores.layers, expected):
+        assert np.array_equal(np.isnan(s), np.isnan(e))
+        np.testing.assert_allclose(s, e, rtol=1e-12, atol=0)
+
+
 class TestScoreFisher:
     def test_batch_one_matches_per_sample_oracle(self):
         """Independent oracle: explicit loop over samples accumulating g^2."""
@@ -124,17 +145,74 @@ class TestScoreFisher:
         data = gen_synthetic(3, 4, 8, seed=13, noise=0.3)
         scores, passes = score_fisher(net, mask, data, FisherConfig(len(data), 1))
         assert passes == len(data)
+        assert_matches_oracle(scores, per_sample_fisher_oracle(net, mask, data, len(data)))
 
-        acc = [np.zeros_like(w) for w in net.weights]
-        for n in range(len(data)):
-            _, g = loss_and_grads(
-                net, mask, Dataset(data.inputs[n : n + 1], data.labels[n : n + 1])
-            )
-            for l in range(len(acc)):
-                acc[l] += g.weights[l] ** 2
-        for l, w in enumerate(net.weights):
-            expected = w * w * acc[l] / (2 * len(data))
-            np.testing.assert_allclose(scores.layers[l], expected, rtol=1e-12, atol=0)
+    @pytest.mark.parametrize(
+        "arch, per_class, sample_count",
+        [
+            pytest.param((6, 7, 4), 3, 12, id="partial-mask"),
+            pytest.param(
+                (3, 4, 2),
+                nn._SQ_GRAD_CHUNK_ROWS // 2 + 19,
+                nn._SQ_GRAD_CHUNK_ROWS + 37,
+                id="across-chunk-boundary",
+            ),
+            pytest.param((4, 5, 3), 10, 17, id="rows-beyond-sample-count"),
+        ],
+    )
+    def test_batch_one_matches_oracle_on_partial_masks(self, arch, per_class, sample_count):
+        """NaN at pruned positions (a whole pruned unit included), the oracle elsewhere;
+        rows past sample_count change nothing."""
+        net = init_network(arch, seed=3)
+        mask = full_mask(arch)
+        mask.layers[0][::2, 1::3] = False
+        mask.layers[0][-1, :] = False  # the last hidden unit has no incoming weights
+        mask.layers[1][:, 0] = False
+        from ticketlab import gen_synthetic
+
+        data = gen_synthetic(arch[-1], arch[0], per_class, seed=5, noise=0.4)
+        data = data.take(rng.permutation(4, len(data)))  # labels no longer alternate
+        scores, passes = score_fisher(net, mask, data, FisherConfig(sample_count, 1))
+        assert passes == sample_count
+        assert np.isnan(scores.layers[0][-1]).all()
+        assert_matches_oracle(scores, per_sample_fisher_oracle(net, mask, data, sample_count))
+
+        changed = Dataset(data.inputs.copy(), data.labels.copy())
+        changed.inputs[sample_count:] = 3.0 - changed.inputs[sample_count:]
+        changed.labels[sample_count:] = (changed.labels[sample_count:] + 1) % arch[-1]
+        rescored, _ = score_fisher(net, mask, changed, FisherConfig(sample_count, 1))
+        for s, r in zip(scores.layers, rescored.layers):
+            assert np.array_equal(s, r, equal_nan=True)
+
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    @pytest.mark.parametrize(
+        "corrupt, error",
+        [
+            pytest.param(
+                lambda d: Dataset(d.inputs, np.where(np.arange(len(d)) == 11, 3, d.labels)),
+                UsageError,
+                id="label-out-of-range",
+            ),
+            pytest.param(
+                lambda d: Dataset(np.hstack([d.inputs, d.inputs[:, :1]]), d.labels),
+                ShapeError,
+                id="wrong-width",
+            ),
+        ],
+    )
+    def test_inputs_validated_before_any_pass(self, monkeypatch, batch_size, corrupt, error):
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a backward pass ran before validation")
+
+        monkeypatch.setattr(strategies, "_loss_and_grads_arrays", no_pass)
+        monkeypatch.setattr(strategies, "_per_sample_sq_grad_sums", no_pass)
+        net = init_network([4, 5, 3], seed=1)
+        from ticketlab import gen_synthetic
+
+        data = corrupt(gen_synthetic(3, 4, 4, seed=2))
+        with pytest.raises(error) as exc:
+            score_fisher(net, full_mask([4, 5, 3]), data, FisherConfig(12, batch_size))
+        assert exc.type is error
 
     def test_backward_pass_count_is_batch_count(self):
         net = init_network([2, 3], seed=1)
