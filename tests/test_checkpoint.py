@@ -1,9 +1,13 @@
+import base64
 import json
+import os
 
+import numpy as np
 import pytest
 
 from ticketlab import (
     DataFormatError,
+    apply_mask,
     config_hash,
     full_mask,
     gen_synthetic,
@@ -12,14 +16,19 @@ from ticketlab import (
     run_iterative,
     save_checkpoint,
 )
-from ticketlab.checkpoint import CHECKPOINT_VERSION, CheckpointState, latest_round_path
+from ticketlab.checkpoint import (
+    _MASK,
+    CHECKPOINT_VERSION,
+    CheckpointState,
+    _decode_array,
+    latest_round_path,
+)
 
-from conftest import masks_equal, networks_equal
+from conftest import as_v1, edit_checkpoint, masks_equal, networks_equal
 from test_lottery import cfg_iterative, strip_seconds
 
 
-def make_state(round_index=2):
-    arch = (4, 5, 3)
+def make_state(round_index=2, arch=(4, 5, 3)):
     mask = full_mask(arch)
     mask.layers[0][0, :2] = 0
     return CheckpointState(
@@ -29,9 +38,14 @@ def make_state(round_index=2):
         initial=init_network(arch, seed=1),
         baseline=init_network(arch, seed=2),
         mask=mask,
-        trained=init_network(arch, seed=3),
+        trained=apply_mask(init_network(arch, seed=3), mask),
         rows=[],
     )
+
+
+def encoded(shape, nbytes):
+    """A raw encoded array of `nbytes` zero bytes claiming `shape`."""
+    return {"shape": shape, "data": base64.b64encode(bytes(nbytes)).decode("ascii")}
 
 
 class TestSaveLoad:
@@ -72,35 +86,92 @@ class TestSaveLoad:
         with pytest.raises(DataFormatError):
             load_checkpoint(path)
 
-    def test_mask_written_as_json_integers(self, tmp_path):
+    def test_mask_written_as_uint8_zero_one(self, tmp_path):
         path = tmp_path / "ckpt.json"
         save_checkpoint(make_state(), path)
-        entries = {
-            (type(v), v)
-            for layer in json.loads(path.read_text())["mask"]
-            for row in layer
-            for v in row
-        }
-        assert entries == {(int, 0), (int, 1)}
+        # Decoding as uint8 checks the data holds exactly one byte per entry.
+        layers = [_decode_array(m, _MASK) for m in json.loads(path.read_text())["mask"]]
+        assert [m.shape for m in layers] == [(5, 4), (3, 5)]
+        assert set(np.concatenate([m.ravel() for m in layers]).tolist()) == {0, 1}
+
+    def test_extreme_values_round_trip_bit_exact(self, tmp_path):
+        state = make_state()
+        extremes = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                    0.1, 1 / 3, 2.2250738585072014e-308, 1.2345678901234567e-7]
+        state.initial.weights[0].flat[: len(extremes)] = extremes
+        state.initial.biases[0][:] = [-0.0, 5e-324, 0.30000000000000004, 1e308, -1e-308]
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(state, path)
+        stored = json.loads(path.read_text())["initial"]["biases"][0]
+        assert base64.b64decode(stored["data"]) == state.initial.biases[0].astype("<f8").tobytes()
+        back = load_checkpoint(path)
+        for saved, loaded in zip(
+            state.initial.weights + state.initial.biases + state.trained.weights,
+            back.initial.weights + back.initial.biases + back.trained.weights,
+        ):
+            assert loaded.dtype == np.float64 and loaded.flags.writeable
+            assert np.array_equal(loaded.view(np.uint64), saved.view(np.uint64))
+        for m, w in zip(back.mask.layers, back.trained.weights):
+            assert (w[~m] == 0).all() and not np.signbit(w[~m]).any()
+
+    def test_lenet_size_close_to_raw_bytes(self, tmp_path):
+        state = make_state(arch=(784, 300, 100, 10))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(state, path)
+        floats = sum(w.size + b.size for w, b in zip(state.trained.weights, state.trained.biases))
+        raw_bytes = 3 * 8 * floats + state.mask.total_count()
+        assert path.stat().st_size <= 1.4 * raw_bytes
+
+    def test_v1_decimal_checkpoint_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(make_state(), path)
+        edit_checkpoint(path, as_v1)
+        payload = json.loads(path.read_text())
+        assert payload["format_version"] == 1 and payload["mask"][0][0] == [0, 0, 1, 1]
+        with pytest.raises(DataFormatError, match="version"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "corrupt",
         [
-            pytest.param(lambda p: p["mask"][0][0].__setitem__(0, 2), id="mask-entry-2"),
+            pytest.param(lambda p: p["mask"][0].__setitem__((0, 0), 2), id="mask-entry-2"),
             pytest.param(lambda p: p["mask"].pop(), id="mask-network-mismatch"),
             pytest.param(
-                lambda p: [row.pop() for row in p["trained"]["weights"][1]],
+                lambda p: p["trained"]["weights"].__setitem__(
+                    1, p["trained"]["weights"][1][:, :-1]
+                ),
                 id="mis-chained-weights",
             ),
             pytest.param(lambda p: p.__setitem__("arch", [1, 2]), id="arch-mismatch"),
+            pytest.param(
+                lambda p: p["mask"].__setitem__(0, {"shape": [5, 4], "data": "not*base64"}),
+                id="invalid-base64",
+            ),
+            pytest.param(
+                lambda p: p["trained"]["biases"].__setitem__(0, encoded([5], 32)),
+                id="data-length-mismatch",
+            ),
+            pytest.param(
+                lambda p: p["mask"].__setitem__(0, encoded([-5, -4], 20)), id="negative-shape"
+            ),
+            pytest.param(
+                lambda p: p["mask"].__setitem__(0, encoded([5.0, 4], 20)), id="non-integer-shape"
+            ),
         ],
     )
     def test_corrupt_contents_rejected(self, tmp_path, corrupt):
         path = tmp_path / "ckpt.json"
         save_checkpoint(make_state(), path)
-        payload = json.loads(path.read_text())
-        corrupt(payload)
-        path.write_text(json.dumps(payload))
+        edit_checkpoint(path, corrupt)
+        with pytest.raises(DataFormatError, match="corrupt"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "contents", [b"\xff\xfe not utf-8", b"[1, 2]"], ids=["not-utf8", "not-an-object"]
+    )
+    def test_undecodable_file_rejected(self, tmp_path, contents):
+        path = tmp_path / "ckpt.json"
+        path.write_bytes(contents)
         with pytest.raises(DataFormatError, match="corrupt"):
             load_checkpoint(path)
 
@@ -144,3 +215,34 @@ class TestResumeEquivalence:
                 resume_from=tmp_path / f"round_{resume_round:03d}.json",
             )
             assert strip_seconds(resumed.rows) == strip_seconds(full_record.rows)
+
+    def test_interrupted_save_keeps_previous_round_latest(self, tmp_path, monkeypatch):
+        train_data = gen_synthetic(3, 6, 60, seed=5, noise=0.2)
+        test_data = gen_synthetic(3, 6, 20, seed=77, noise=0.2)
+        cfg = cfg_iterative(rounds=4)
+        full_record = run_iterative(cfg, train_data, test_data)
+
+        real_fsync, syncs, latest_at_crash = os.fsync, [], []
+
+        def torn_fsync(fd):
+            syncs.append(fd)
+            if len(syncs) == 4:  # the save of round 3 tears half-way
+                os.ftruncate(fd, os.fstat(fd).st_size // 2)
+                latest_at_crash.append(latest_round_path(tmp_path).name)
+                raise OSError("simulated crash mid-write")
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", torn_fsync)
+        with pytest.raises(OSError, match="simulated crash"):
+            run_iterative(cfg, train_data, test_data, checkpoint_dir=tmp_path)
+        monkeypatch.undo()
+
+        # What a killed process would leave, and what the failed save cleans up.
+        assert latest_at_crash == ["round_002.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "round_000.json", "round_001.json", "round_002.json"
+        ]
+        latest = latest_round_path(tmp_path)
+        assert latest.name == "round_002.json"
+        resumed = run_iterative(cfg, train_data, test_data, resume_from=latest)
+        assert strip_seconds(resumed.rows) == strip_seconds(full_record.rows)

@@ -8,6 +8,8 @@ from ticketlab.cli import main
 from ticketlab.config import build_datasets
 from ticketlab.results import RECORD_COLUMNS
 
+from conftest import as_v1, edit_checkpoint
+
 
 def spec_dict(**overrides):
     spec = {
@@ -47,14 +49,12 @@ def write_records_csv(tmp_path):
     return str(path)
 
 
-def write_corrupt_checkpoint(tmp_path, corrupt=lambda p: p["mask"][0][0].__setitem__(0, 2)):
+def write_corrupt_checkpoint(tmp_path, corrupt=lambda p: p["mask"][0].__setitem__((0, 0), 2)):
     """A trained-network checkpoint edited by `corrupt` (default: first mask entry 2)."""
     path = tmp_path / "net.json"
     assert main(["train", "--arch", "6,8,3", "--synthetic", "3,6,10",
                  "--epochs", "1", "--save", str(path)]) == 0
-    payload = json.loads(path.read_text())
-    corrupt(payload)
-    path.write_text(json.dumps(payload))
+    edit_checkpoint(path, corrupt)
     return str(path)
 
 
@@ -219,6 +219,10 @@ class TestCli:
                 lambda tmp: ["inspect", write_corrupt_checkpoint(
                     tmp, lambda p: p.__setitem__("arch", [1, 2]))],
                 id="inspect-arch-mismatch",
+            ),
+            pytest.param(
+                lambda tmp: ["inspect", write_corrupt_checkpoint(tmp, as_v1)],
+                id="inspect-v1-checkpoint",
             ),
         ],
     )
