@@ -7,7 +7,15 @@ along through every operation: masked weight positions contribute nothing
 to the forward pass, receive zero gradient, and stay exactly 0.0 through
 any number of update steps. Biases are never masked.
 
-All functions treat their inputs as immutable and return new values.
+Masking is one branchless step: each bool mask layer becomes uint64
+words (all ones where kept, 0 where pruned) once per call, and ANDing a
+float64 array's bits with them equals `np.where(kept, a, 0.0)` in every
+bit, at a cost that does not depend on how the kept positions are
+scattered.
+
+No function modifies its arguments. `train` and `sgd_step` update
+private copies of the weights and biases in place and return them as a
+new network; everything else returns new values.
 """
 
 from __future__ import annotations
@@ -117,8 +125,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise UsageError(f"epochs must be >= 1, got {self.epochs}")
-        if not self.learning_rate > 0:
-            raise UsageError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise UsageError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.train_batch_size < 1:
             raise UsageError(f"train_batch_size must be >= 1, got {self.train_batch_size}")
 
@@ -172,16 +180,43 @@ def init_network(arch: Sequence[int], seed: int) -> DenseNetwork:
     return DenseNetwork(weights, biases)
 
 
+def _keep_bits(kept: Sequence[np.ndarray]) -> list[Optional[np.ndarray]]:
+    """Per bool layer, uint64 words: all ones where kept, 0 where pruned; None if all kept."""
+    return [None if k.all() else np.negative(k, dtype=np.int64).view(np.uint64) for k in kept]
+
+
+def _zero_pruned(
+    a: np.ndarray, bits: Optional[np.ndarray], out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """float64 `a` with +0.0 where `bits` is 0, written to `out` (a new array if None).
+
+    Equals `np.where(kept, a, 0.0)` in every bit, NaN, infinities, -0.0
+    and subnormals included. `out` may be `a` itself.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if out is None:
+        out = np.empty(a.shape)
+    if bits is None:
+        if out is not a:
+            np.copyto(out, a)
+    else:
+        np.bitwise_and(a.view(np.uint64), bits, out=out.view(np.uint64))
+    return out
+
+
 def masked_weights(
     net: DenseNetwork, mask: Optional["PruneMask"]
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """(keep-indicators, weights with +0.0 at masked positions); no mask keeps everything."""
+) -> tuple[list[Optional[np.ndarray]], list[np.ndarray]]:
+    """(keep words of `_keep_bits`, new weight arrays with +0.0 at masked positions).
+
+    No mask keeps everything.
+    """
     if mask is None:
-        kept = [np.ones(w.shape, dtype=bool) for w in net.weights]
+        bits = [None] * len(net.weights)
     else:
         mask.check_pairing(net.weights)
-        kept = list(mask.layers)
-    return kept, [np.where(k, w, 0.0) for k, w in zip(kept, net.weights)]
+        bits = _keep_bits(mask.layers)
+    return bits, [_zero_pruned(w, k) for w, k in zip(net.weights, bits)]
 
 
 def _check_labelled_rows(
@@ -244,11 +279,14 @@ def forward(net: DenseNetwork, mask: Optional["PruneMask"], inputs: np.ndarray) 
 def _loss_and_grads_arrays(
     weights: list[np.ndarray],
     biases: list[np.ndarray],
-    kept: list[np.ndarray],
+    bits: list[Optional[np.ndarray]],
     inputs: np.ndarray,
     labels: np.ndarray,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Mean cross-entropy and its exact gradients; weights must already be masked."""
+    """Mean cross-entropy and its exact gradients, +0.0 at pruned positions.
+
+    Weights must already be masked; `bits` are their keep words.
+    """
     n = inputs.shape[0]
     pre, layer_in = _forward_arrays(weights, biases, inputs)
     probs, lse = _softmax_from_logits(pre[-1])
@@ -261,7 +299,8 @@ def _loss_and_grads_arrays(
     grad_w: list[np.ndarray] = []
     grad_b: list[np.ndarray] = []
     for l in range(len(weights) - 1, -1, -1):
-        grad_w.append(np.where(kept[l], delta.T @ layer_in[l], 0.0))
+        g = delta.T @ layer_in[l]
+        grad_w.append(_zero_pruned(g, bits[l], out=g))
         grad_b.append(delta.sum(axis=0))
         if l > 0:
             delta = (delta @ weights[l]) * (pre[l - 1] > 0.0)
@@ -307,21 +346,30 @@ def loss_and_grads(
     empty batch or out-of-range labels.
     """
     _check_labelled_rows(net, batch.inputs, batch.labels, "batch")
-    kept, weights = masked_weights(net, mask)
+    bits, weights = masked_weights(net, mask)
     loss, grad_w, grad_b = _loss_and_grads_arrays(
-        weights, net.biases, kept, batch.inputs, batch.labels
+        weights, net.biases, bits, batch.inputs, batch.labels
     )
     return loss, GradientSet(grad_w, grad_b)
 
 
 def _sgd_update(
-    net: DenseNetwork, kept: list[np.ndarray], grads: GradientSet, lr: float
-) -> DenseNetwork:
-    """w <- w - lr*g at kept positions and +0.0 elsewhere; b <- b - lr*g everywhere."""
-    return DenseNetwork(
-        [np.where(k, w - lr * g, 0.0) for k, w, g in zip(kept, net.weights, grads.weights)],
-        [b - lr * g for b, g in zip(net.biases, grads.biases)],
-    )
+    weights: list[np.ndarray],
+    biases: list[np.ndarray],
+    grad_w: list[np.ndarray],
+    grad_b: list[np.ndarray],
+    lr: float,
+) -> None:
+    """In place: w -= lr*g and b -= lr*g; `grad_w` is scaled by lr on the way.
+
+    Masked weights and their gradients must already be +0.0; with a finite
+    lr they stay +0.0, since +0.0 - lr*(+0.0) is +0.0 for either sign of lr.
+    """
+    for w, g in zip(weights, grad_w):
+        g *= lr
+        w -= g
+    for b, g in zip(biases, grad_b):
+        b -= lr * g
 
 
 def sgd_step(
@@ -329,10 +377,16 @@ def sgd_step(
 ) -> DenseNetwork:
     """One gradient-descent update: w <- w - lr*g at kept positions, masked stay 0.
 
-    Biases are always updated.
+    Biases are always updated. Gradients at masked positions are ignored.
+    Raises UsageError for a non-finite lr.
     """
-    kept, _ = masked_weights(net, mask)
-    return _sgd_update(net, kept, grads, lr)
+    if not math.isfinite(lr):
+        raise UsageError(f"lr must be finite, got {lr}")
+    bits, weights = masked_weights(net, mask)
+    grad_w = [_zero_pruned(g, k) for g, k in zip(grads.weights, bits)]
+    biases = [b.copy() for b in net.biases]
+    _sgd_update(weights, biases, grad_w, grads.biases, lr)
+    return DenseNetwork(weights, biases)
 
 
 def train(
@@ -354,8 +408,8 @@ def train(
     _check_labelled_rows(net, data.inputs, data.labels, "training data")
     measure = eval_data if eval_data is not None else data
 
-    kept, weights = masked_weights(net, mask)
-    current = DenseNetwork(weights, net.biases)
+    bits, weights = masked_weights(net, mask)
+    biases = [b.copy() for b in net.biases]
     n = len(data)
     bs = cfg.train_batch_size
     lr = cfg.learning_rate
@@ -370,12 +424,12 @@ def train(
         for start in range(0, n, bs):
             idx = order[start : start + bs]
             loss, grad_w, grad_b = _loss_and_grads_arrays(
-                current.weights, current.biases, kept, data.inputs[idx], data.labels[idx]
+                weights, biases, bits, data.inputs[idx], data.labels[idx]
             )
             loss_sum += loss * idx.shape[0]
-            current = _sgd_update(current, kept, GradientSet(grad_w, grad_b), lr)
-        history.append((loss_sum / n, evaluate(current, mask, measure)))
-    return current, history
+            _sgd_update(weights, biases, grad_w, grad_b, lr)
+        history.append((loss_sum / n, evaluate(DenseNetwork(weights, biases), mask, measure)))
+    return DenseNetwork(weights, biases), history
 
 
 def evaluate(net: DenseNetwork, mask: Optional["PruneMask"], data: Dataset) -> float:

@@ -142,7 +142,7 @@ def score_fisher(
     inputs = fisher_set.inputs[: cfg.sample_count]
     labels = fisher_set.labels[: cfg.sample_count]
     _check_labelled_rows(net, inputs, labels, "fisher set")
-    kept, weights = masked_weights(net, mask)
+    bits, weights = masked_weights(net, mask)
 
     bs = cfg.fisher_batch_size
     if bs == 1:
@@ -151,11 +151,11 @@ def score_fisher(
         sq_sums = [np.zeros_like(w) for w in weights]
         for start in range(0, cfg.sample_count, bs):
             _, grad_w, _ = _loss_and_grads_arrays(
-                weights, net.biases, kept, inputs[start : start + bs], labels[start : start + bs]
+                weights, net.biases, bits, inputs[start : start + bs], labels[start : start + bs]
             )
             for l, g in enumerate(grad_w):
                 sq_sums[l] += g * g
-    return _fisher_combine(weights, sq_sums, cfg.batch_count, kept), cfg.batch_count
+    return _fisher_combine(weights, sq_sums, cfg.batch_count, mask.layers), cfg.batch_count
 
 
 def removal_count(kept: int, fraction: float) -> int:

@@ -15,10 +15,11 @@ from ticketlab import (
     sgd_step,
     train,
 )
-from ticketlab import rng
-from ticketlab.nn import DenseNetwork
+from ticketlab import GradientSet, PruneMask, apply_mask, rewind, rng
+from ticketlab.nn import DenseNetwork, _keep_bits, _zero_pruned, masked_weights
 
 from conftest import networks_equal
+from test_masks import random_mask
 
 
 def finite_difference(net, mask, batch, layer, i, j, h=1e-5):
@@ -253,3 +254,152 @@ class TestEvaluate:
     def test_empty_dataset_rejected(self, tiny_net):
         with pytest.raises(UsageError):
             evaluate(tiny_net, None, Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int)))
+
+
+def array_bytes(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+# Values whose bits a select and an AND could treat differently, negative NaN included.
+SPECIAL = np.array(
+    [-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1.797e308, -1.797e308, 1.5]
+)
+
+
+class TestKeepBits:
+    """The AND masking primitive equals `np.where(kept, a, 0.0)` in every bit."""
+
+    @staticmethod
+    def values(shape, seed):
+        a = rng.normals(seed, int(np.prod(shape))).reshape(shape)
+        flat = a.reshape(-1)
+        flat[: 3 * SPECIAL.size] = np.tile(SPECIAL, 3)
+        flat[-SPECIAL.size :] = SPECIAL
+        return a
+
+    @pytest.mark.parametrize("kept_count", [0, 4, 500, 1000], ids=["0%", "0.4%", "50%", "100%"])
+    def test_matches_where_bit_for_bit(self, kept_count):
+        a = self.values((25, 40), seed=3)
+        kept = np.zeros(a.size, dtype=bool)
+        kept[rng.permutation(5, a.size)[:kept_count]] = True
+        kept = kept.reshape(a.shape)
+        expected = np.where(kept, a, 0.0).view(np.uint64)
+        bits = _keep_bits([kept])[0]
+        assert (bits is None) == (kept_count == a.size)
+
+        fresh = _zero_pruned(a, bits)
+        assert fresh is not a
+        assert np.array_equal(fresh.view(np.uint64), expected)
+        in_place = a.copy()
+        assert _zero_pruned(in_place, bits, out=in_place) is in_place
+        assert np.array_equal(in_place.view(np.uint64), expected)
+
+    def test_masked_weights_with_all_pruned_and_all_kept_layers(self):
+        arch = (40, 25, 30, 20)
+        net = DenseNetwork(
+            [self.values((arch[l + 1], arch[l]), seed=10 + l) for l in range(3)],
+            [np.zeros(arch[l + 1]) for l in range(3)],
+        )
+        mask = random_mask(arch, seed=6, keep_prob=0.5)
+        mask.layers[0][:] = False
+        mask.layers[2][:] = True
+        bits, weights = masked_weights(net, mask)
+        assert bits[0] is not None and bits[2] is None
+        for w, k, out in zip(net.weights, mask.layers, weights):
+            assert out is not w
+            assert np.array_equal(out.view(np.uint64), np.where(k, w, 0.0).view(np.uint64))
+
+
+def operation_inputs(operation, mask_kind):
+    """(call, arrays) for one operation: calling `call()` runs it on arrays it must not change."""
+    arch = (6, 5, 3)
+    net = init_network(arch, seed=13)
+    other = init_network(arch, seed=14)
+    mask = {
+        "none": None,
+        "full": full_mask(arch),
+        "partial": random_mask(arch, seed=2, keep_prob=0.5),
+    }[mask_kind]
+    data = gen_synthetic(3, 6, 40, seed=8)
+    _, grads = loss_and_grads(net, None, data)
+    calls = {
+        "train": lambda: train(net, mask, data, TrainConfig(epochs=2, train_batch_size=16)),
+        "sgd_step": lambda: sgd_step(net, grads, mask, lr=0.5),
+        "loss_and_grads": lambda: loss_and_grads(net, mask, data),
+        "forward": lambda: forward(net, mask, data.inputs),
+        "apply_mask": lambda: apply_mask(net, mask),
+        "rewind": lambda: rewind(other, net, mask),
+    }
+    arrays = [*net.weights, *net.biases, *other.weights, *other.biases]
+    arrays += [*grads.weights, *grads.biases, *(mask.layers if mask else [])]
+    return calls[operation], arrays
+
+
+class TestInputsUnchanged:
+    @pytest.mark.parametrize(
+        "operation, mask_kind",
+        [
+            (op, kind)
+            for op in ["train", "sgd_step", "loss_and_grads", "forward", "apply_mask", "rewind"]
+            for kind in ["none", "full", "partial"]
+            if not (kind == "none" and op in ("apply_mask", "rewind"))
+        ],
+    )
+    def test_every_input_array_is_byte_identical_after_the_call(self, operation, mask_kind):
+        call, arrays = operation_inputs(operation, mask_kind)
+        before = array_bytes(arrays)
+        call()
+        assert array_bytes(arrays) == before
+
+
+def reference_train(net, mask, data, cfg):
+    """`train` rebuilt from the public loss_and_grads and sgd_step."""
+    history = []
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(rng.derive(cfg.seed, 2, epoch), len(data))
+        loss_sum = 0.0
+        for start in range(0, len(data), cfg.train_batch_size):
+            idx = order[start : start + cfg.train_batch_size]
+            loss, grads = loss_and_grads(net, mask, data.take(idx))
+            loss_sum += loss * idx.shape[0]
+            net = sgd_step(net, grads, mask, cfg.learning_rate)
+        history.append((loss_sum / len(data), evaluate(net, mask, data)))
+    return net, history
+
+
+class TestTrainMatchesPublicApi:
+    @pytest.mark.parametrize(
+        "make_mask",
+        [
+            lambda net, arch: random_mask(arch, seed=4, keep_prob=0.5),
+            lambda net, arch: random_mask(arch, seed=5, keep_prob=0.1),
+            # Pruning exactly the negative weights: a multiplicative zeroing would leave -0.0.
+            lambda net, arch: PruneMask([w > 0 for w in net.weights]),
+        ],
+        ids=["50%", "10%", "negative-weights-pruned"],
+    )
+    def test_bit_identical_to_reference_loop(self, blob_data, make_mask):
+        arch = (6, 5, 3)
+        net = init_network(arch, seed=21)
+        mask = make_mask(net, arch)
+        cfg = TrainConfig(epochs=4, learning_rate=0.3, train_batch_size=16, seed=7)
+        trained, history = train(net, mask, blob_data, cfg)
+        expected, expected_history = reference_train(net, mask, blob_data, cfg)
+        assert array_bytes(trained.weights) == array_bytes(expected.weights)
+        assert array_bytes(trained.biases) == array_bytes(expected.biases)
+        assert history == expected_history
+        for w, m in zip(trained.weights, mask.layers):
+            assert np.all(w[~m] == 0.0)
+            assert not np.signbit(w[~m]).any()
+
+
+class TestNonFiniteLearningRate:
+    @pytest.mark.parametrize("lr", [np.inf, -np.inf, np.nan])
+    def test_rejected(self, tiny_net, tiny_mask, lr):
+        grads = GradientSet(
+            [np.ones_like(w) for w in tiny_net.weights], [np.ones_like(b) for b in tiny_net.biases]
+        )
+        with pytest.raises(UsageError):
+            sgd_step(tiny_net, grads, tiny_mask, lr=lr)
+        with pytest.raises(UsageError):
+            TrainConfig(learning_rate=lr)
