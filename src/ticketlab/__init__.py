@@ -37,9 +37,7 @@ from .masks import (
     sparsity,
 )
 from .strategies import (
-    EXCLUDED,
     FisherConfig,
-    PruneScore,
     global_prune,
     removal_count,
     score_fisher,
@@ -73,7 +71,6 @@ __all__ = [
     "DataFormatError",
     "Dataset",
     "DenseNetwork",
-    "EXCLUDED",
     "ExperimentRecord",
     "ExperimentSpec",
     "FisherConfig",
@@ -83,7 +80,6 @@ __all__ = [
     "MovementReport",
     "NumericalError",
     "PruneMask",
-    "PruneScore",
     "RoundRow",
     "ShapeError",
     "SparsityReport",

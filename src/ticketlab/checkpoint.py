@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DataFormatError, ShapeError, UsageError
 from .masks import PruneMask
-from .nn import DenseNetwork, check_layer_sizes
+from .nn import DenseNetwork, check_int, check_layer_sizes
 
 CHECKPOINT_VERSION = 2
 _FLOAT = np.dtype("<f8")
@@ -159,7 +159,7 @@ def load_checkpoint(path, expected_config_hash: Optional[str] = None) -> Checkpo
     try:
         state = CheckpointState(
             arch=check_layer_sizes(payload["arch"]),
-            round_index=int(payload["round_index"]),
+            round_index=check_int(payload["round_index"], "round_index", 0),
             config_hash=payload["config_hash"],
             initial=_net_from_json(payload["initial"]),
             baseline=_net_from_json(payload["baseline"]),

@@ -39,17 +39,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_synthetic(text: str):
+    """CLASSES,DIM,PER_CLASS[,NOISE[,SEED]]; gen_synthetic checks the integer fields."""
     usage = "--synthetic takes CLASSES,DIM,PER_CLASS[,NOISE[,SEED]]"
     parts = text.split(",")
     if len(parts) < 3 or len(parts) > 5:
         raise UsageError(usage)
     try:
-        classes, dim, per_class = (int(p) for p in parts[:3])
         noise = float(parts[3]) if len(parts) > 3 else 0.1
-        seed = int(parts[4]) if len(parts) > 4 else 0
     except ValueError as exc:
         raise UsageError(f"{usage}: {exc}") from exc
-    return gen_synthetic(classes, dim, per_class, seed, noise=noise)
+    return gen_synthetic(*parts[:3], parts[4] if len(parts) > 4 else 0, noise=noise)
 
 
 def _cmd_train(args) -> int:

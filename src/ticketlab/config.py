@@ -17,7 +17,7 @@ from .errors import DataFormatError, UsageError
 from . import rng
 from .data import gen_synthetic, load_idx
 from .lottery import LotteryConfig
-from .nn import Dataset, TrainConfig
+from .nn import Dataset, TrainConfig, check_int
 from .strategies import FisherConfig
 
 # Stream tag distinguishing a synthetic test set from its training set.
@@ -153,17 +153,17 @@ def parse_spec(obj: dict, base_dir: Optional[Path] = None) -> ExperimentSpec:
     if seeds is not None:
         if not isinstance(seeds, list) or not seeds:
             raise UsageError("seeds must be a non-empty list of integers")
-        try:
-            seeds = tuple(int(s) for s in seeds)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"seeds must be a non-empty list of integers, got {seeds!r}") from exc
+        seeds = tuple(check_int(s, "seed") for s in seeds)
+    checkpoint = obj.get("checkpoint", False)
+    if not isinstance(checkpoint, bool):
+        raise UsageError(f"checkpoint must be true or false, got {checkpoint!r}")
 
     return ExperimentSpec(
         lottery=LotteryConfig(**lottery_kwargs),
         dataset=dataset,
         output_dir=obj.get("output_dir", "results"),
         seeds=seeds,
-        checkpoint=bool(obj.get("checkpoint", False)),
+        checkpoint=checkpoint,
     )
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DataFormatError, UsageError
 from . import rng
-from .nn import Dataset
+from .nn import Dataset, check_int
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
@@ -113,10 +113,10 @@ def gen_synthetic(
     Row i carries label i % classes, so any prefix of the dataset stays
     (nearly) class-balanced. Identical seeds give identical datasets.
     """
-    if classes < 2:
-        raise UsageError(f"need at least 2 classes, got {classes}")
-    if dim < 1 or per_class < 1:
-        raise UsageError("dim and per_class must be >= 1")
+    classes = check_int(classes, "classes", 2)
+    dim = check_int(dim, "dim", 1)
+    per_class = check_int(per_class, "per_class", 1)
+    seed = check_int(seed, "seed")
     if noise < 0:
         raise UsageError(f"noise must be >= 0, got {noise}")
     n = classes * per_class

@@ -25,15 +25,9 @@ from .errors import NumericalError, TicketLabError, UsageError
 from . import rng
 from .masks import PruneMask, apply_mask, full_mask, rewind, sparsity
 from .metrics import MovementReport, weight_movement
-from .nn import Dataset, DenseNetwork, TrainConfig, check_layer_sizes, init_network, train
-from .strategies import (
-    FisherConfig,
-    PruneScore,
-    global_prune,
-    score_fisher,
-    score_l1,
-    score_random,
-)
+from .nn import Dataset, DenseNetwork, TrainConfig, check_int_fields, check_layer_sizes
+from .nn import init_network, train
+from .strategies import FisherConfig, global_prune, score_fisher, score_l1, score_random
 
 STRATEGIES = ("random", "l1", "fisher")
 MODES = ("one_shot", "iterative")
@@ -62,6 +56,7 @@ class LotteryConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "arch", check_layer_sizes(self.arch))
+        check_int_fields(self, rounds=1, init_seed=None, data_seed=None, strategy_seed=None)
         if self.strategy not in STRATEGIES:
             raise UsageError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.mode not in MODES:
@@ -70,8 +65,6 @@ class LotteryConfig:
             raise UsageError(
                 f"per_round_fraction must be in (0, 1), got {self.per_round_fraction}"
             )
-        if self.rounds < 1:
-            raise UsageError(f"rounds must be >= 1, got {self.rounds}")
         if self.strategy == "fisher" and self.fisher is None:
             raise UsageError("strategy 'fisher' needs a FisherConfig")
         if self.mode == "one_shot":
@@ -136,7 +129,7 @@ def _compute_scores(
     mask: PruneMask,
     fisher_set: Dataset,
     round_index: int,
-) -> tuple[PruneScore, int]:
+) -> tuple[list[np.ndarray], int]:
     """Dispatch to the configured scorer; returns (scores, backward passes)."""
     if cfg.strategy == "random":
         # A fresh seed each round; reusing one would re-rank the same draws.
@@ -147,7 +140,7 @@ def _compute_scores(
     return score_fisher(trained, mask, fisher_set, cfg.fisher)
 
 
-def _prune_step(mask: PruneMask, scores: PruneScore, fraction: float) -> PruneMask:
+def _prune_step(mask: PruneMask, scores: list[np.ndarray], fraction: float) -> PruneMask:
     """Globally prune and verify the kept-set only ever shrinks."""
     new_mask = global_prune(mask, scores, fraction)
     for l, (old, new) in enumerate(zip(mask.layers, new_mask.layers)):

@@ -41,23 +41,34 @@ _SHUFFLE_STREAM = 2
 _SQ_GRAD_CHUNK_ROWS = 1024
 
 
-def check_layer_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
-    """Validate an architecture: at least [input, output], all dims integers >= 1.
-
-    Sizes may be integer strings or integral numbers; 8.9 is rejected, not truncated.
-    """
+def check_int(value, what: str, minimum: Optional[int] = None) -> int:
+    """`value` as an int >= `minimum`, else UsageError; "8" and 8.0 pass, 8.9 and True do not."""
     try:
-        parsed = tuple(int(s) for s in sizes)
-        if any(not isinstance(s, str) and p != s for s, p in zip(sizes, parsed)):
-            raise ValueError("non-integral size")
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"layer sizes must be integers, got {sizes!r}") from exc
-    sizes = parsed
-    if len(sizes) < 2:
+        parsed = int(value)
+        if isinstance(value, bool) or (not isinstance(value, str) and parsed != value):
+            raise ValueError("non-integral")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"{what} must be an integer, got {value!r}") from exc
+    if minimum is not None and parsed < minimum:
+        raise UsageError(f"{what} must be >= {minimum}, got {parsed}")
+    return parsed
+
+
+def check_int_fields(cfg, **minimums: Optional[int]) -> None:
+    """Replace each named field of the frozen dataclass `cfg` by `check_int` of its value."""
+    for name, minimum in minimums.items():
+        object.__setattr__(cfg, name, check_int(getattr(cfg, name), name, minimum))
+
+
+def check_layer_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
+    """Validate an architecture: at least [input, output], all dims `check_int` >= 1."""
+    try:
+        parsed = tuple(check_int(s, f"layer size in {sizes!r}", 1) for s in sizes)
+    except TypeError as exc:
+        raise UsageError(f"layer sizes must be a sequence, got {sizes!r}") from exc
+    if len(parsed) < 2:
         raise UsageError(f"architecture needs at least 2 layer sizes, got {sizes!r}")
-    if any(s < 1 for s in sizes):
-        raise UsageError(f"layer sizes must be >= 1, got {sizes!r}")
-    return sizes
+    return parsed
 
 
 @dataclass(eq=False)
@@ -123,12 +134,9 @@ class TrainConfig:
     shuffle_each_epoch: bool = True
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise UsageError(f"epochs must be >= 1, got {self.epochs}")
+        check_int_fields(self, epochs=1, train_batch_size=1, seed=None)
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
             raise UsageError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.train_batch_size < 1:
-            raise UsageError(f"train_batch_size must be >= 1, got {self.train_batch_size}")
 
 
 @dataclass(eq=False)

@@ -1,0 +1,61 @@
+"""Reference loops that `selftest` and the test suite check the fast paths against.
+
+Each oracle is a plain loop over the public API and never calls the
+vectorised code it checks, so an agreement is evidence.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .nn import Dataset, DenseNetwork, GradientSet, loss_and_grads
+
+
+def finite_difference(net: DenseNetwork, mask, batch: Dataset, h: float = 1e-5) -> GradientSet:
+    """Central difference of the batch loss in every weight and bias coordinate."""
+    bumped, diffs = net.copy(), net.copy()
+    for params, out in ((bumped.weights, diffs.weights), (bumped.biases, diffs.biases)):
+        for p, d in zip(params, out):
+            for index in np.ndindex(p.shape):
+                saved = p[index]
+                p[index] += h
+                up, _ = loss_and_grads(bumped, mask, batch)
+                p[index] -= 2 * h
+                down, _ = loss_and_grads(bumped, mask, batch)
+                p[index] = saved
+                d[index] = (up - down) / (2 * h)
+    return GradientSet(diffs.weights, diffs.biases)
+
+
+def per_sample_fisher(net: DenseNetwork, mask, data: Dataset, sample_count: int) -> list:
+    """w**2 * sum_n g_n**2 / (2N) over the first N rows, one backward pass per row.
+
+    Gradients are exactly 0 at pruned positions, so the scores there are +0.0.
+    """
+    acc = [np.zeros_like(w) for w in net.weights]
+    for n in range(sample_count):
+        _, g = loss_and_grads(net, mask, Dataset(data.inputs[n : n + 1], data.labels[n : n + 1]))
+        for l in range(len(acc)):
+            acc[l] += g.weights[l] ** 2
+    return [w * w * a / (2 * sample_count) for w, a in zip(net.weights, acc)]
+
+
+def movement_element_loop(baseline: DenseNetwork, current: DenseNetwork, mask) -> tuple:
+    """(sum of |baseline - current| over kept weights, kept count), layer then row-major."""
+    acc = 0.0
+    count = 0
+    for wb, wc, m in zip(baseline.weights, current.weights, mask.layers):
+        for i in range(m.shape[0]):
+            for j in range(m.shape[1]):
+                if m[i, j]:
+                    acc += abs(wb[i, j] - wc[i, j])
+                    count += 1
+    return acc, count
+
+
+def worst_relative_error(a: GradientSet, b: GradientSet) -> float:
+    """Largest |a - b| / max(|a|, |b|, 1e-8) over every weight and bias entry."""
+    return max(
+        float(np.max(np.abs(x - y) / np.maximum(np.maximum(np.abs(x), np.abs(y)), 1e-8)))
+        for x, y in zip(a.weights + a.biases, b.weights + b.biases)
+    )

@@ -3,7 +3,8 @@
 Each check is a tiny deterministic experiment exercising one contract:
 gradient exactness against finite differences, Fisher batching against a
 per-sample loop, mask algebra, movement summation against an element
-loop, IDX round trips. The whole battery runs in a few seconds.
+loop, IDX round trips. The reference loops come from `oracles`. The
+whole battery runs in a few seconds.
 """
 
 from __future__ import annotations
@@ -19,17 +20,9 @@ from .data import gen_synthetic, load_idx, write_idx
 from .masks import apply_mask, full_mask, rewind, sparsity
 from .metrics import weight_movement
 from .nn import Dataset, TrainConfig, forward, init_network, loss_and_grads, train
+from .oracles import finite_difference, movement_element_loop, per_sample_fisher
+from .oracles import worst_relative_error
 from .strategies import FisherConfig, global_prune, score_fisher, score_l1, score_random
-
-
-def _fd_gradient(net, mask, batch, layer, i, j, h=1e-5):
-    """Central finite difference of the batch loss in one weight coordinate."""
-    bumped = net.copy()
-    bumped.weights[layer][i, j] += h
-    up, _ = loss_and_grads(bumped, mask, batch)
-    bumped.weights[layer][i, j] -= 2 * h
-    down, _ = loss_and_grads(bumped, mask, batch)
-    return (up - down) / (2 * h)
 
 
 def check_gradients() -> bool:
@@ -37,13 +30,7 @@ def check_gradients() -> bool:
     mask = full_mask([3, 4, 2])
     batch = Dataset(rng.normals(21, 5 * 3).reshape(5, 3), np.array([0, 1, 0, 1, 1]))
     _, grads = loss_and_grads(net, mask, batch)
-    for l, g in enumerate(grads.weights):
-        for i in range(g.shape[0]):
-            for j in range(g.shape[1]):
-                fd = _fd_gradient(net, mask, batch, l, i, j)
-                if abs(g[i, j] - fd) / max(abs(g[i, j]), abs(fd), 1e-8) >= 1e-4:
-                    return False
-    return True
+    return worst_relative_error(grads, finite_difference(net, mask, batch)) < 1e-4
 
 
 def check_softmax_rows() -> bool:
@@ -73,18 +60,10 @@ def check_fisher_oracle() -> bool:
     mask = full_mask(arch)
     data = gen_synthetic(3, 4, 8, seed=13)
     scores, passes = score_fisher(net, mask, data, FisherConfig(len(data), 1))
-    if passes != len(data):
-        return False
-    acc = [np.zeros_like(w) for w in net.weights]
-    for n in range(len(data)):
-        _, g = loss_and_grads(net, mask, Dataset(data.inputs[n : n + 1], data.labels[n : n + 1]))
-        for l in range(len(acc)):
-            acc[l] += g.weights[l] ** 2
-    for l, w in enumerate(net.weights):
-        expected = w * w * acc[l] / (2 * len(data))
-        if not np.allclose(scores.layers[l], expected, rtol=1e-12, atol=0):
-            return False
-    return True
+    expected = per_sample_fisher(net, mask, data, len(data))
+    return passes == len(data) and all(
+        np.allclose(s, e, rtol=1e-12, atol=0) for s, e in zip(scores, expected)
+    )
 
 
 def check_global_prune() -> bool:
@@ -121,14 +100,7 @@ def check_movement_oracle() -> bool:
     mask = full_mask(arch)
     mask.layers[1][0, 1] = 0
     report = weight_movement(a, b, mask)
-    acc = 0.0
-    count = 0
-    for wa, wb, m in zip(a.weights, b.weights, mask.layers):
-        for i in range(m.shape[0]):
-            for j in range(m.shape[1]):
-                if m[i, j]:
-                    acc += abs(wa[i, j] - wb[i, j])
-                    count += 1
+    acc, count = movement_element_loop(a, b, mask)
     return report.weight_abs_dif == acc and report.unpruned_count == count
 
 
@@ -147,7 +119,7 @@ def check_l1_scores() -> bool:
     net = init_network([2, 3], seed=31)
     mask = full_mask([2, 3])
     scores = score_l1(net, mask)
-    return np.array_equal(scores.layers[0], np.abs(net.weights[0]))
+    return np.array_equal(scores[0], np.abs(net.weights[0]))
 
 
 def check_sparsity_compounding() -> bool:
@@ -159,7 +131,7 @@ def check_sparsity_compounding() -> bool:
 
 
 CHECKS = (
-    ("gradients match central finite differences", check_gradients),
+    ("weight and bias gradients match central finite differences", check_gradients),
     ("softmax rows sum to one", check_softmax_rows),
     ("masked weights stay zero through training", check_masked_freeze),
     ("fisher batch size 1 matches per-sample loop", check_fisher_oracle),

@@ -16,44 +16,28 @@ row's weight gradient is an outer product, so its squared sum is
 (delta**2).T @ (a**2) per layer. The reported backward-pass count is the
 estimator's B, not the wall cost of computing it.
 
-`global_prune` then removes the lowest-scored fraction of the currently
-kept weights across all layers jointly.
-
-Scores are dense float matrices shaped like the weights; positions that
-are already pruned are excluded from scoring and carry NaN.
+Scores are plain per-layer arrays shaped like the weights. Values at
+already-pruned positions are never read: `global_prune` removes the
+lowest-scored fraction of the currently kept weights across all layers
+jointly, and validates the scores it reads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ShapeError, UsageError
+from .errors import UsageError
 from . import rng
 from .masks import PruneMask
-from .nn import Dataset, DenseNetwork, masked_weights
+from .nn import Dataset, DenseNetwork, check_int_fields, masked_weights
 from .nn import _check_labelled_rows, _loss_and_grads_arrays, _per_sample_sq_grad_sums
 
 # Stream tag for random scoring substreams (see rng.derive).
 _SCORE_STREAM = 3
-
-#: Sentinel stored at already-pruned positions, which are never scored.
-EXCLUDED = math.nan
-
-
-@dataclass(eq=False)
-class PruneScore:
-    """Per-layer relevance values; NaN marks excluded (already pruned) positions."""
-
-    layers: list[np.ndarray]
-
-    def __post_init__(self) -> None:
-        for l, s in enumerate(self.layers):
-            if np.asarray(s).ndim != 2:
-                raise ShapeError(f"score layer {l} must be 2-D")
-        self.layers = [np.asarray(s, dtype=np.float64) for s in self.layers]
 
 
 @dataclass(frozen=True)
@@ -68,10 +52,7 @@ class FisherConfig:
     fisher_batch_size: int = 1
 
     def __post_init__(self) -> None:
-        if self.sample_count < 1:
-            raise UsageError(f"sample_count must be >= 1, got {self.sample_count}")
-        if self.fisher_batch_size < 1:
-            raise UsageError(f"fisher_batch_size must be >= 1, got {self.fisher_batch_size}")
+        check_int_fields(self, sample_count=1, fisher_batch_size=1)
         if self.fisher_batch_size > self.sample_count:
             raise UsageError(
                 f"fisher_batch_size {self.fisher_batch_size} exceeds sample_count {self.sample_count}"
@@ -82,51 +63,36 @@ class FisherConfig:
         return -(-self.sample_count // self.fisher_batch_size)
 
 
-def _excluded_where_pruned(values: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    return np.where(kept, values, EXCLUDED)
-
-
-def score_l1(net: DenseNetwork, mask: PruneMask) -> PruneScore:
-    """Absolute weight value at every kept position."""
+def score_l1(net: DenseNetwork, mask: PruneMask) -> list[np.ndarray]:
+    """Absolute weight values, per layer."""
     mask.check_pairing(net.weights)
-    return PruneScore(
-        [_excluded_where_pruned(np.abs(w), k) for w, k in zip(net.weights, mask.layers)]
-    )
+    return [np.abs(w) for w in net.weights]
 
 
-def score_random(mask: PruneMask, seed: int) -> PruneScore:
-    """I.i.d. uniform(0, 1) scores at kept positions.
+def score_random(mask: PruneMask, seed: int) -> list[np.ndarray]:
+    """I.i.d. uniform(0, 1) scores, per layer.
 
-    Layer l consumes one draw per weight position, row-major, from the
-    substream derive(seed, 3, l); draws landing on pruned positions are
-    discarded. Same seed, same scores.
+    Layer l takes one draw per weight position, row-major, from the
+    substream derive(seed, 3, l), pruned positions included, so the same
+    seed gives the same scores and the same masks.
     """
-    layers = []
-    for l, m in enumerate(mask.layers):
-        u = rng.uniforms(rng.derive(seed, _SCORE_STREAM, l), m.size).reshape(m.shape)
-        layers.append(_excluded_where_pruned(u, m))
-    return PruneScore(layers)
+    return [
+        rng.uniforms(rng.derive(seed, _SCORE_STREAM, l), m.size).reshape(m.shape)
+        for l, m in enumerate(mask.layers)
+    ]
 
 
 def _fisher_combine(
-    weights: list[np.ndarray],
-    squared_grad_sums: list[np.ndarray],
-    batch_count: int,
-    kept: list[np.ndarray],
-) -> PruneScore:
+    weights: list[np.ndarray], squared_grad_sums: list[np.ndarray], batch_count: int
+) -> list[np.ndarray]:
     """Turn accumulated squared gradients into scores: w**2 * sum / (2B)."""
     scale = 1.0 / (2.0 * batch_count)
-    return PruneScore(
-        [
-            _excluded_where_pruned(scale * w * w * s, k)
-            for w, s, k in zip(weights, squared_grad_sums, kept)
-        ]
-    )
+    return [scale * w * w * s for w, s in zip(weights, squared_grad_sums)]
 
 
 def score_fisher(
     net: DenseNetwork, mask: PruneMask, fisher_set: Dataset, cfg: FisherConfig
-) -> tuple[PruneScore, int]:
+) -> tuple[list[np.ndarray], int]:
     """Diagonal-Fisher relevance of each kept weight, plus the backward-pass count.
 
     Uses the first cfg.sample_count rows of `fisher_set`, split into
@@ -155,7 +121,7 @@ def score_fisher(
             )
             for l, g in enumerate(grad_w):
                 sq_sums[l] += g * g
-    return _fisher_combine(weights, sq_sums, cfg.batch_count, mask.layers), cfg.batch_count
+    return _fisher_combine(weights, sq_sums, cfg.batch_count), cfg.batch_count
 
 
 def removal_count(kept: int, fraction: float) -> int:
@@ -163,20 +129,24 @@ def removal_count(kept: int, fraction: float) -> int:
     return int(math.floor(fraction * kept + 0.5))
 
 
-def global_prune(mask: PruneMask, scores: PruneScore, fraction: float) -> PruneMask:
+def global_prune(mask: PruneMask, scores: Sequence[np.ndarray], fraction: float) -> PruneMask:
     """Prune the lowest-scored `fraction` of currently kept weights, all layers jointly.
 
-    Removes exactly round(fraction * kept) positions; score ties break by
-    ascending (layer index, row-major flat index). Already-pruned
-    positions are untouched. Raises UsageError for fraction outside [0, 1]
-    or non-finite scores at kept positions.
+    `scores` holds one array per layer, shaped like the mask; only its
+    values at kept positions are read. Removes exactly
+    round(fraction * kept) positions; score ties break by ascending
+    (layer index, row-major flat index). Already-pruned positions are
+    untouched. Raises UsageError for fraction outside [0, 1] or
+    non-finite scores at kept positions, ShapeError for scores that do
+    not pair with the mask.
     """
     if not 0.0 <= fraction <= 1.0:
         raise UsageError(f"fraction must be in [0, 1], got {fraction}")
-    mask.check_pairing(scores.layers, what="score")
+    scores = [np.asarray(s, dtype=np.float64) for s in scores]
+    mask.check_pairing(scores, what="score")
 
     kept_scores, layer_ids, flat_ids = [], [], []
-    for l, (m, s) in enumerate(zip(mask.layers, scores.layers)):
+    for l, (m, s) in enumerate(zip(mask.layers, scores)):
         flat = np.flatnonzero(m)
         vals = s.ravel()[flat]
         if not np.isfinite(vals).all():

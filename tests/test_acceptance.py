@@ -37,10 +37,14 @@ from ticketlab import (
 )
 from ticketlab import rng
 from ticketlab.cli import main
+from ticketlab.oracles import (
+    finite_difference,
+    movement_element_loop,
+    per_sample_fisher,
+    worst_relative_error,
+)
 
 from test_masks import random_mask
-from test_metrics import movement_element_loop
-from test_nn import finite_difference
 
 LENET = (784, 300, 100, 10)
 HEAVY_TRAIN = TrainConfig(epochs=10, learning_rate=0.3, train_batch_size=128, seed=0)
@@ -125,23 +129,7 @@ def test_criterion_1_gradient_exactness():
         mask = full_mask(arch)
         batch = Dataset(rng.normals(21, 5 * 3).reshape(5, 3), np.array([0, 1, 0, 1, 1]))
         _, grads = loss_and_grads(net, mask, batch)
-        worst = 0.0
-        for l in range(len(net.weights)):
-            for i in range(net.weights[l].shape[0]):
-                for j in range(net.weights[l].shape[1]):
-                    fd = finite_difference(net, mask, batch, l, i, j)
-                    g = grads.weights[l][i, j]
-                    worst = max(worst, abs(g - fd) / max(abs(g), abs(fd), 1e-8))
-            for i in range(net.biases[l].shape[0]):
-                h = 1e-5
-                bumped = net.copy()
-                bumped.biases[l][i] += h
-                up, _ = loss_and_grads(bumped, mask, batch)
-                bumped.biases[l][i] -= 2 * h
-                down, _ = loss_and_grads(bumped, mask, batch)
-                fd = (up - down) / (2 * h)
-                g = grads.biases[l][i]
-                worst = max(worst, abs(g - fd) / max(abs(g), abs(fd), 1e-8))
+        worst = worst_relative_error(grads, finite_difference(net, mask, batch))
         elapsed = time.perf_counter() - start
         assert worst < 1e-4, f"worst relative error {worst:.2e}"
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
@@ -157,16 +145,8 @@ def test_criterion_2_fisher_oracle_equivalence():
         scores, passes = score_fisher(net, mask, fisher_set, FisherConfig(64, 1))
         assert passes == 64
 
-        acc = [np.zeros_like(w) for w in net.weights]
-        for n in range(64):
-            _, g = loss_and_grads(
-                net, mask, Dataset(fisher_set.inputs[n : n + 1], fisher_set.labels[n : n + 1])
-            )
-            for l in range(len(acc)):
-                acc[l] += g.weights[l] ** 2
-        for l, w in enumerate(net.weights):
-            expected = w * w * acc[l] / (2 * 64)
-            np.testing.assert_allclose(scores.layers[l], expected, rtol=1e-12, atol=0)
+        for s, expected in zip(scores, per_sample_fisher(net, mask, fisher_set, 64)):
+            np.testing.assert_allclose(s, expected, rtol=1e-12, atol=0)
         assert time.perf_counter() - start < 5.0
 
 

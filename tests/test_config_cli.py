@@ -40,6 +40,11 @@ def write_spec(tmp_path, **overrides):
     return path
 
 
+def lottery_with(**overrides):
+    """argv for `lottery` on spec_dict(**overrides), written under the given directory."""
+    return lambda tmp: ["lottery", "--config", str(write_spec(tmp, **overrides))]
+
+
 def write_records_csv(tmp_path):
     """A one-row record CSV in the fixed schema; returns its path."""
     path = tmp_path / "records.csv"
@@ -179,18 +184,24 @@ class TestCli:
                              str(tmp / "fig.csv"), write_records_csv(tmp), "--batch-sizes", "q"],
                 id="report-batch-sizes-non-integer",
             ),
+            pytest.param(lottery_with(arch=[3, "x"]), id="spec-arch-non-integer"),
+            pytest.param(lottery_with(seeds=["a"]), id="spec-seeds-non-integer"),
+            pytest.param(lottery_with(arch=[6, 8.9, 3]), id="spec-arch-non-integral"),
+            pytest.param(lottery_with(rounds=2.5), id="spec-rounds-non-integral"),
+            pytest.param(lottery_with(rounds=True), id="spec-rounds-boolean"),
+            pytest.param(lottery_with(init_seed=1.5), id="spec-init-seed-non-integral"),
+            pytest.param(lottery_with(train={"epochs": 1.5}), id="spec-train-epochs-non-integral"),
             pytest.param(
-                lambda tmp: ["lottery", "--config", str(write_spec(tmp, arch=[3, "x"]))],
-                id="spec-arch-non-integer",
+                lottery_with(strategy="fisher", fisher={"sample_count": 20.5}),
+                id="spec-fisher-sample-count-non-integral",
             ),
             pytest.param(
-                lambda tmp: ["lottery", "--config", str(write_spec(tmp, seeds=["a"]))],
-                id="spec-seeds-non-integer",
+                lottery_with(dataset={"synthetic": {
+                    "classes": 3, "dim": 6, "per_class": 20, "test_per_class": 8.5}}),
+                id="spec-synthetic-count-non-integral",
             ),
-            pytest.param(
-                lambda tmp: ["lottery", "--config", str(write_spec(tmp, arch=[6, 8.9, 3]))],
-                id="spec-arch-non-integral",
-            ),
+            pytest.param(lottery_with(seeds=[1.7]), id="spec-seeds-non-integral"),
+            pytest.param(lottery_with(checkpoint="no"), id="spec-checkpoint-not-boolean"),
         ],
     )
     def test_non_integer_values_exit_1(self, tmp_path, capsys, argv):
@@ -206,9 +217,8 @@ class TestCli:
                 id="train-missing-idx",
             ),
             pytest.param(
-                lambda tmp: ["lottery", "--config", str(write_spec(tmp, dataset={"idx": {
-                    "train_images": "a.idx", "train_labels": "b.idx",
-                    "test_images": "c.idx", "test_labels": "d.idx"}}))],
+                lottery_with(dataset={"idx": {"train_images": "a.idx", "train_labels": "b.idx",
+                                              "test_images": "c.idx", "test_labels": "d.idx"}}),
                 id="spec-missing-idx",
             ),
             pytest.param(
@@ -223,6 +233,11 @@ class TestCli:
             pytest.param(
                 lambda tmp: ["inspect", write_corrupt_checkpoint(tmp, as_v1)],
                 id="inspect-v1-checkpoint",
+            ),
+            pytest.param(
+                lambda tmp: ["inspect", write_corrupt_checkpoint(
+                    tmp, lambda p: p.__setitem__("round_index", 2.5))],
+                id="inspect-round-index-non-integral",
             ),
         ],
     )

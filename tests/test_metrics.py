@@ -12,21 +12,9 @@ from ticketlab import (
 )
 from ticketlab.lottery import ExperimentRecord, RoundRow
 from ticketlab.nn import DenseNetwork
+from ticketlab.oracles import movement_element_loop
 
 from test_masks import random_mask
-
-
-def movement_element_loop(baseline, current, mask):
-    """Independent oracle: plain Python accumulation in layer/row-major order."""
-    acc = 0.0
-    count = 0
-    for wb, wc, m in zip(baseline.weights, current.weights, mask.layers):
-        for i in range(m.shape[0]):
-            for j in range(m.shape[1]):
-                if m[i, j]:
-                    acc += abs(wb[i, j] - wc[i, j])
-                    count += 1
-    return acc, count
 
 
 def make_record(rows, method="l1", mode="iterative", seed=0, arch=(4, 3, 2), batch=None):

@@ -17,19 +17,10 @@ from ticketlab import (
 )
 from ticketlab import GradientSet, PruneMask, apply_mask, rewind, rng
 from ticketlab.nn import DenseNetwork, _keep_bits, _zero_pruned, masked_weights
+from ticketlab.oracles import finite_difference, worst_relative_error
 
 from conftest import networks_equal
 from test_masks import random_mask
-
-
-def finite_difference(net, mask, batch, layer, i, j, h=1e-5):
-    """Independent oracle: central difference of the batch loss in one weight."""
-    bumped = net.copy()
-    bumped.weights[layer][i, j] += h
-    up, _ = loss_and_grads(bumped, mask, batch)
-    bumped.weights[layer][i, j] -= 2 * h
-    down, _ = loss_and_grads(bumped, mask, batch)
-    return (up - down) / (2 * h)
 
 
 class TestInitNetwork:
@@ -116,14 +107,8 @@ class TestLossAndGrads:
         """Every analytic partial vs a central difference on 5 random points."""
         batch = Dataset(rng.normals(21, 5 * 3).reshape(5, 3), np.array([0, 1, 0, 1, 1]))
         _, grads = loss_and_grads(tiny_net, tiny_mask, batch)
-        worst = 0.0
-        for l, g in enumerate(grads.weights):
-            for i in range(g.shape[0]):
-                for j in range(g.shape[1]):
-                    fd = finite_difference(tiny_net, tiny_mask, batch, l, i, j)
-                    rel = abs(g[i, j] - fd) / max(abs(g[i, j]), abs(fd), 1e-8)
-                    worst = max(worst, rel)
-        assert worst < 1e-4
+        fd = finite_difference(tiny_net, tiny_mask, batch)
+        assert worst_relative_error(grads, fd) < 1e-4
 
     def test_masked_positions_get_zero_gradient(self, tiny_net, tiny_arch):
         mask = full_mask(tiny_arch)

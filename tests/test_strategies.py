@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +11,6 @@ from ticketlab import (
     full_mask,
     global_prune,
     init_network,
-    loss_and_grads,
     removal_count,
     score_fisher,
     score_l1,
@@ -22,7 +19,8 @@ from ticketlab import (
 from ticketlab import nn, rng, strategies
 from ticketlab.errors import ShapeError
 from ticketlab.nn import DenseNetwork
-from ticketlab.strategies import PruneScore, _fisher_combine
+from ticketlab.oracles import per_sample_fisher
+from ticketlab.strategies import _fisher_combine
 
 
 def one_layer_net(values):
@@ -34,7 +32,7 @@ class TestScoreL1:
     def test_absolute_values(self):
         net = one_layer_net([[0.5, -1.2, 0.1]])
         scores = score_l1(net, full_mask([3, 1]))
-        assert np.array_equal(scores.layers[0], np.array([[0.5, 1.2, 0.1]]))
+        assert np.array_equal(scores[0], np.array([[0.5, 1.2, 0.1]]))
 
     def test_selection_invariant_under_positive_scaling(self):
         arch = (5, 4, 3)
@@ -49,15 +47,18 @@ class TestScoreL1:
         net = one_layer_net([[0.0, 0.5, -0.5]])
         mask = full_mask([3, 1])
         scores = score_l1(net, mask)
-        assert scores.layers[0][0, 0] == 0.0
+        assert scores[0][0, 0] == 0.0
         pruned = global_prune(mask, scores, 1 / 3)
         assert np.array_equal(pruned.layers[0], np.array([[0, 1, 1]], dtype=np.uint8))
 
     def test_pruned_positions_excluded(self):
-        net = one_layer_net([[1.0, 2.0]])
-        mask = PruneMask([np.array([[1, 0]], dtype=np.uint8)])
+        """Pruned positions score |w| like any other; pruning never reads them."""
+        net = one_layer_net([[1.0, 0.5, 2.0]])
+        mask = PruneMask([np.array([[1, 0, 1]], dtype=np.uint8)])
         scores = score_l1(net, mask)
-        assert math.isnan(scores.layers[0][0, 1])
+        assert np.array_equal(scores[0], np.abs(net.weights[0]))
+        pruned = global_prune(mask, scores, 0.5)
+        assert np.array_equal(pruned.layers[0], np.array([[0, 0, 1]], dtype=np.uint8))
 
 
 class TestScoreRandom:
@@ -65,7 +66,7 @@ class TestScoreRandom:
         mask = full_mask([4, 3, 2])
         a = score_random(mask, seed=5)
         b = score_random(mask, seed=5)
-        assert all(np.array_equal(x, y, equal_nan=True) for x, y in zip(a.layers, b.layers))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_prune_counts_uniform_over_layers(self):
         """Chi-square over 1000 seeds on a 2-layer toy mask: removals land on
@@ -94,17 +95,15 @@ class TestFisherFormula:
         """theta = [2, 1], g = [3, 4], one batch: delta = theta^2 g^2 / 2."""
         theta = [np.array([[2.0, 1.0]])]
         sq = [np.array([[9.0, 16.0]])]
-        kept = [np.ones((1, 2), dtype=bool)]
-        scores = _fisher_combine(theta, sq, batch_count=1, kept=kept)
-        assert np.array_equal(scores.layers[0], np.array([[18.0, 8.0]]))
+        scores = _fisher_combine(theta, sq, batch_count=1)
+        assert np.array_equal(scores[0], np.array([[18.0, 8.0]]))
 
     def test_two_samples_hand_value(self):
         """theta = [3], g1 = 1, g2 = -1, batch size 1: delta = 9 * 2 / 4."""
         theta = [np.array([[3.0]])]
         sq = [np.array([[2.0]])]
-        kept = [np.ones((1, 1), dtype=bool)]
-        scores = _fisher_combine(theta, sq, batch_count=2, kept=kept)
-        assert scores.layers[0][0, 0] == 4.5
+        scores = _fisher_combine(theta, sq, batch_count=2)
+        assert scores[0][0, 0] == 4.5
 
     def test_zero_gradients_give_zero_scores(self):
         """All-zero inputs zero every weight gradient, hence every score."""
@@ -112,25 +111,11 @@ class TestFisherFormula:
         mask = full_mask([2, 3])
         data = Dataset(np.zeros((4, 2)), np.array([0, 1, 2, 0]))
         scores, _ = score_fisher(net, mask, data, FisherConfig(4, 2))
-        assert np.all(scores.layers[0] == 0.0)
-
-
-def per_sample_fisher_oracle(net, mask, data, sample_count):
-    """Explicit loop over samples accumulating g^2; NaN at pruned positions."""
-    acc = [np.zeros_like(w) for w in net.weights]
-    for n in range(sample_count):
-        _, g = loss_and_grads(net, mask, Dataset(data.inputs[n : n + 1], data.labels[n : n + 1]))
-        for l in range(len(acc)):
-            acc[l] += g.weights[l] ** 2
-    return [
-        np.where(m, w * w * a / (2 * sample_count), np.nan)
-        for w, a, m in zip(net.weights, acc, mask.layers)
-    ]
+        assert np.all(scores[0] == 0.0)
 
 
 def assert_matches_oracle(scores, expected):
-    for s, e in zip(scores.layers, expected):
-        assert np.array_equal(np.isnan(s), np.isnan(e))
+    for s, e in zip(scores, expected):
         np.testing.assert_allclose(s, e, rtol=1e-12, atol=0)
 
 
@@ -145,7 +130,7 @@ class TestScoreFisher:
         data = gen_synthetic(3, 4, 8, seed=13, noise=0.3)
         scores, passes = score_fisher(net, mask, data, FisherConfig(len(data), 1))
         assert passes == len(data)
-        assert_matches_oracle(scores, per_sample_fisher_oracle(net, mask, data, len(data)))
+        assert_matches_oracle(scores, per_sample_fisher(net, mask, data, len(data)))
 
     @pytest.mark.parametrize(
         "arch, per_class, sample_count",
@@ -161,7 +146,7 @@ class TestScoreFisher:
         ],
     )
     def test_batch_one_matches_oracle_on_partial_masks(self, arch, per_class, sample_count):
-        """NaN at pruned positions (a whole pruned unit included), the oracle elsewhere;
+        """The oracle everywhere, +0.0 at pruned positions (a whole pruned unit included);
         rows past sample_count change nothing."""
         net = init_network(arch, seed=3)
         mask = full_mask(arch)
@@ -174,15 +159,15 @@ class TestScoreFisher:
         data = data.take(rng.permutation(4, len(data)))  # labels no longer alternate
         scores, passes = score_fisher(net, mask, data, FisherConfig(sample_count, 1))
         assert passes == sample_count
-        assert np.isnan(scores.layers[0][-1]).all()
-        assert_matches_oracle(scores, per_sample_fisher_oracle(net, mask, data, sample_count))
+        assert_matches_oracle(scores, per_sample_fisher(net, mask, data, sample_count))
+        assert not scores[0][-1].any() and not np.signbit(scores[0][-1]).any()  # all +0.0
 
         changed = Dataset(data.inputs.copy(), data.labels.copy())
         changed.inputs[sample_count:] = 3.0 - changed.inputs[sample_count:]
         changed.labels[sample_count:] = (changed.labels[sample_count:] + 1) % arch[-1]
         rescored, _ = score_fisher(net, mask, changed, FisherConfig(sample_count, 1))
-        for s, r in zip(scores.layers, rescored.layers):
-            assert np.array_equal(s, r, equal_nan=True)
+        for s, r in zip(scores, rescored):
+            assert np.array_equal(s, r)
 
     @pytest.mark.parametrize("batch_size", [1, 4])
     @pytest.mark.parametrize(
@@ -235,7 +220,7 @@ class TestScoreFisher:
 
         data = gen_synthetic(2, 3, 10, seed=4)
         scores, _ = score_fisher(net, mask, data, FisherConfig(20, 5))
-        for s in scores.layers:
+        for s in scores:
             assert np.all(s >= 0.0) and np.all(np.isfinite(s))
 
     def test_insufficient_samples_rejected(self):
@@ -312,20 +297,33 @@ class TestGlobalPrune:
         assert removal_count(3, 0.5) == 2  # 1.5 rounds up
 
     def test_tie_break_by_layer_then_flat_index(self):
-        scores = PruneScore([np.full((1, 3), 0.5), np.full((2, 1), 0.5)])
+        scores = [np.full((1, 3), 0.5), np.full((2, 1), 0.5)]
         mask = full_mask([3, 1, 2])
         pruned = global_prune(mask, scores, 2 / 5)
         assert np.array_equal(pruned.layers[0], np.array([[0, 0, 1]], dtype=np.uint8))
         assert np.array_equal(pruned.layers[1], np.array([[1], [1]], dtype=np.uint8))
 
-    def test_previously_pruned_positions_unchanged(self):
+    @pytest.mark.parametrize(
+        "at_pruned", [9.9, np.nan, -np.inf, np.finfo(np.float64).min], ids=repr
+    )
+    def test_previously_pruned_positions_unchanged(self, at_pruned):
+        """Any value at a pruned position is ignored, plain nested lists included."""
         mask = PruneMask([np.array([[0, 1, 1, 1]], dtype=np.uint8)])
-        net = one_layer_net([[9.9, 0.3, 0.2, 0.1]])
-        pruned = global_prune(mask, score_l1(net, mask), 1 / 3)
+        pruned = global_prune(mask, [[[at_pruned, 0.3, 0.2, 0.1]]], 1 / 3)
         assert np.array_equal(pruned.layers[0], np.array([[0, 1, 1, 0]], dtype=np.uint8))
 
-    def test_non_finite_kept_scores_rejected(self):
-        mask = full_mask([2, 1])
-        scores = PruneScore([np.array([[np.nan, 1.0]])])
-        with pytest.raises(UsageError):
-            global_prune(mask, scores, 0.5)
+    @pytest.mark.parametrize(
+        "scores, error",
+        [
+            pytest.param([np.array([[np.nan, 1.0]])], UsageError, id="nan-at-kept"),
+            pytest.param([np.array([[1.0, -np.inf]])], UsageError, id="inf-at-kept"),
+            pytest.param([np.ones((1, 2)), np.ones((1, 1))], ShapeError, id="layer-count"),
+            pytest.param([np.ones((2, 1))], ShapeError, id="layer-shape"),
+            pytest.param([np.ones(2)], ShapeError, id="one-dimensional-layer"),
+        ],
+    )
+    def test_invalid_scores_rejected(self, scores, error):
+        """Non-finite kept scores are a UsageError, unpaired layers a ShapeError."""
+        with pytest.raises(error) as exc:
+            global_prune(full_mask([2, 1]), scores, 0.5)
+        assert exc.type is error
