@@ -1,22 +1,32 @@
 """Versioned experiment checkpoints.
 
 A checkpoint is one JSON document (`round_NNN.json`) recording the format
-version, the architecture, the iteration-0 network, the round-0 trained
-baseline, the current mask and trained network, the round index, the rows
-recorded so far, and a hash of the experiment config. Every array in it is
-stored as `{"shape": [...], "data": "<base64 of the raw bytes>"}`:
-weights and biases as little-endian float64 (`<f8`), mask layers as
-uint8 0/1. Raw bytes in a fixed byte order make the round trip bit-exact
-on any host (-0.0 and subnormals included), which is what makes resuming
-bit-identical to an uninterrupted run, at a fraction of the size and time
-of decimal text. The container stays JSON, and the name stays `.json`,
-because resume discovery finds checkpoints by that name.
+version, the architecture, the round index, a hash of the experiment
+config, the current mask and trained network, the rows recorded so far,
+and the two networks that never change after round 0: the iteration-0
+network (`initial`, for rewinding) and the round-0 trained baseline
+(`baseline`, for weight movement). `save_round` writes those two only
+once per checkpoint directory: in `round_000.json`, and in any later
+round file whose directory has no round 0 (so a lone file stays
+self-contained). Other round files store them as JSON `null`, and
+`load_run_state` takes them from `round_000.json` beside the file, which
+must carry the same config hash and arch. `load_checkpoint` reads one
+file as it is.
+
+Every array is stored as `{"shape": [...], "data": "<base64 of the raw
+bytes>"}`: weights and biases as little-endian float64 (`<f8`), mask
+layers as uint8 0/1. Raw bytes in a fixed byte order make the round trip
+bit-exact on any host (-0.0 and subnormals included), which is what makes
+resuming bit-identical to an uninterrupted run, at a fraction of the size
+and time of decimal text. The container stays JSON, and the name stays
+`.json`, because resume discovery finds checkpoints by that name.
 
 Files are written to a temporary name beside the target and renamed into
 place, so a crash mid-write leaves the previous round's file the latest.
-Loading rejects other format versions outright and any array whose
-encoding, shape or pairing is inconsistent; it warns when the stored
-config hash does not match the caller's.
+This build writes format version 3 and reads versions 2 and 3 (a version
+2 file is a self-contained version 3 file); it rejects other versions
+outright and any array whose encoding, shape or pairing is inconsistent,
+and warns when the stored config hash does not match the caller's.
 """
 
 from __future__ import annotations
@@ -37,7 +47,9 @@ from .errors import DataFormatError, ShapeError, UsageError
 from .masks import PruneMask
 from .nn import DenseNetwork, check_int, check_layer_sizes
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
+# Version 3 only adds `null` initial/baseline networks, so version 2 files read as they are.
+_READABLE_VERSIONS = (2, 3)
 _FLOAT = np.dtype("<f8")
 _MASK = np.dtype("u1")
 
@@ -47,7 +59,7 @@ class CheckpointState:
     arch: tuple[int, ...]
     round_index: int
     config_hash: str
-    initial: DenseNetwork
+    initial: Optional[DenseNetwork]
     baseline: Optional[DenseNetwork]
     mask: PruneMask
     trained: DenseNetwork
@@ -151,10 +163,10 @@ def load_checkpoint(path, expected_config_hash: Optional[str] = None) -> Checkpo
         raise DataFormatError(f"corrupt checkpoint {path}: not a JSON object")
 
     version = payload.get("format_version")
-    if version != CHECKPOINT_VERSION:
+    if version not in _READABLE_VERSIONS:
         raise DataFormatError(
             f"checkpoint {path} has format version {version!r}, "
-            f"this build reads version {CHECKPOINT_VERSION}"
+            f"this build reads versions {' and '.join(map(str, _READABLE_VERSIONS))}"
         )
     try:
         state = CheckpointState(
@@ -187,20 +199,61 @@ def load_checkpoint(path, expected_config_hash: Optional[str] = None) -> Checkpo
     return state
 
 
+def load_run_state(path, expected_config_hash: Optional[str] = None) -> CheckpointState:
+    """`load_checkpoint`, with `initial` and `baseline` taken from round 0 when absent.
+
+    A round file that stores them as null gets both from `round_000.json`
+    in its directory. That file must load, hold both networks, and carry
+    the same config hash and arch; otherwise this raises DataFormatError.
+    """
+    state = load_checkpoint(path, expected_config_hash)
+    if state.initial is not None and state.baseline is not None:
+        return state
+    first_path = round_path(Path(path).parent, 0)
+    first = load_checkpoint(first_path)
+    if first.config_hash != state.config_hash or first.arch != state.arch:
+        raise DataFormatError(
+            f"{first_path} belongs to another run than {path}: config hash "
+            f"{first.config_hash[:12]}... vs {state.config_hash[:12]}..., "
+            f"arch {first.arch} vs {state.arch}"
+        )
+    if first.initial is None or first.baseline is None:
+        raise DataFormatError(
+            f"neither {path} nor {first_path} holds the iteration-0 network and the "
+            "round-0 baseline"
+        )
+    state.initial, state.baseline = first.initial, first.baseline
+    return state
+
+
 def round_path(directory, round_index: int) -> Path:
     return Path(directory) / f"round_{round_index:03d}.json"
 
 
 def latest_round_path(directory) -> Optional[Path]:
-    """Highest-round checkpoint file in a directory, or None."""
-    candidates = sorted(Path(directory).glob("round_*.json"))
-    return candidates[-1] if candidates else None
+    """Highest-round checkpoint file in a directory, or None.
+
+    Rounds compare as integers, so `round_1000.json` comes after
+    `round_999.json`; names whose index part is not an integer are ignored.
+    """
+    indexed = [
+        (int(p.stem[len("round_"):]), p)
+        for p in Path(directory).glob("round_*.json")
+        if p.stem[len("round_"):].isdecimal()
+    ]
+    return max(indexed)[1] if indexed else None
 
 
 def save_round(directory, cfg, round_index, initial, baseline, mask, trained, rows) -> Path:
-    """Convenience wrapper used by the experiment loop."""
+    """Write the checkpoint of one round of the experiment loop.
+
+    `initial` and `baseline` are written as null when the directory already
+    holds `round_000.json`, which carries them (see `load_run_state`).
+    """
     Path(directory).mkdir(parents=True, exist_ok=True)
     path = round_path(directory, round_index)
+    if round_index > 0 and round_path(directory, 0).exists():
+        initial = baseline = None
     save_checkpoint(
         CheckpointState(
             arch=cfg.arch,

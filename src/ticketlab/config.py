@@ -9,6 +9,7 @@ are hard errors: a silently ignored typo would corrupt an experiment.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -81,6 +82,10 @@ def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
         raise UsageError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _train_config(obj, where: str) -> TrainConfig:
     if not isinstance(obj, dict):
         raise UsageError(f"{where} must be an object")
@@ -102,6 +107,11 @@ def _dataset_source(obj) -> IdxSource | SyntheticSource:
         return IdxSource(**body)
     if kind == "synthetic":
         _reject_unknown(body, _SYNTHETIC_KEYS, "dataset.synthetic")
+        noise = body.get("noise", 0.1)
+        if not (_is_number(noise) and 0 <= noise < math.inf):
+            raise UsageError(
+                f"dataset.synthetic.noise must be a finite number >= 0, got {noise!r}"
+            )
         return SyntheticSource(**body)
     raise UsageError(f"dataset kind must be 'idx' or 'synthetic', got {kind!r}")
 
@@ -123,6 +133,9 @@ def parse_spec(obj: dict, base_dir: Optional[Path] = None) -> ExperimentSpec:
     for key in ("arch", "strategy", "mode", "dataset"):
         if key not in obj:
             raise UsageError(f"spec is missing required key {key!r}")
+    for key in ("experiment_id", "output_dir"):
+        if not isinstance(obj.get(key, ""), str):
+            raise UsageError(f"{key} must be a string, got {obj[key]!r}")
 
     lottery_kwargs = {
         "arch": tuple(obj["arch"]),
@@ -143,7 +156,10 @@ def parse_spec(obj: dict, base_dir: Optional[Path] = None) -> ExperimentSpec:
         _reject_unknown(obj["fisher"], _FISHER_KEYS, "fisher")
         lottery_kwargs["fisher"] = FisherConfig(**obj["fisher"])
     if "one_shot_targets" in obj:
-        lottery_kwargs["one_shot_targets"] = tuple(obj["one_shot_targets"])
+        targets = obj["one_shot_targets"]
+        if not (isinstance(targets, list) and all(_is_number(t) for t in targets)):
+            raise UsageError(f"one_shot_targets must be a list of numbers, got {targets!r}")
+        lottery_kwargs["one_shot_targets"] = tuple(targets)
 
     dataset = _dataset_source(obj["dataset"])
     if isinstance(dataset, IdxSource) and base_dir is not None:

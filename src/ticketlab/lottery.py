@@ -232,7 +232,8 @@ def run_iterative(
     final-training schedule). `on_round(index, mask, start_net, trained)`
     fires after every round. With `checkpoint_dir`, a checkpoint is
     written per round; `resume_from` continues from one, bit-identically
-    to an uninterrupted run.
+    to an uninterrupted run, taking the iteration-0 network and the
+    baseline from `round_000.json` beside it when the file lacks them.
     """
     from . import checkpoint as ckpt
 
@@ -242,13 +243,11 @@ def run_iterative(
     presentation = _presentation_order(cfg, train_data)
 
     if resume_from is not None:
-        state = ckpt.load_checkpoint(resume_from, expected_config_hash=ckpt.config_hash(cfg))
+        state = ckpt.load_run_state(resume_from, expected_config_hash=ckpt.config_hash(cfg))
         initial, baseline = state.initial, state.baseline
         mask, trained = state.mask, state.trained
         rows = list(state.rows)
         first_round = state.round_index + 1
-        if baseline is None:
-            raise UsageError("checkpoint lacks the round-0 baseline; cannot resume")
     else:
         initial, mask, trained, rows = _dense_round(cfg, presentation, test_data, on_round)
         baseline = trained

@@ -22,6 +22,8 @@ from ticketlab.checkpoint import (
     CheckpointState,
     _decode_array,
     latest_round_path,
+    load_run_state,
+    save_round,
 )
 
 from conftest import as_v1, edit_checkpoint, masks_equal, networks_equal
@@ -175,6 +177,16 @@ class TestSaveLoad:
         with pytest.raises(DataFormatError, match="corrupt"):
             load_checkpoint(path)
 
+    def test_v2_checkpoint_loads(self, tmp_path):
+        state = make_state()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(state, path)
+        edit_checkpoint(path, lambda p: p.__setitem__("format_version", 2))
+        back = load_checkpoint(path)
+        for net in ("initial", "baseline", "trained"):
+            assert networks_equal(getattr(back, net), getattr(state, net))
+        assert masks_equal(back.mask, state.mask)
+
     def test_integral_float_arch_loads_as_integers(self, tmp_path):
         path = tmp_path / "ckpt.json"
         save_checkpoint(make_state(), path)
@@ -189,6 +201,16 @@ class TestSaveLoad:
         save_checkpoint(make_state(), path)
         with pytest.warns(UserWarning, match="different config"):
             load_checkpoint(path, expected_config_hash="0" * 64)
+
+
+def test_latest_round_path_orders_by_integer_index(tmp_path):
+    assert latest_round_path(tmp_path) is None
+    for name in ("round_x.json", "round_12a.json", "round_.json", "round_-5.json"):
+        (tmp_path / name).write_text("{}")
+    assert latest_round_path(tmp_path) is None
+    for index in (2, 999, 1000, 30):
+        (tmp_path / f"round_{index:03d}.json").write_text("{}")
+    assert latest_round_path(tmp_path).name == "round_1000.json"
 
 
 class TestConfigHash:
@@ -206,6 +228,12 @@ class TestResumeEquivalence:
         cfg = cfg_iterative(rounds=4)
         full_record = run_iterative(cfg, train_data, test_data, checkpoint_dir=tmp_path)
         assert latest_round_path(tmp_path).name == "round_004.json"
+        # Round 0 holds the networks that never change; later rounds store them as null.
+        for r in range(5):
+            payload = json.loads((tmp_path / f"round_{r:03d}.json").read_text())
+            assert payload["format_version"] == 3
+            for net in ("initial", "baseline"):
+                assert (payload[net] is None) == (r > 0)
 
         for resume_round in range(4):
             resumed = run_iterative(
@@ -246,3 +274,26 @@ class TestResumeEquivalence:
         assert latest.name == "round_002.json"
         resumed = run_iterative(cfg, train_data, test_data, resume_from=latest)
         assert strip_seconds(resumed.rows) == strip_seconds(full_record.rows)
+
+    def test_lone_round_file_resumes_bit_identically(self, tmp_path):
+        train_data = gen_synthetic(3, 6, 60, seed=5, noise=0.2)
+        test_data = gen_synthetic(3, 6, 20, seed=77, noise=0.2)
+        cfg = cfg_iterative(rounds=4)
+        full_record = run_iterative(cfg, train_data, test_data, checkpoint_dir=tmp_path / "run")
+        state = load_run_state(tmp_path / "run" / "round_002.json")
+
+        # A directory without round 0 gets self-contained round files.
+        crash = tmp_path / "crash"
+        lone = save_round(crash, cfg, 2, state.initial, state.baseline, state.mask,
+                          state.trained, state.rows)
+        resumed = run_iterative(cfg, train_data, test_data, checkpoint_dir=crash, resume_from=lone)
+        assert strip_seconds(resumed.rows) == strip_seconds(full_record.rows)
+        assert sorted(p.name for p in crash.iterdir()) == [
+            "round_002.json", "round_003.json", "round_004.json"
+        ]
+        for path in crash.iterdir():
+            payload = json.loads(path.read_text())
+            assert payload["initial"] is not None and payload["baseline"] is not None
+            back = load_checkpoint(path)
+            assert networks_equal(back.initial, state.initial)
+            assert networks_equal(back.baseline, state.baseline)

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from ticketlab import UsageError, load_spec, read_records_csv, seed_configs
+from ticketlab import UsageError, load_spec, read_records_csv, save_checkpoint, seed_configs
+from ticketlab.checkpoint import load_run_state
 from ticketlab.cli import main
 from ticketlab.config import build_datasets
 from ticketlab.results import RECORD_COLUMNS
@@ -43,6 +44,26 @@ def write_spec(tmp_path, **overrides):
 def lottery_with(**overrides):
     """argv for `lottery` on spec_dict(**overrides), written under the given directory."""
     return lambda tmp: ["lottery", "--config", str(write_spec(tmp, **overrides))]
+
+
+def resume_after(edit_round_0):
+    """argv for `lottery --resume` after a checkpointed run whose round 0 `edit_round_0` changed."""
+
+    def argv(tmp):
+        lottery = lottery_with(output_dir=str(tmp / "out"), checkpoint=True, seeds=[1])(tmp)
+        assert main(lottery) == 0
+        edit_round_0(tmp / "out" / "checkpoints-unit-seed1" / "round_000.json")
+        return lottery + ["--resume"]
+
+    return argv
+
+
+def replace_with_other_arch(path):
+    """Overwrite checkpoint `path` with a valid one of another arch but the same config hash."""
+    config_hash = json.loads(path.read_text())["config_hash"]
+    assert main(["train", "--arch", "6,5,3", "--synthetic", "3,6,10",
+                 "--epochs", "1", "--save", str(path)]) == 0
+    edit_checkpoint(path, lambda p: p.__setitem__("config_hash", config_hash))
 
 
 def write_records_csv(tmp_path):
@@ -145,15 +166,31 @@ class TestCli:
                      "--out", str(fig), str(records_csv)]) == 0
         assert fig.read_text().startswith("series,x,y,seed\n")
 
-    def test_lottery_checkpoint_and_resume(self, tmp_path):
+    def test_lottery_checkpoint_and_resume(self, tmp_path, capsys):
         out = tmp_path / "out"
         spec = write_spec(tmp_path, output_dir=str(out), checkpoint=True, seeds=[1])
         assert main(["lottery", "--config", str(spec)]) == 0
         first = (out / "unit.csv").read_bytes()
         ckpt_dir = out / "checkpoints-unit-seed1"
-        assert ckpt_dir.exists()
-        # Drop the final checkpoint to simulate an interruption, then resume.
-        sorted(ckpt_dir.glob("round_*.json"))[-1].unlink()
+        assert sorted(p.name for p in ckpt_dir.iterdir()) == [
+            "round_000.json", "round_001.json", "round_002.json"
+        ]
+        for r, path in enumerate(sorted(ckpt_dir.iterdir())):
+            payload = json.loads(path.read_text())
+            assert (payload["initial"] is None) == (payload["baseline"] is None) == (r > 0)
+
+        # `inspect` reads a round file as it is: a lean one reports what a full one does.
+        lean = ckpt_dir / "round_001.json"
+        save_checkpoint(load_run_state(lean), tmp_path / "full.json")
+        capsys.readouterr()
+        assert main(["inspect", str(lean)]) == 0
+        lean_report = capsys.readouterr().out
+        assert main(["inspect", str(tmp_path / "full.json")]) == 0
+        assert capsys.readouterr().out == lean_report
+        assert "round index       1\n" in lean_report
+
+        # Drop the final checkpoint to simulate an interruption, then resume from round 1.
+        (ckpt_dir / "round_002.json").unlink()
         assert main(["lottery", "--config", str(spec), "--resume"]) == 0
         second = (out / "unit.csv").read_bytes()
 
@@ -202,6 +239,17 @@ class TestCli:
             ),
             pytest.param(lottery_with(seeds=[1.7]), id="spec-seeds-non-integral"),
             pytest.param(lottery_with(checkpoint="no"), id="spec-checkpoint-not-boolean"),
+            pytest.param(
+                lottery_with(dataset={"synthetic": {
+                    "classes": 3, "dim": 6, "per_class": 20, "test_per_class": 8, "noise": "x"}}),
+                id="spec-synthetic-noise-non-numeric",
+            ),
+            pytest.param(
+                lottery_with(mode="one_shot", one_shot_targets=["x"]),
+                id="spec-one-shot-targets-non-numeric",
+            ),
+            pytest.param(lottery_with(output_dir=5), id="spec-output-dir-non-string"),
+            pytest.param(lottery_with(experiment_id=5), id="spec-experiment-id-non-string"),
         ],
     )
     def test_non_integer_values_exit_1(self, tmp_path, capsys, argv):
@@ -239,6 +287,22 @@ class TestCli:
                     tmp, lambda p: p.__setitem__("round_index", 2.5))],
                 id="inspect-round-index-non-integral",
             ),
+            pytest.param(resume_after(lambda p: p.unlink()), id="resume-round-0-missing"),
+            pytest.param(
+                resume_after(lambda p: p.write_text("{ definitely not json")),
+                id="resume-round-0-corrupt",
+            ),
+            pytest.param(
+                resume_after(lambda p: edit_checkpoint(
+                    p, lambda d: d.update(initial=None, baseline=None))),
+                id="resume-round-0-lacks-networks",
+            ),
+            pytest.param(
+                resume_after(lambda p: edit_checkpoint(
+                    p, lambda d: d.__setitem__("config_hash", "0" * 64))),
+                id="resume-round-0-other-config-hash",
+            ),
+            pytest.param(resume_after(replace_with_other_arch), id="resume-round-0-other-arch"),
         ],
     )
     def test_unreadable_inputs_exit_2(self, tmp_path, capsys, argv):
