@@ -18,7 +18,7 @@ from .errors import DataFormatError, UsageError
 from . import rng
 from .data import gen_synthetic, load_idx
 from .lottery import LotteryConfig
-from .nn import Dataset, TrainConfig, check_int
+from .nn import Dataset, TrainConfig, check_int, is_number
 from .strategies import FisherConfig
 
 # Stream tag distinguishing a synthetic test set from its training set.
@@ -82,10 +82,6 @@ def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
         raise UsageError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _train_config(obj, where: str) -> TrainConfig:
     if not isinstance(obj, dict):
         raise UsageError(f"{where} must be an object")
@@ -108,7 +104,7 @@ def _dataset_source(obj) -> IdxSource | SyntheticSource:
     if kind == "synthetic":
         _reject_unknown(body, _SYNTHETIC_KEYS, "dataset.synthetic")
         noise = body.get("noise", 0.1)
-        if not (_is_number(noise) and 0 <= noise < math.inf):
+        if not (is_number(noise) and 0 <= noise < math.inf):
             raise UsageError(
                 f"dataset.synthetic.noise must be a finite number >= 0, got {noise!r}"
             )
@@ -157,7 +153,7 @@ def parse_spec(obj: dict, base_dir: Optional[Path] = None) -> ExperimentSpec:
         lottery_kwargs["fisher"] = FisherConfig(**obj["fisher"])
     if "one_shot_targets" in obj:
         targets = obj["one_shot_targets"]
-        if not (isinstance(targets, list) and all(_is_number(t) for t in targets)):
+        if not (isinstance(targets, list) and all(is_number(t) for t in targets)):
             raise UsageError(f"one_shot_targets must be a list of numbers, got {targets!r}")
         lottery_kwargs["one_shot_targets"] = tuple(targets)
 

@@ -26,7 +26,7 @@ from . import rng
 from .masks import PruneMask, apply_mask, full_mask, rewind, sparsity
 from .metrics import MovementReport, weight_movement
 from .nn import Dataset, DenseNetwork, TrainConfig, check_int_fields, check_layer_sizes
-from .nn import init_network, train
+from .nn import init_network, is_number, train
 from .strategies import FisherConfig, global_prune, score_fisher, score_l1, score_random
 
 STRATEGIES = ("random", "l1", "fisher")
@@ -61,9 +61,9 @@ class LotteryConfig:
             raise UsageError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.mode not in MODES:
             raise UsageError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not 0.0 < self.per_round_fraction < 1.0:
+        if not (is_number(self.per_round_fraction) and 0.0 < self.per_round_fraction < 1.0):
             raise UsageError(
-                f"per_round_fraction must be in (0, 1), got {self.per_round_fraction}"
+                f"per_round_fraction must be a number in (0, 1), got {self.per_round_fraction!r}"
             )
         if self.strategy == "fisher" and self.fisher is None:
             raise UsageError("strategy 'fisher' needs a FisherConfig")

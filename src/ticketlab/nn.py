@@ -21,6 +21,7 @@ new network; everything else returns new values.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -52,6 +53,11 @@ def check_int(value, what: str, minimum: Optional[int] = None) -> int:
     if minimum is not None and parsed < minimum:
         raise UsageError(f"{what} must be >= {minimum}, got {parsed}")
     return parsed
+
+
+def is_number(value) -> bool:
+    """True for real numbers, numpy's included; False for bools and everything else."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def check_int_fields(cfg, **minimums: Optional[int]) -> None:
@@ -135,8 +141,13 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         check_int_fields(self, epochs=1, train_batch_size=1, seed=None)
-        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
-            raise UsageError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        lr = self.learning_rate
+        if not (is_number(lr) and lr > 0 and math.isfinite(lr)):
+            raise UsageError(f"learning_rate must be a finite number > 0, got {lr!r}")
+        if not isinstance(self.shuffle_each_epoch, bool):
+            raise UsageError(
+                f"shuffle_each_epoch must be true or false, got {self.shuffle_each_epoch!r}"
+            )
 
 
 @dataclass(eq=False)

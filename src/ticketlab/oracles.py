@@ -6,8 +6,11 @@ vectorised code it checks, so an agreement is evidence.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .masks import PruneMask
 from .nn import Dataset, DenseNetwork, GradientSet, loss_and_grads
 
 
@@ -51,6 +54,20 @@ def movement_element_loop(baseline: DenseNetwork, current: DenseNetwork, mask) -
                     acc += abs(wb[i, j] - wc[i, j])
                     count += 1
     return acc, count
+
+
+def global_prune_sorted(mask: PruneMask, scores, fraction: float) -> PruneMask:
+    """Drop the floor(fraction * kept + 0.5) smallest (score, layer, flat index) kept positions."""
+    ranked = sorted(
+        (float(np.asarray(s)[index]), l, flat)
+        for l, (m, s) in enumerate(zip(mask.layers, scores))
+        for flat, index in enumerate(np.ndindex(m.shape))
+        if m[index]
+    )
+    layers = [m.copy() for m in mask.layers]
+    for _, l, flat in ranked[: math.floor(fraction * len(ranked) + 0.5)]:
+        layers[l].flat[flat] = False
+    return PruneMask(layers)
 
 
 def worst_relative_error(a: GradientSet, b: GradientSet) -> float:

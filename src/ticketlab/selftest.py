@@ -20,8 +20,8 @@ from .data import gen_synthetic, load_idx, write_idx
 from .masks import apply_mask, full_mask, rewind, sparsity
 from .metrics import weight_movement
 from .nn import Dataset, TrainConfig, forward, init_network, loss_and_grads, train
-from .oracles import finite_difference, movement_element_loop, per_sample_fisher
-from .oracles import worst_relative_error
+from .oracles import finite_difference, global_prune_sorted, movement_element_loop
+from .oracles import per_sample_fisher, worst_relative_error
 from .strategies import FisherConfig, global_prune, score_fisher, score_l1, score_random
 
 
@@ -74,7 +74,11 @@ def check_global_prune() -> bool:
     if kept_before - kept_after != math.floor(0.25 * kept_before + 0.5):
         return False
     deeper = global_prune(pruned, score_random(pruned, seed=18), 0.5)
-    return all(np.all(d <= p) for d, p in zip(deeper.layers, pruned.layers))
+    if not all(np.all(d <= p) for d, p in zip(deeper.layers, pruned.layers)):
+        return False
+    tied = [np.floor(3 * s) for s in scores]
+    fast, slow = global_prune(mask, tied, 0.4), global_prune_sorted(mask, tied, 0.4)
+    return all(np.array_equal(a, b) for a, b in zip(fast.layers, slow.layers))
 
 
 def check_mask_algebra() -> bool:

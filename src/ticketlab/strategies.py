@@ -19,7 +19,9 @@ estimator's B, not the wall cost of computing it.
 Scores are plain per-layer arrays shaped like the weights. Values at
 already-pruned positions are never read: `global_prune` removes the
 lowest-scored fraction of the currently kept weights across all layers
-jointly, and validates the scores it reads.
+jointly, and validates the scores it reads. Selection is a linear-time
+partition around the removal threshold, not a sort; ties at the
+threshold still break by ascending (layer index, row-major flat index).
 """
 
 from __future__ import annotations
@@ -139,36 +141,38 @@ def global_prune(mask: PruneMask, scores: Sequence[np.ndarray], fraction: float)
     untouched. Raises UsageError for fraction outside [0, 1] or
     non-finite scores at kept positions, ShapeError for scores that do
     not pair with the mask.
+
+    Selection takes linear time: `np.partition` finds the threshold t,
+    the remove-th smallest kept score; every kept score below t goes,
+    then the first of those equal to t in concatenation order, which is
+    already ascending (layer, flat index). No full sort is made.
     """
     if not 0.0 <= fraction <= 1.0:
         raise UsageError(f"fraction must be in [0, 1], got {fraction}")
     scores = [np.asarray(s, dtype=np.float64) for s in scores]
     mask.check_pairing(scores, what="score")
 
-    kept_scores, layer_ids, flat_ids = [], [], []
+    kept_scores, flat_ids = [], []
     for l, (m, s) in enumerate(zip(mask.layers, scores)):
         flat = np.flatnonzero(m)
         vals = s.ravel()[flat]
         if not np.isfinite(vals).all():
             raise UsageError(f"layer {l} has non-finite scores at kept positions")
         kept_scores.append(vals)
-        layer_ids.append(np.full(flat.shape, l, dtype=np.int64))
         flat_ids.append(flat)
 
     all_scores = np.concatenate(kept_scores) if kept_scores else np.empty(0)
-    all_layers = np.concatenate(layer_ids) if layer_ids else np.empty(0, dtype=np.int64)
-    all_flats = np.concatenate(flat_ids) if flat_ids else np.empty(0, dtype=np.int64)
-
-    kept_total = all_scores.shape[0]
-    remove = removal_count(kept_total, fraction)
+    remove = removal_count(all_scores.shape[0], fraction)
     new_layers = [m.copy() for m in mask.layers]
     if remove == 0:
         return PruneMask(new_layers)
 
-    order = np.lexsort((all_flats, all_layers, all_scores))
-    victims = order[:remove]
-    for l in range(len(new_layers)):
-        in_layer = victims[all_layers[victims] == l]
-        if in_layer.size:
-            new_layers[l].ravel()[all_flats[in_layer]] = False
+    threshold = np.partition(all_scores, remove - 1)[remove - 1]
+    victims = all_scores < threshold
+    ties = np.flatnonzero(all_scores == threshold)
+    victims[ties[: remove - np.count_nonzero(victims)]] = True
+    start = 0
+    for m, flat in zip(new_layers, flat_ids):
+        m.ravel()[flat[victims[start : start + flat.size]]] = False
+        start += flat.size
     return PruneMask(new_layers)

@@ -257,6 +257,28 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            pytest.param({"train": {"shuffle_each_epoch": "x"}}, "shuffle_each_epoch",
+                         id="shuffle-string"),
+            pytest.param({"train": {"shuffle_each_epoch": "no"}}, "shuffle_each_epoch",
+                         id="shuffle-no"),
+            pytest.param({"final_train": {"shuffle_each_epoch": 0}}, "shuffle_each_epoch",
+                         id="final-shuffle-integer"),
+            pytest.param({"per_round_fraction": "x"}, "per_round_fraction",
+                         id="per-round-fraction-string"),
+            pytest.param({"train": {"learning_rate": "x"}}, "learning_rate",
+                         id="learning-rate-string"),
+            pytest.param({"train": {"learning_rate": None}}, "learning_rate",
+                         id="learning-rate-null"),
+        ],
+    )
+    def test_wrong_typed_values_name_the_field(self, tmp_path, capsys, overrides, field):
+        assert main(lottery_with(**overrides)(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and "not supported" not in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             pytest.param(

@@ -19,8 +19,27 @@ from ticketlab import (
 from ticketlab import nn, rng, strategies
 from ticketlab.errors import ShapeError
 from ticketlab.nn import DenseNetwork
-from ticketlab.oracles import per_sample_fisher
+from ticketlab.oracles import global_prune_sorted, per_sample_fisher
 from ticketlab.strategies import _fisher_combine
+
+
+@st.composite
+def prune_cases(draw):
+    """(mask, scores, fraction) over 2-3 layers with many score ties."""
+    arch = draw(st.lists(st.integers(1, 5), min_size=3, max_size=4))
+    shapes = [(arch[i + 1], arch[i]) for i in range(len(arch) - 1)]
+    kept = [draw(st.lists(st.booleans(), min_size=r * c, max_size=r * c)) for r, c in shapes]
+    layers = [np.array(k, dtype=bool).reshape(shape) for k, shape in zip(kept, shapes)]
+    if draw(st.booleans()):
+        layers[draw(st.integers(0, len(layers) - 1))][:] = False
+    tied = st.one_of(st.integers(-2, 2).map(float), st.sampled_from([-0.0, 0.0]))
+    values = st.just(draw(tied)) if draw(st.booleans()) else tied
+    scores = [
+        np.array(draw(st.lists(values, min_size=r * c, max_size=r * c))).reshape(r, c)
+        for r, c in shapes
+    ]
+    fraction = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+    return PruneMask(layers), scores, fraction
 
 
 def one_layer_net(values):
@@ -290,6 +309,16 @@ class TestGlobalPrune:
         pruned = global_prune(mask, scores, fraction)
         before = mask.kept_count()
         assert before - pruned.kept_count() == removal_count(before, fraction)
+
+    @given(case=prune_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sorted_oracle(self, case):
+        """Tied, signed-zero and all-equal scores select exactly the full sort's victims."""
+        mask, scores, fraction = case
+        pruned = global_prune(mask, scores, fraction)
+        expected = global_prune_sorted(mask, scores, fraction)
+        for got, want in zip(pruned.layers, expected.layers, strict=True):
+            assert np.array_equal(got, want)
 
     def test_round_half_up(self):
         assert removal_count(10, 0.25) == 3  # 2.5 rounds up
