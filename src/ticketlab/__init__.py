@@ -44,13 +44,7 @@ from .strategies import (
     score_l1,
     score_random,
 )
-from .lottery import (
-    ExperimentRecord,
-    LotteryConfig,
-    RoundRow,
-    run_iterative,
-    run_one_shot,
-)
+from .lottery import LotteryConfig, run_iterative, run_one_shot
 from .metrics import (
     ConnectivityReport,
     MovementReport,
@@ -59,7 +53,14 @@ from .metrics import (
     weight_movement,
 )
 from .data import gen_synthetic, load_idx, write_idx
-from .results import Table, emit_csv, read_records_csv, record_table
+from .results import (
+    ExperimentRecord,
+    RoundRow,
+    Table,
+    emit_csv,
+    read_records_csv,
+    record_table,
+)
 from .checkpoint import CheckpointState, config_hash, load_checkpoint, save_checkpoint
 from .config import ExperimentSpec, build_datasets, load_spec, seed_configs
 

@@ -46,6 +46,7 @@ import numpy as np
 from .errors import DataFormatError, ShapeError, UsageError
 from .masks import PruneMask
 from .nn import DenseNetwork, check_int, check_layer_sizes
+from .results import RoundRow
 
 CHECKPOINT_VERSION = 3
 # Version 3 only adds `null` initial/baseline networks, so version 2 files read as they are.
@@ -151,8 +152,6 @@ def load_checkpoint(path, expected_config_hash: Optional[str] = None) -> Checkpo
     A config-hash mismatch is reported as a warning, not an error: the
     caller may be resuming deliberately under an edited config.
     """
-    from .lottery import RoundRow
-
     try:
         payload = json.loads(Path(path).read_bytes())
     except OSError as exc:

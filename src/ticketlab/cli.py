@@ -134,27 +134,17 @@ def _cmd_lottery(args) -> int:
     return 0
 
 
-def _apply_per_file_values(records_by_file, values_text, attr, caster, flag):
-    if values_text is None:
-        return
-    values = values_text.split(",")
-    if len(values) != len(records_by_file):
-        raise UsageError(f"{flag} needs one value per input CSV ({len(records_by_file)} given)")
-    for recs, value in zip(records_by_file, values):
-        try:
-            value = caster(value)
-        except ValueError as exc:
-            raise UsageError(f"{flag}: bad value {value!r}") from exc
-        for rec in recs:
-            setattr(rec, attr, value)
-
-
 def _cmd_report(args) -> int:
     records_by_file = [read_records_csv(p) for p in args.inputs]
-    _apply_per_file_values(records_by_file, args.labels, "label", str, "--labels")
-    _apply_per_file_values(
-        records_by_file, args.batch_sizes, "fisher_batch_size", int, "--batch-sizes"
-    )
+    if args.labels is not None:
+        labels = args.labels.split(",")
+        if len(labels) != len(records_by_file):
+            raise UsageError(
+                f"--labels gives {len(labels)} labels for {len(records_by_file)} input CSVs"
+            )
+        for recs, label in zip(records_by_file, labels):
+            for rec in recs:
+                rec.label = label
     records = [rec for recs in records_by_file for rec in recs]
     table = figure_data(records, args.figure)
     emit_csv(table, args.out)
@@ -217,11 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--figure", required=True, choices=FIGURES)
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("inputs", nargs="+", help="record CSVs produced by `lottery`")
-    p.add_argument("--labels", help="comma-separated series/width label per input CSV")
-    p.add_argument(
-        "--batch-sizes",
-        help="comma-separated fisher batch size per input CSV (for batch_comparison)",
-    )
+    p.add_argument("--labels", help="comma-separated series label per input CSV")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("inspect", help="sparsity and connectivity of a checkpoint")

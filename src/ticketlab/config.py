@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -43,10 +43,6 @@ _TOP_KEYS = {
     "seeds",
     "checkpoint",
 }
-_TRAIN_KEYS = {"epochs", "learning_rate", "train_batch_size", "seed", "shuffle_each_epoch"}
-_FISHER_KEYS = {"sample_count", "fisher_batch_size"}
-_IDX_KEYS = {"train_images", "train_labels", "test_images", "test_labels"}
-_SYNTHETIC_KEYS = {"classes", "dim", "per_class", "test_per_class", "noise", "seed"}
 
 
 @dataclass(frozen=True)
@@ -55,6 +51,11 @@ class IdxSource:
     train_labels: str
     test_images: str
     test_labels: str
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not isinstance(value, str):
+                raise UsageError(f"dataset.idx.{name} must be a string, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,12 @@ class SyntheticSource:
     test_per_class: int
     seed: int = 0
     noise: float = 0.1
+
+    def __post_init__(self) -> None:
+        if not (is_number(self.noise) and 0 <= self.noise < math.inf):
+            raise UsageError(
+                f"dataset.synthetic.noise must be a finite number >= 0, got {self.noise!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -82,34 +89,25 @@ def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
         raise UsageError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
-def _train_config(obj, where: str) -> TrainConfig:
+def _section(cls, obj, where: str):
+    """`cls(**obj)` for a spec section: a JSON object of `cls`'s fields, required ones present."""
     if not isinstance(obj, dict):
-        raise UsageError(f"{where} must be an object")
-    _reject_unknown(obj, _TRAIN_KEYS, where)
-    return TrainConfig(**obj)
+        raise UsageError(f"{where} must be an object, got {obj!r}")
+    _reject_unknown(obj, {f.name for f in fields(cls)}, where)
+    missing = [f.name for f in fields(cls) if f.name not in obj and f.default is MISSING]
+    if missing:
+        raise UsageError(f"{where} is missing: {', '.join(missing)}")
+    return cls(**obj)
 
 
 def _dataset_source(obj) -> IdxSource | SyntheticSource:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise UsageError("dataset must be an object with exactly one of 'idx' or 'synthetic'")
     kind, body = next(iter(obj.items()))
-    if not isinstance(body, dict):
-        raise UsageError(f"dataset.{kind} must be an object")
-    if kind == "idx":
-        _reject_unknown(body, _IDX_KEYS, "dataset.idx")
-        missing = sorted(_IDX_KEYS - set(body))
-        if missing:
-            raise UsageError(f"dataset.idx is missing: {', '.join(missing)}")
-        return IdxSource(**body)
-    if kind == "synthetic":
-        _reject_unknown(body, _SYNTHETIC_KEYS, "dataset.synthetic")
-        noise = body.get("noise", 0.1)
-        if not (is_number(noise) and 0 <= noise < math.inf):
-            raise UsageError(
-                f"dataset.synthetic.noise must be a finite number >= 0, got {noise!r}"
-            )
-        return SyntheticSource(**body)
-    raise UsageError(f"dataset kind must be 'idx' or 'synthetic', got {kind!r}")
+    sources = {"idx": IdxSource, "synthetic": SyntheticSource}
+    if kind not in sources:
+        raise UsageError(f"dataset kind must be 'idx' or 'synthetic', got {kind!r}")
+    return _section(sources[kind], body, f"dataset.{kind}")
 
 
 def _resolve_idx_paths(src: IdxSource, base_dir: Path) -> IdxSource:
@@ -133,6 +131,8 @@ def parse_spec(obj: dict, base_dir: Optional[Path] = None) -> ExperimentSpec:
         if not isinstance(obj.get(key, ""), str):
             raise UsageError(f"{key} must be a string, got {obj[key]!r}")
 
+    if not isinstance(obj["arch"], list):
+        raise UsageError(f"arch must be a list of layer sizes, got {obj['arch']!r}")
     lottery_kwargs = {
         "arch": tuple(obj["arch"]),
         "strategy": obj["strategy"],
@@ -143,14 +143,13 @@ def parse_spec(obj: dict, base_dir: Optional[Path] = None) -> ExperimentSpec:
         if key in obj:
             lottery_kwargs[key] = obj[key]
     if "train" in obj:
-        lottery_kwargs["train"] = _train_config(obj["train"], "train")
+        lottery_kwargs["train"] = _section(TrainConfig, obj["train"], "train")
     if "final_train" in obj:
-        lottery_kwargs["final_train"] = _train_config(obj["final_train"], "final_train")
+        lottery_kwargs["final_train"] = _section(TrainConfig, obj["final_train"], "final_train")
     elif "train" in obj:
         lottery_kwargs["final_train"] = lottery_kwargs["train"]
     if "fisher" in obj:
-        _reject_unknown(obj["fisher"], _FISHER_KEYS, "fisher")
-        lottery_kwargs["fisher"] = FisherConfig(**obj["fisher"])
+        lottery_kwargs["fisher"] = _section(FisherConfig, obj["fisher"], "fisher")
     if "one_shot_targets" in obj:
         targets = obj["one_shot_targets"]
         if not (isinstance(targets, list) and all(is_number(t) for t in targets)):

@@ -27,6 +27,7 @@ from .masks import PruneMask, apply_mask, full_mask, rewind, sparsity
 from .metrics import MovementReport, weight_movement
 from .nn import Dataset, DenseNetwork, TrainConfig, check_int_fields, check_layer_sizes
 from .nn import init_network, is_number, train
+from .results import ExperimentRecord, RoundRow
 from .strategies import FisherConfig, global_prune, score_fisher, score_l1, score_random
 
 STRATEGIES = ("random", "l1", "fisher")
@@ -78,35 +79,6 @@ class LotteryConfig:
             object.__setattr__(
                 self, "experiment_id", f"{self.strategy}-{self.mode}-seed{self.init_seed}"
             )
-
-
-@dataclass(frozen=True)
-class RoundRow:
-    """One recorded round (or one-shot target)."""
-
-    round: int
-    fraction_pruned: float
-    test_accuracy: float
-    best_accuracy: float
-    train_loss: float
-    weight_abs_dif: float
-    weight_avg_dif: float
-    backward_passes: int
-    seconds: float
-
-
-@dataclass(eq=False)
-class ExperimentRecord:
-    """All rows of one experiment plus the metadata the figures need."""
-
-    experiment_id: str
-    method: str
-    mode: str
-    seed: int
-    arch: Optional[tuple[int, ...]]
-    fisher_batch_size: Optional[int]
-    rows: list[RoundRow]
-    label: Optional[str] = None
 
 
 RoundHook = Callable[[int, PruneMask, DenseNetwork, DenseNetwork], None]

@@ -18,17 +18,14 @@ one or zero inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import UsageError
 from .masks import PruneMask
 from .nn import DenseNetwork
-from .results import Table
-
-if TYPE_CHECKING:
-    from .lottery import ExperimentRecord
+from .results import ExperimentRecord, Table
 
 
 @dataclass(frozen=True)
@@ -95,22 +92,22 @@ def connectivity_report(mask: PruneMask) -> ConnectivityReport:
 FIGURES = ("accuracy_vs_sparsity", "movement_vs_sparsity", "width_comparison", "batch_comparison")
 
 
-def _series_label(record: "ExperimentRecord") -> str:
+def _series_label(record: ExperimentRecord) -> str:
     return record.label if record.label else f"{record.method}/{record.mode}"
 
 
-def _final_best(record: "ExperimentRecord") -> float:
+def _final_best(record: ExperimentRecord) -> float:
     return record.rows[-1].best_accuracy
 
 
-def figure_data(records: Sequence["ExperimentRecord"], figure: str) -> Table:
+def figure_data(records: Sequence[ExperimentRecord], figure: str) -> Table:
     """Assemble plot-ready long-format data from experiment records.
 
     accuracy_vs_sparsity / movement_vs_sparsity: one row per record row,
     (series, x=fraction_pruned, y, seed). width_comparison: final pruned
-    and dense baseline accuracy per record, x = first hidden width (needs
-    record.arch). batch_comparison: mean and sample stddev of the final
-    best accuracy across seeds, grouped by Fisher batch size.
+    and dense baseline accuracy per record, x = first hidden width, sorted
+    by series, width and seed. batch_comparison: mean and sample stddev of
+    the final best accuracy across seeds, grouped by Fisher batch size.
     """
     if figure not in FIGURES:
         raise UsageError(f"unknown figure {figure!r}; expected one of {FIGURES}")
@@ -128,18 +125,12 @@ def figure_data(records: Sequence["ExperimentRecord"], figure: str) -> Table:
     if figure == "width_comparison":
         rows = []
         for rec in records:
-            if rec.arch is not None and len(rec.arch) >= 3:
-                width = rec.arch[1]
-            elif rec.label:
-                width = rec.label
-            else:
-                raise UsageError(
-                    "width_comparison needs a width per record (an architecture or a "
-                    "width label); records loaded from CSV carry neither by default"
-                )
+            if len(rec.arch) < 3:
+                raise UsageError(f"width_comparison needs a hidden layer, got arch {rec.arch}")
+            width = rec.arch[1]
             rows.append((f"pruned:{rec.method}", width, _final_best(rec), rec.seed))
             rows.append(("dense", width, rec.rows[0].best_accuracy, rec.seed))
-        rows.sort(key=lambda r: (r[0], str(r[1]), r[3]))
+        rows.sort(key=lambda r: (r[0], r[1], r[3]))
         return Table(("series", "x", "y", "seed"), rows)
 
     groups: dict[int, list[float]] = {}

@@ -1,41 +1,65 @@
-"""Tabular results and their CSV serialization.
+"""Experiment records, tables, and their CSV serialization.
 
-One fixed schema covers every experiment record:
+One fixed schema covers every experiment record, one line per round:
 
-    experiment_id, method, mode, seed, round, fraction_pruned,
-    test_accuracy, best_accuracy, train_loss, weight_abs_dif,
-    weight_avg_dif, backward_passes, seconds
+    experiment_id, method, mode, seed, arch, fisher_batch_size,
+    round, fraction_pruned, test_accuracy, best_accuracy, train_loss,
+    weight_abs_dif, weight_avg_dif, backward_passes, seconds
 
-Floats are printed with 17 significant digits so parsing a file recovers
-the exact binary values; lines end with LF; identical runs therefore
-produce byte-identical files (the seconds column is the only
-non-deterministic content).
+The first six columns describe the experiment and repeat on each of its
+rows; the rest are the fields of `RoundRow`, in order. `arch` is written
+as `784-300-100-10`; `fisher_batch_size` is empty for strategies other
+than Fisher. Floats are printed as the shortest text that parses back to
+the same bits (`float.__repr__`); lines end with LF; identical runs
+therefore produce byte-identical files (the seconds column, always last,
+is the only non-deterministic content).
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, fields
+from typing import Iterable, Optional, Sequence
 
 from .errors import DataFormatError, UsageError
+from .nn import check_int, check_layer_sizes
 
-RECORD_COLUMNS = (
-    "experiment_id",
-    "method",
-    "mode",
-    "seed",
-    "round",
-    "fraction_pruned",
-    "test_accuracy",
-    "best_accuracy",
-    "train_loss",
-    "weight_abs_dif",
-    "weight_avg_dif",
-    "backward_passes",
-    "seconds",
-)
+
+@dataclass(frozen=True)
+class RoundRow:
+    """One recorded round (or one-shot target)."""
+
+    round: int
+    fraction_pruned: float
+    test_accuracy: float
+    best_accuracy: float
+    train_loss: float
+    weight_abs_dif: float
+    weight_avg_dif: float
+    backward_passes: int
+    seconds: float
+
+
+@dataclass(eq=False)
+class ExperimentRecord:
+    """All rows of one experiment plus the metadata the figures need."""
+
+    experiment_id: str
+    method: str
+    mode: str
+    seed: int
+    arch: tuple[int, ...]
+    fisher_batch_size: Optional[int]
+    rows: list[RoundRow]
+    label: Optional[str] = None
+
+
+_ROW_FIELDS = fields(RoundRow)
+# Field types are annotation strings here (postponed evaluation of annotations).
+_PARSE = {"int": int, "float": float}
+_EXPERIMENT_COLUMNS = ("experiment_id", "method", "mode", "seed", "arch", "fisher_batch_size")
+RECORD_COLUMNS = _EXPERIMENT_COLUMNS + tuple(f.name for f in _ROW_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -54,10 +78,13 @@ class Table:
 
 
 def _format_cell(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return str(int(value))
     if isinstance(value, float):
-        return format(value, ".17g")
+        # Not repr(): numpy 2 spells repr(np.float64(x)) as "np.float64(x)".
+        return float.__repr__(value)
     return str(value)
 
 
@@ -80,39 +107,45 @@ def emit_csv(table: Table, path) -> None:
         raise DataFormatError(f"cannot write CSV to {path}: {exc}") from exc
 
 
-def record_table(records: Iterable) -> Table:
-    """Flatten ExperimentRecords into the fixed 13-column schema."""
+def record_table(records: Iterable[ExperimentRecord]) -> Table:
+    """Flatten ExperimentRecords into the fixed schema, one row per round."""
     rows = []
     for rec in records:
+        head = (
+            rec.experiment_id,
+            rec.method,
+            rec.mode,
+            rec.seed,
+            "-".join(map(str, rec.arch)),
+            rec.fisher_batch_size,
+        )
         for row in rec.rows:
-            rows.append(
-                (
-                    rec.experiment_id,
-                    rec.method,
-                    rec.mode,
-                    rec.seed,
-                    row.round,
-                    row.fraction_pruned,
-                    row.test_accuracy,
-                    row.best_accuracy,
-                    row.train_loss,
-                    row.weight_abs_dif,
-                    row.weight_avg_dif,
-                    row.backward_passes,
-                    row.seconds,
-                )
-            )
+            rows.append(head + tuple(getattr(row, f.name) for f in _ROW_FIELDS))
     return Table(RECORD_COLUMNS, rows)
 
 
-def read_records_csv(path) -> list:
+def _parse_record(cells: list[str]) -> ExperimentRecord:
+    experiment_id, method, mode, seed, arch, batch = cells
+    return ExperimentRecord(
+        experiment_id=experiment_id,
+        method=method,
+        mode=mode,
+        seed=check_int(seed, "seed"),
+        arch=check_layer_sizes(arch.split("-")),
+        fisher_batch_size=check_int(batch, "fisher_batch_size", 1) if batch else None,
+        rows=[],
+    )
+
+
+def read_records_csv(path) -> list[ExperimentRecord]:
     """Rebuild ExperimentRecords from a CSV in the fixed schema.
 
-    Records loaded this way carry no architecture or Fisher batch size;
-    figure kinds that need those reject them with a usage error.
+    Rows that share their first six cells form one record; records keep
+    the order of their first rows. A file in any other schema, or with a
+    cell that does not parse, raises DataFormatError.
     """
-    from .lottery import ExperimentRecord, RoundRow
-
+    records: dict[tuple, ExperimentRecord] = {}
+    head = len(_EXPERIMENT_COLUMNS)
     try:
         with open(path, "r", encoding="utf-8", newline="") as f:
             reader = csv.reader(f)
@@ -121,42 +154,16 @@ def read_records_csv(path) -> list:
                 raise DataFormatError(
                     f"{path}: expected header {','.join(RECORD_COLUMNS)}, got {header}"
                 )
-            grouped: dict[tuple, list] = {}
-            order: list[tuple] = []
             for line in reader:
                 if len(line) != len(RECORD_COLUMNS):
                     raise DataFormatError(f"{path}: row has {len(line)} cells")
-                key = (line[0], line[1], line[2], int(line[3]))
-                if key not in grouped:
-                    grouped[key] = []
-                    order.append(key)
-                grouped[key].append(
-                    RoundRow(
-                        round=int(line[4]),
-                        fraction_pruned=float(line[5]),
-                        test_accuracy=float(line[6]),
-                        best_accuracy=float(line[7]),
-                        train_loss=float(line[8]),
-                        weight_abs_dif=float(line[9]),
-                        weight_avg_dif=float(line[10]),
-                        backward_passes=int(line[11]),
-                        seconds=float(line[12]),
-                    )
-                )
+                key = tuple(line[:head])
+                if key not in records:
+                    records[key] = _parse_record(line[:head])
+                cells = zip(_ROW_FIELDS, line[head:])
+                records[key].rows.append(RoundRow(*(_PARSE[f.type](c) for f, c in cells)))
     except OSError as exc:
         raise DataFormatError(f"cannot read CSV {path}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, UsageError) as exc:
         raise DataFormatError(f"{path}: malformed cell: {exc}") from exc
-
-    return [
-        ExperimentRecord(
-            experiment_id=key[0],
-            method=key[1],
-            mode=key[2],
-            seed=key[3],
-            arch=None,
-            fisher_batch_size=None,
-            rows=grouped[key],
-        )
-        for key in order
-    ]
+    return list(records.values())

@@ -66,13 +66,24 @@ def replace_with_other_arch(path):
     edit_checkpoint(path, lambda p: p.__setitem__("config_hash", config_hash))
 
 
-def write_records_csv(tmp_path):
-    """A one-row record CSV in the fixed schema; returns its path."""
+V1_RECORD_COLUMNS = (
+    "experiment_id,method,mode,seed,round,fraction_pruned,test_accuracy,best_accuracy,"
+    "train_loss,weight_abs_dif,weight_avg_dif,backward_passes,seconds"
+)
+
+
+def write_records_csv(tmp_path, header=",".join(RECORD_COLUMNS),
+                      row="unit,fisher,iterative,1,6-8-3,10,0,0.0,0.5,0.5,1.0,0.0,0.0,0,0.1"):
+    """A one-row record CSV (default: the current schema); returns its path."""
     path = tmp_path / "records.csv"
-    path.write_text(
-        ",".join(RECORD_COLUMNS) + "\nunit,fisher,iterative,1,0,0.0,0.5,0.5,1.0,0.0,0.0,0,0.1\n"
-    )
+    path.write_text(f"{header}\n{row}\n")
     return str(path)
+
+
+def report_on(**csv):
+    """argv for `report --figure width_comparison` on write_records_csv(**csv)."""
+    return lambda tmp: ["report", "--figure", "width_comparison", "--out", str(tmp / "fig.csv"),
+                        write_records_csv(tmp, **csv)]
 
 
 def write_corrupt_checkpoint(tmp_path, corrupt=lambda p: p["mask"][0].__setitem__((0, 0), 2)):
@@ -216,11 +227,6 @@ class TestCli:
                 lambda tmp: ["train", "--arch", "6,8,3", "--synthetic", "2,x,5"],
                 id="train-synthetic-non-integer",
             ),
-            pytest.param(
-                lambda tmp: ["report", "--figure", "batch_comparison", "--out",
-                             str(tmp / "fig.csv"), write_records_csv(tmp), "--batch-sizes", "q"],
-                id="report-batch-sizes-non-integer",
-            ),
             pytest.param(lottery_with(arch=[3, "x"]), id="spec-arch-non-integer"),
             pytest.param(lottery_with(seeds=["a"]), id="spec-seeds-non-integer"),
             pytest.param(lottery_with(arch=[6, 8.9, 3]), id="spec-arch-non-integral"),
@@ -271,6 +277,16 @@ class TestCli:
                          id="learning-rate-string"),
             pytest.param({"train": {"learning_rate": None}}, "learning_rate",
                          id="learning-rate-null"),
+            pytest.param({"fisher": None}, "fisher must be an object", id="fisher-null"),
+            pytest.param({"fisher": "ab"}, "fisher must be an object", id="fisher-string"),
+            pytest.param({"dataset": {"synthetic": {"classes": 3, "per_class": 20,
+                                                    "test_per_class": 8}}},
+                         "dataset.synthetic is missing: dim", id="synthetic-without-dim"),
+            pytest.param({"arch": "43"}, "arch must be a list", id="arch-string"),
+            pytest.param({"arch": 5}, "arch must be a list", id="arch-integer"),
+            pytest.param({"dataset": {"idx": {"train_images": 1, "train_labels": "b.idx",
+                                              "test_images": "c.idx", "test_labels": "d.idx"}}},
+                         "dataset.idx.train_images must be a string", id="idx-path-integer"),
         ],
     )
     def test_wrong_typed_values_name_the_field(self, tmp_path, capsys, overrides, field):
@@ -325,6 +341,15 @@ class TestCli:
                 id="resume-round-0-other-config-hash",
             ),
             pytest.param(resume_after(replace_with_other_arch), id="resume-round-0-other-arch"),
+            pytest.param(
+                report_on(header=V1_RECORD_COLUMNS,
+                          row="unit,fisher,iterative,1,0,0.0,0.5,0.5,1.0,0.0,0.0,0,0.1"),
+                id="report-v1-record-csv",
+            ),
+            pytest.param(
+                report_on(row="unit,fisher,iterative,1,6-x-3,10,0,0.0,0.5,0.5,1.0,0.0,0.0,0,0.1"),
+                id="report-malformed-arch",
+            ),
         ],
     )
     def test_unreadable_inputs_exit_2(self, tmp_path, capsys, argv):
@@ -378,7 +403,8 @@ class TestCli:
         records = read_records_csv(out / "unit.csv")
         assert len(records[0].rows) == 3
 
-    def test_report_batch_comparison_with_flags(self, tmp_path):
+    def test_report_figures_from_lottery_csv_need_no_flags(self, tmp_path, capsys):
+        """width_comparison and batch_comparison read arch and batch size from the CSV."""
         out = tmp_path / "out"
         spec = write_spec(
             tmp_path,
@@ -387,9 +413,20 @@ class TestCli:
             fisher={"sample_count": 30, "fisher_batch_size": 10},
         )
         assert main(["lottery", "--config", str(spec)]) == 0
-        fig = tmp_path / "batch.csv"
-        assert main(["report", "--figure", "batch_comparison", "--out", str(fig),
-                     str(out / "unit.csv"), "--batch-sizes", "10"]) == 0
+        records = str(out / "unit.csv")
+        fig = tmp_path / "fig.csv"
+
+        assert main(["report", "--figure", "batch_comparison", "--out", str(fig), records]) == 0
         lines = fig.read_text().splitlines()
         assert lines[0] == "series,x,y_mean,y_stddev,n_seeds"
-        assert len(lines) == 2
+        assert len(lines) == 2 and lines[1].startswith("fisher,10,") and lines[1].endswith(",2")
+
+        assert main(["report", "--figure", "width_comparison", "--out", str(fig), records]) == 0
+        lines = fig.read_text().splitlines()
+        assert lines[0] == "series,x,y,seed"
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["dense", "8"], ["dense", "8"], ["pruned:fisher", "8"], ["pruned:fisher", "8"]
+        ]
+
+        assert main(["report", "--figure", "batch_comparison", "--out", str(fig), records,
+                     "--batch-sizes", "10"]) == 1

@@ -10,7 +10,7 @@ from ticketlab import (
     init_network,
     weight_movement,
 )
-from ticketlab.lottery import ExperimentRecord, RoundRow
+from ticketlab.results import ExperimentRecord, RoundRow
 from ticketlab.nn import DenseNetwork
 from ticketlab.oracles import movement_element_loop
 
@@ -161,16 +161,20 @@ class TestFigureData:
         xs = {r[1] for r in table.rows}
         assert xs == {300, 600}
 
-    def test_width_comparison_without_arch_or_label_errors(self):
-        rec = make_record([row(0, 0.0, 0.9), row(1, 0.9, 0.85)], arch=None)
-        with pytest.raises(UsageError):
-            figure_data([rec], "width_comparison")
+    def test_width_comparison_sorts_widths_numerically(self):
+        recs = [
+            make_record([row(0, 0.0, 0.9), row(1, 0.9, 0.85)], arch=(10, 1000, 2)),
+            make_record([row(0, 0.0, 0.92), row(1, 0.9, 0.9)], arch=(10, 300, 2)),
+        ]
+        table = figure_data(recs, "width_comparison")
+        assert [(r[0], r[1]) for r in table.rows] == [
+            ("dense", 300), ("dense", 1000), ("pruned:l1", 300), ("pruned:l1", 1000)
+        ]
 
-    def test_width_comparison_label_fallback(self):
-        rec = make_record([row(0, 0.0, 0.9), row(1, 0.9, 0.85)], arch=None)
-        rec.label = "300x100"
-        table = figure_data([rec], "width_comparison")
-        assert {r[1] for r in table.rows} == {"300x100"}
+    def test_width_comparison_needs_a_hidden_layer(self):
+        rec = make_record([row(0, 0.0, 0.9), row(1, 0.9, 0.85)], arch=(4, 2))
+        with pytest.raises(UsageError, match="hidden layer"):
+            figure_data([rec], "width_comparison")
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(UsageError):

@@ -1,3 +1,7 @@
+import struct
+from dataclasses import astuple
+
+import numpy as np
 import pytest
 
 from ticketlab import Table, UsageError, emit_csv, read_records_csv, record_table
@@ -19,6 +23,11 @@ class TestEmitCsv:
         lines = path.read_text().splitlines()[1:]
         assert [float(line) for line in lines] == values
 
+    def test_floats_written_as_shortest_round_trip_text(self):
+        """float.__repr__ spelling, numpy floats included: 0.265, not 0.26500000000000001."""
+        text = render_csv(Table(("v",), [(0.265,), (np.float64(0.265),), (0.1 + 0.2,), (1.0,)]))
+        assert text == "v\n0.265\n0.265\n0.30000000000000004\n1.0\n"
+
     def test_identical_tables_byte_identical(self, tmp_path):
         table = Table(("x", "y"), [(1, 0.25), (2, 2 / 7)])
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -36,18 +45,37 @@ class TestEmitCsv:
             Table(("a", "b"), [(1,)])
 
 
+def float_bits(record):
+    """Each round's cells, floats as their IEEE-754 bytes (so -0.0 differs from 0.0)."""
+    return [
+        struct.pack("<d", v) if isinstance(v, float) else v
+        for r in record.rows
+        for v in astuple(r)
+    ]
+
+
 class TestRecordRoundTrip:
     def test_schema(self):
+        """Six experiment columns, then the RoundRow fields with `seconds` last."""
         table = record_table([make_record([row(0, 0.0, 0.9)])])
         assert table.columns == RECORD_COLUMNS
+        assert RECORD_COLUMNS[:7] == (
+            "experiment_id", "method", "mode", "seed", "arch", "fisher_batch_size", "round"
+        )
+        assert RECORD_COLUMNS[-1] == "seconds"
 
     def test_records_survive_csv_round_trip(self, tmp_path):
+        """Every field survives, arch and fisher_batch_size too, and floats come back bit-equal."""
+        awkward = [0.1 + 0.2, 1 / 3, 5e-324, -0.0, 1e300, np.float64(0.265), np.float64(2 / 7)]
         records = [
-            make_record([row(0, 0.0, 0.9), row(1, 0.2, 0.88)], seed=0),
-            make_record([row(0, 0.0, 0.91), row(1, 0.2, 0.87)], seed=1, method="random"),
+            make_record([row(0, 0.0, 0.9), row(1, 0.2, 0.88)], seed=0,
+                        method="fisher", arch=(784, 300, 100, 10), batch=100),
+            make_record([row(r, f, f, movement=f) for r, f in enumerate(awkward)], seed=1,
+                        method="random"),
         ]
         path = tmp_path / "records.csv"
         emit_csv(record_table(records), path)
+        assert ",fisher,iterative,0,784-300-100-10,100,0," in path.read_text()
         back = read_records_csv(path)
         assert len(back) == 2
         for orig, loaded in zip(records, back):
@@ -55,8 +83,11 @@ class TestRecordRoundTrip:
             assert loaded.method == orig.method
             assert loaded.mode == orig.mode
             assert loaded.seed == orig.seed
-            assert loaded.arch is None
+            assert loaded.arch == orig.arch
+            assert loaded.fisher_batch_size == orig.fisher_batch_size
             assert loaded.rows == orig.rows
+            assert float_bits(loaded) == float_bits(orig)
+        assert back[1].fisher_batch_size is None
 
     def test_bad_header_rejected(self, tmp_path):
         from ticketlab import DataFormatError
