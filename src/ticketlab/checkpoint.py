@@ -1,42 +1,46 @@
 """Versioned experiment checkpoints.
 
-A checkpoint is one JSON document (`round_NNN.json`) recording the format
-version, the architecture, the round index, a hash of the experiment
-config, the current mask and trained network, the rows recorded so far,
-and the two networks that never change after round 0: the iteration-0
-network (`initial`, for rewinding) and the round-0 trained baseline
-(`baseline`, for weight movement). `save_round` writes those two only
-once per checkpoint directory: in `round_000.json`, and in any later
-round file whose directory has no round 0 (so a lone file stays
-self-contained). Other round files store them as JSON `null`, and
-`load_run_state` takes them from `round_000.json` beside the file, which
-must carry the same config hash and arch. `load_checkpoint` reads one
-file as it is.
+A checkpoint file (`round_NNN.json`) records the format version, the
+architecture, the round index, a hash of the experiment config, the
+current mask and trained network, the rows recorded so far, and the two
+networks that never change after round 0: the iteration-0 network
+(`initial`, for rewinding) and the round-0 trained baseline (`baseline`,
+for weight movement). `save_round` writes those two only once per
+checkpoint directory: in `round_000.json`, and in any later round file
+whose directory has no round 0 (so a lone file stays self-contained).
+Other round files store them as `null`, and `load_run_state` takes them
+from `round_000.json` beside the file, which must carry the same config
+hash and arch. `load_checkpoint` reads one file as it is.
 
-Every array is stored as `{"shape": [...], "data": "<base64 of the raw
-bytes>"}`: weights and biases as little-endian float64 (`<f8`), mask
-layers as uint8 0/1. Raw bytes in a fixed byte order make the round trip
-bit-exact on any host (-0.0 and subnormals included), which is what makes
-resuming bit-identical to an uninterrupted run, at a fraction of the size
-and time of decimal text. The container stays JSON, and the name stays
-`.json`, because resume discovery finds checkpoints by that name.
+Format version 4 is one line of UTF-8 JSON, then the raw bytes of every
+array back to back. The header line holds the fields above, with each
+array given only by its shape list, and `crc32`, the `zlib.crc32` of the
+data section. The data section follows the header's order: `initial`
+weights then biases, `baseline` likewise, the mask layers, then
+`trained`. Weights and biases are little-endian float64 (`<f8`), mask
+layers uint8 0/1. Raw bytes in a fixed byte order make the round trip
+bit-exact on any host (-0.0 and subnormals included), which is what
+makes resuming bit-identical to an uninterrupted run; the file stays
+within a few hundred bytes of the arrays' own size. The name keeps its
+`.json` suffix, because resume discovery finds checkpoints by that name.
 
 Files are written to a temporary name beside the target and renamed into
 place, so a crash mid-write leaves the previous round's file the latest.
-This build writes format version 3 and reads versions 2 and 3 (a version
-2 file is a self-contained version 3 file); it rejects other versions
-outright and any array whose encoding, shape or pairing is inconsistent,
-and warns when the stored config hash does not match the caller's.
+This build reads and writes format version 4 only. It rejects other
+versions outright, a file without a header line, a data section whose
+CRC or length does not match the header, and any array whose shape or
+pairing is inconsistent; it warns when the stored config hash does not
+match the caller's.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import math
 import os
 import warnings
+import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
@@ -48,9 +52,7 @@ from .masks import PruneMask
 from .nn import DenseNetwork, check_int, check_layer_sizes
 from .results import RoundRow
 
-CHECKPOINT_VERSION = 3
-# Version 3 only adds `null` initial/baseline networks, so version 2 files read as they are.
-_READABLE_VERSIONS = (2, 3)
+CHECKPOINT_VERSION = 4
 _FLOAT = np.dtype("<f8")
 _MASK = np.dtype("u1")
 
@@ -73,44 +75,6 @@ def config_hash(cfg) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _encode_array(a: np.ndarray, dtype: np.dtype) -> dict:
-    a = np.ascontiguousarray(a, dtype=dtype)
-    return {"shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")}
-
-
-def _decode_array(obj, dtype: np.dtype) -> np.ndarray:
-    """Inverse of `_encode_array`: a fresh, writable, native-order array.
-
-    Raises ValueError or TypeError (mapped to DataFormatError by the loader)
-    on a bad shape, invalid base64, or a byte count that does not match.
-    """
-    shape = obj["shape"]
-    if not isinstance(shape, list) or any(type(s) is not int or s < 0 for s in shape):
-        raise ValueError(f"array shape must be a list of integers >= 0, got {shape!r}")
-    raw = base64.b64decode(obj["data"], validate=True)
-    if len(raw) != math.prod(shape) * dtype.itemsize:
-        raise ValueError(f"{len(raw)} data bytes do not fit shape {shape} of {dtype}")
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(dtype.newbyteorder("="))
-
-
-def _net_to_json(net: Optional[DenseNetwork]):
-    if net is None:
-        return None
-    return {
-        "weights": [_encode_array(w, _FLOAT) for w in net.weights],
-        "biases": [_encode_array(b, _FLOAT) for b in net.biases],
-    }
-
-
-def _net_from_json(obj) -> Optional[DenseNetwork]:
-    if obj is None:
-        return None
-    return DenseNetwork(
-        [_decode_array(w, _FLOAT) for w in obj["weights"]],
-        [_decode_array(b, _FLOAT) for b in obj["biases"]],
-    )
-
-
 def save_checkpoint(state: CheckpointState, path) -> None:
     """Write a checkpoint file atomically: a synced temporary file, then a rename.
 
@@ -118,22 +82,40 @@ def save_checkpoint(state: CheckpointState, path) -> None:
     is removed if the write fails, so an interrupted save leaves no file
     that resume discovery could pick up.
     """
-    payload = {
+    data: list[np.ndarray] = []  # filled while the header below is built, so in its order
+
+    def shapes(arrays, dtype):
+        arrays = [np.ascontiguousarray(a, dtype) for a in arrays]
+        data.extend(arrays)
+        return [list(a.shape) for a in arrays]
+
+    def net(n: Optional[DenseNetwork]):
+        if n is None:
+            return None
+        return {"weights": shapes(n.weights, _FLOAT), "biases": shapes(n.biases, _FLOAT)}
+
+    header = {
         "format_version": CHECKPOINT_VERSION,
         "arch": list(state.arch),
         "round_index": state.round_index,
         "config_hash": state.config_hash,
-        "initial": _net_to_json(state.initial),
-        "baseline": _net_to_json(state.baseline),
-        "mask": [_encode_array(m, _MASK) for m in state.mask.layers],
-        "trained": _net_to_json(state.trained),
+        "initial": net(state.initial),
+        "baseline": net(state.baseline),
+        "mask": shapes(state.mask.layers, _MASK),
+        "trained": net(state.trained),
         "rows": [asdict(r) for r in state.rows],
     }
+    crc = 0
+    for a in data:
+        crc = zlib.crc32(a, crc)
+    header["crc32"] = crc
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.write(json.dumps(payload))
+        with open(tmp, "wb") as f:
+            f.write(json.dumps(header).encode("utf-8") + b"\n")
+            for a in data:
+                f.write(a)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -145,46 +127,84 @@ def save_checkpoint(state: CheckpointState, path) -> None:
 def load_checkpoint(path, expected_config_hash: Optional[str] = None) -> CheckpointState:
     """Read a checkpoint, rejecting corrupt files and other format versions.
 
-    A badly encoded array, a mask that does not pair with the stored
-    networks, or an `arch` that differs from their layer sizes marks the
-    file corrupt.
+    A file without a header line, a data section whose CRC or length does
+    not match the header, a bad shape, a mask that does not pair with the
+    stored networks, or an `arch` that differs from their layer sizes marks
+    the file corrupt.
 
     A config-hash mismatch is reported as a warning, not an error: the
     caller may be resuming deliberately under an edited config.
     """
     try:
-        payload = json.loads(Path(path).read_bytes())
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise DataFormatError(f"cannot read checkpoint {path}: {exc}") from exc
+    # Earlier versions are one JSON document without a newline; parsing it
+    # whole lets them fail on their version rather than on the layout.
+    end = raw.find(b"\n")
+    try:
+        header = json.loads((raw if end < 0 else raw[:end]).decode("utf-8"))
     except ValueError as exc:  # invalid JSON or invalid UTF-8
         raise DataFormatError(f"corrupt checkpoint {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise DataFormatError(f"corrupt checkpoint {path}: not a JSON object")
+    if not isinstance(header, dict):
+        raise DataFormatError(f"corrupt checkpoint {path}: header is not a JSON object")
 
-    version = payload.get("format_version")
-    if version not in _READABLE_VERSIONS:
+    version = header.get("format_version")
+    if version != CHECKPOINT_VERSION:
         raise DataFormatError(
             f"checkpoint {path} has format version {version!r}, "
-            f"this build reads versions {' and '.join(map(str, _READABLE_VERSIONS))}"
+            f"this build reads version {CHECKPOINT_VERSION}"
         )
+    if end < 0:
+        raise DataFormatError(f"corrupt checkpoint {path}: no header line")
+    data = memoryview(raw)[end + 1:]
+    if zlib.crc32(data) != header.get("crc32"):
+        raise DataFormatError(f"corrupt checkpoint {path}: data section fails its CRC check")
+
+    offset = 0
+
+    def arrays(shapes, dtype):
+        """Fresh, writable, native-order arrays cut in order from the data section."""
+        nonlocal offset
+        out = []
+        for shape in shapes:
+            if not isinstance(shape, list) or any(type(s) is not int or s < 0 for s in shape):
+                raise ValueError(f"array shape must be a list of integers >= 0, got {shape!r}")
+            count = math.prod(shape)
+            if offset + count * dtype.itemsize > len(data):
+                raise ValueError("data section is shorter than the shapes declare")
+            a = np.frombuffer(data, dtype, count, offset)
+            out.append(a.reshape(shape).astype(dtype.newbyteorder("=")))
+            offset += count * dtype.itemsize
+        return out
+
+    def net(obj) -> Optional[DenseNetwork]:
+        if obj is None:
+            return None
+        return DenseNetwork(arrays(obj["weights"], _FLOAT), arrays(obj["biases"], _FLOAT))
+
     try:
         state = CheckpointState(
-            arch=check_layer_sizes(payload["arch"]),
-            round_index=check_int(payload["round_index"], "round_index", 0),
-            config_hash=payload["config_hash"],
-            initial=_net_from_json(payload["initial"]),
-            baseline=_net_from_json(payload["baseline"]),
-            mask=PruneMask([_decode_array(m, _MASK) for m in payload["mask"]]),
-            trained=_net_from_json(payload["trained"]),
-            rows=[RoundRow(**r) for r in payload["rows"]],
+            arch=check_layer_sizes(header["arch"]),
+            round_index=check_int(header["round_index"], "round_index", 0),
+            config_hash=header["config_hash"],
+            initial=net(header["initial"]),
+            baseline=net(header["baseline"]),
+            mask=PruneMask(arrays(header["mask"], _MASK)),
+            trained=net(header["trained"]),
+            rows=[RoundRow(**r) for r in header["rows"]],
         )
-        for net in (state.initial, state.baseline, state.trained):
-            if net is not None:
-                state.mask.check_pairing(net.weights)
-                if net.layer_sizes != state.arch:
+        if offset != len(data):
+            raise ValueError(
+                f"data section is {len(data) - offset} bytes longer than the shapes declare"
+            )
+        for n in (state.initial, state.baseline, state.trained):
+            if n is not None:
+                state.mask.check_pairing(n.weights)
+                if n.layer_sizes != state.arch:
                     raise ShapeError(
                         f"arch {state.arch} but a stored network has layer sizes "
-                        f"{net.layer_sizes}"
+                        f"{n.layer_sizes}"
                     )
     except (KeyError, TypeError, ValueError, UsageError) as exc:
         raise DataFormatError(f"corrupt checkpoint {path}: {exc}") from exc
@@ -229,18 +249,22 @@ def round_path(directory, round_index: int) -> Path:
     return Path(directory) / f"round_{round_index:03d}.json"
 
 
-def latest_round_path(directory) -> Optional[Path]:
+def latest_round_path(directory, older_than=None) -> Optional[Path]:
     """Highest-round checkpoint file in a directory, or None.
 
     Rounds compare as integers, so `round_1000.json` comes after
     `round_999.json`; names whose index part is not an integer are ignored.
+    With `older_than` (a round file's path), only lower rounds count.
     """
-    indexed = [
-        (int(p.stem[len("round_"):]), p)
-        for p in Path(directory).glob("round_*.json")
-        if p.stem[len("round_"):].isdecimal()
-    ]
+    indexed = [(_round_index(p), p) for p in Path(directory).glob("round_*.json")]
+    limit = math.inf if older_than is None else _round_index(Path(older_than))
+    indexed = [(i, p) for i, p in indexed if i is not None and i < limit]
     return max(indexed)[1] if indexed else None
+
+
+def _round_index(path: Path) -> Optional[int]:
+    index = path.stem[len("round_"):]
+    return int(index) if index.isdecimal() else None
 
 
 def save_round(directory, cfg, round_index, initial, baseline, mask, trained, rows) -> Path:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Optional
 
 from .errors import DataFormatError, NumericalError, UsageError
 from .checkpoint import (
@@ -19,6 +20,7 @@ from .checkpoint import (
     config_hash,
     latest_round_path,
     load_checkpoint,
+    load_run_state,
     save_checkpoint,
 )
 from .config import build_datasets, load_spec, seed_configs
@@ -26,7 +28,7 @@ from .data import gen_synthetic, load_idx
 from .lottery import LotteryConfig, run_iterative, run_one_shot
 from .masks import full_mask, sparsity
 from .metrics import FIGURES, connectivity_report, figure_data
-from .nn import TrainConfig, check_layer_sizes, init_network, train
+from .nn import TrainConfig, check_layer_sizes, init_network, parse_int, train
 from .results import emit_csv, read_records_csv, record_table
 from .selftest import run_selftest
 
@@ -39,7 +41,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_synthetic(text: str):
-    """CLASSES,DIM,PER_CLASS[,NOISE[,SEED]]; gen_synthetic checks the integer fields."""
+    """CLASSES,DIM,PER_CLASS[,NOISE[,SEED]]; gen_synthetic checks the integers' ranges."""
     usage = "--synthetic takes CLASSES,DIM,PER_CLASS[,NOISE[,SEED]]"
     parts = text.split(",")
     if len(parts) < 3 or len(parts) > 5:
@@ -48,11 +50,14 @@ def _parse_synthetic(text: str):
         noise = float(parts[3]) if len(parts) > 3 else 0.1
     except ValueError as exc:
         raise UsageError(f"{usage}: {exc}") from exc
-    return gen_synthetic(*parts[:3], parts[4] if len(parts) > 4 else 0, noise=noise)
+    names = ("classes", "dim", "per_class")
+    counts = [parse_int(part, f"--synthetic {name}") for part, name in zip(parts, names)]
+    seed = parse_int(parts[4], "--synthetic seed") if len(parts) > 4 else 0
+    return gen_synthetic(*counts, seed, noise=noise)
 
 
 def _cmd_train(args) -> int:
-    arch = check_layer_sizes(args.arch.split(","))
+    arch = check_layer_sizes([parse_int(s, "--arch layer size") for s in args.arch.split(",")])
     if args.synthetic is not None:
         if args.images or args.labels:
             raise UsageError("give either --synthetic or --images/--labels, not both")
@@ -95,6 +100,39 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _newest_run_state(checkpoint_dir: Path, cfg: LotteryConfig) -> Optional[CheckpointState]:
+    """Run state of the newest round file in `checkpoint_dir` that loads; None if there is none.
+
+    Files that fail to load are skipped and named on stderr. A file of
+    another arch is refused, and so is an older file written under another
+    config: another run's file cannot stand in for a damaged one (the newest
+    file only warns on a config-hash mismatch, as `load_run_state` does).
+    If round files exist but none is taken, the DataFormatError names each
+    one's fault.
+    """
+    expected = config_hash(cfg)
+    faults = []
+    path = latest_round_path(checkpoint_dir)
+    while path is not None:
+        try:
+            state = load_run_state(path, expected_config_hash=None if faults else expected)
+            if state.arch != cfg.arch or (faults and state.config_hash != expected):
+                raise DataFormatError(
+                    f"{path} belongs to another run: arch {state.arch}, "
+                    f"config hash {state.config_hash[:12]}..."
+                )
+        except DataFormatError as exc:
+            faults.append(str(exc))
+            path = latest_round_path(checkpoint_dir, older_than=path)
+            continue
+        for fault in faults:
+            print(f"skipped: {fault}", file=sys.stderr)
+        return state
+    if faults:
+        raise DataFormatError(f"no checkpoint in {checkpoint_dir} loads: {'; '.join(faults)}")
+    return None
+
+
 def _run_one(cfg: LotteryConfig, spec, train_data, test_data, resume: bool):
     if cfg.mode == "one_shot":
         return run_one_shot(cfg, train_data, test_data)
@@ -105,7 +143,7 @@ def _run_one(cfg: LotteryConfig, spec, train_data, test_data, resume: bool):
             Path(spec.output_dir) / f"checkpoints-{cfg.experiment_id}-seed{cfg.init_seed}"
         )
         if resume:
-            resume_from = latest_round_path(checkpoint_dir)
+            resume_from = _newest_run_state(checkpoint_dir, cfg)
     return run_iterative(
         cfg, train_data, test_data, checkpoint_dir=checkpoint_dir, resume_from=resume_from
     )
@@ -113,6 +151,11 @@ def _run_one(cfg: LotteryConfig, spec, train_data, test_data, resume: bool):
 
 def _cmd_lottery(args) -> int:
     spec = load_spec(args.config)
+    if args.resume and not spec.checkpoint:
+        raise UsageError("--resume needs a spec with \"checkpoint\": true")
+    if args.resume and spec.lottery.mode != "iterative":
+        raise UsageError(f"--resume needs mode \"iterative\"; {spec.lottery.mode} runs "
+                         "write no checkpoints")
     train_data, test_data = build_datasets(spec)
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -211,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("inspect", help="sparsity and connectivity of a checkpoint")
-    p.add_argument("checkpoint", help="checkpoint JSON file")
+    p.add_argument("checkpoint", help="checkpoint file (round_NNN.json)")
     p.set_defaults(func=_cmd_inspect)
 
     p = sub.add_parser("selftest", help="run the invariant battery")

@@ -206,6 +206,8 @@ def run_iterative(
     written per round; `resume_from` continues from one, bit-identically
     to an uninterrupted run, taking the iteration-0 network and the
     baseline from `round_000.json` beside it when the file lacks them.
+    `resume_from` may also be a CheckpointState that `load_run_state`
+    already returned.
     """
     from . import checkpoint as ckpt
 
@@ -215,7 +217,9 @@ def run_iterative(
     presentation = _presentation_order(cfg, train_data)
 
     if resume_from is not None:
-        state = ckpt.load_run_state(resume_from, expected_config_hash=ckpt.config_hash(cfg))
+        state = resume_from
+        if not isinstance(state, ckpt.CheckpointState):
+            state = ckpt.load_run_state(resume_from, expected_config_hash=ckpt.config_hash(cfg))
         initial, baseline = state.initial, state.baseline
         mask, trained = state.mask, state.trained
         rows = list(state.rows)

@@ -43,16 +43,29 @@ _SQ_GRAD_CHUNK_ROWS = 1024
 
 
 def check_int(value, what: str, minimum: Optional[int] = None) -> int:
-    """`value` as an int >= `minimum`, else UsageError; "8" and 8.0 pass, 8.9 and True do not."""
+    """`value` as an int >= `minimum`, else UsageError; 8.0 passes, 8.9, True and "8" do not.
+
+    Text is refused: where the program reads text (flags, CSV cells), it
+    converts it with `parse_int` first.
+    """
     try:
         parsed = int(value)
-        if isinstance(value, bool) or (not isinstance(value, str) and parsed != value):
+        if isinstance(value, bool) or parsed != value:
             raise ValueError("non-integral")
     except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"{what} must be an integer, got {value!r}") from exc
     if minimum is not None and parsed < minimum:
         raise UsageError(f"{what} must be >= {minimum}, got {parsed}")
     return parsed
+
+
+def parse_int(text: str, what: str, minimum: Optional[int] = None) -> int:
+    """The integer >= `minimum` that `text` spells, else UsageError naming `what`."""
+    try:
+        parsed = int(text)
+    except ValueError as exc:
+        raise UsageError(f"{what} must be an integer, got {text!r}") from exc
+    return check_int(parsed, what, minimum)
 
 
 def is_number(value) -> bool:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence
 
 from .errors import DataFormatError, UsageError
-from .nn import check_int, check_layer_sizes
+from .nn import check_layer_sizes, parse_int
 
 
 @dataclass(frozen=True)
@@ -130,9 +130,9 @@ def _parse_record(cells: list[str]) -> ExperimentRecord:
         experiment_id=experiment_id,
         method=method,
         mode=mode,
-        seed=check_int(seed, "seed"),
-        arch=check_layer_sizes(arch.split("-")),
-        fisher_batch_size=check_int(batch, "fisher_batch_size", 1) if batch else None,
+        seed=parse_int(seed, "seed"),
+        arch=check_layer_sizes([parse_int(size, "arch layer size") for size in arch.split("-")]),
+        fisher_batch_size=parse_int(batch, "fisher_batch_size", 1) if batch else None,
         rows=[],
     )
 

@@ -17,16 +17,25 @@ from ticketlab import (
     save_checkpoint,
 )
 from ticketlab.checkpoint import (
-    _MASK,
     CHECKPOINT_VERSION,
     CheckpointState,
-    _decode_array,
     latest_round_path,
     load_run_state,
     save_round,
 )
 
-from conftest import as_v1, edit_checkpoint, masks_equal, networks_equal
+from conftest import (
+    RawArray,
+    _map_arrays,
+    as_v1,
+    decode_checkpoint,
+    edit_checkpoint,
+    flip_last_data_byte,
+    masks_equal,
+    networks_equal,
+    read_checkpoint,
+    write_checkpoint,
+)
 from test_lottery import cfg_iterative, strip_seconds
 
 
@@ -45,9 +54,24 @@ def make_state(round_index=2, arch=(4, 5, 3)):
     )
 
 
-def encoded(shape, nbytes):
-    """A raw encoded array of `nbytes` zero bytes claiming `shape`."""
-    return {"shape": shape, "data": base64.b64encode(bytes(nbytes)).decode("ascii")}
+def edited(edit):
+    """A file corruption: `edit_checkpoint` with `edit`, which recomputes the CRC."""
+    return lambda path: edit_checkpoint(path, edit)
+
+
+def with_data(change):
+    """A file corruption: the data section replaced by `change(data)`, with the CRC recomputed."""
+
+    def corrupt(path):
+        header, data = read_checkpoint(path)
+        write_checkpoint(path, header, change(data))
+
+    return corrupt
+
+
+def drop_newline(path):
+    header, _ = read_checkpoint(path)
+    path.write_bytes(json.dumps(header).encode("utf-8"))
 
 
 class TestSaveLoad:
@@ -67,9 +91,8 @@ class TestSaveLoad:
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
         save_checkpoint(make_state(), path)
-        payload = json.loads(path.read_text())
-        payload["format_version"] = CHECKPOINT_VERSION + 1
-        path.write_text(json.dumps(payload))
+        header, data = read_checkpoint(path)
+        write_checkpoint(path, {**header, "format_version": CHECKPOINT_VERSION + 1}, data)
         with pytest.raises(DataFormatError, match="version"):
             load_checkpoint(path)
 
@@ -82,17 +105,17 @@ class TestSaveLoad:
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
         save_checkpoint(make_state(), path)
-        payload = json.loads(path.read_text())
-        del payload["mask"]
-        path.write_text(json.dumps(payload))
+        header, data = read_checkpoint(path)
+        del header["mask"]
+        write_checkpoint(path, header, data)
         with pytest.raises(DataFormatError):
             load_checkpoint(path)
 
     def test_mask_written_as_uint8_zero_one(self, tmp_path):
         path = tmp_path / "ckpt.json"
         save_checkpoint(make_state(), path)
-        # Decoding as uint8 checks the data holds exactly one byte per entry.
-        layers = [_decode_array(m, _MASK) for m in json.loads(path.read_text())["mask"]]
+        # Decoding checks that the data section holds exactly one byte per mask entry.
+        layers = decode_checkpoint(path)["mask"]
         assert [m.shape for m in layers] == [(5, 4), (3, 5)]
         assert set(np.concatenate([m.ravel() for m in layers]).tolist()) == {0, 1}
 
@@ -104,8 +127,8 @@ class TestSaveLoad:
         state.initial.biases[0][:] = [-0.0, 5e-324, 0.30000000000000004, 1e308, -1e-308]
         path = tmp_path / "ckpt.json"
         save_checkpoint(state, path)
-        stored = json.loads(path.read_text())["initial"]["biases"][0]
-        assert base64.b64decode(stored["data"]) == state.initial.biases[0].astype("<f8").tobytes()
+        stored = decode_checkpoint(path)["initial"]["biases"][0]
+        assert stored.tobytes() == state.initial.biases[0].astype("<f8").tobytes()
         back = load_checkpoint(path)
         for saved, loaded in zip(
             state.initial.weights + state.initial.biases + state.trained.weights,
@@ -122,50 +145,76 @@ class TestSaveLoad:
         save_checkpoint(state, path)
         floats = sum(w.size + b.size for w, b in zip(state.trained.weights, state.trained.biases))
         raw_bytes = 3 * 8 * floats + state.mask.total_count()
-        assert path.stat().st_size <= 1.4 * raw_bytes
+        assert path.stat().st_size <= 1.01 * raw_bytes
 
     def test_v1_decimal_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
         save_checkpoint(make_state(), path)
         edit_checkpoint(path, as_v1)
-        payload = json.loads(path.read_text())
-        assert payload["format_version"] == 1 and payload["mask"][0][0] == [0, 0, 1, 1]
+        header, data = read_checkpoint(path)
+        assert header["format_version"] == 1 and header["mask"][0][0] == [0, 0, 1, 1]
+        assert data == b""
         with pytest.raises(DataFormatError, match="version"):
             load_checkpoint(path)
 
+    def test_v2_and_v3_checkpoints_rejected(self, tmp_path):
+        """Versions 2 and 3 were one JSON document with base64 arrays; no reader is kept."""
+        path = tmp_path / "ckpt.json"
+        for version in (2, 3):
+            save_checkpoint(make_state(), path)
+            payload = decode_checkpoint(path)
+            _map_arrays(payload, lambda a, dtype: {
+                "shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")
+            })
+            del payload["crc32"]
+            payload["format_version"] = version
+            path.write_text(json.dumps(payload))
+            with pytest.raises(DataFormatError, match=f"format version {version}, .* version 4"):
+                load_checkpoint(path)
+
     @pytest.mark.parametrize(
-        "corrupt",
+        "corrupt, fault",
         [
-            pytest.param(lambda p: p["mask"][0].__setitem__((0, 0), 2), id="mask-entry-2"),
-            pytest.param(lambda p: p["mask"].pop(), id="mask-network-mismatch"),
+            pytest.param(edited(lambda p: p["mask"][0].__setitem__((0, 0), 2)), "outside",
+                         id="mask-entry-2"),
+            pytest.param(edited(lambda p: p["mask"].pop()), "mask has", id="mask-network-mismatch"),
             pytest.param(
-                lambda p: p["trained"]["weights"].__setitem__(
+                edited(lambda p: p["trained"]["weights"].__setitem__(
                     1, p["trained"]["weights"][1][:, :-1]
-                ),
+                )),
+                "does not chain",
                 id="mis-chained-weights",
             ),
-            pytest.param(lambda p: p.__setitem__("arch", [1, 2]), id="arch-mismatch"),
+            pytest.param(edited(lambda p: p.__setitem__("arch", [1, 2])), "arch",
+                         id="arch-mismatch"),
+            pytest.param(flip_last_data_byte, "CRC", id="flipped-data-byte"),
+            pytest.param(lambda path: path.write_bytes(path.read_bytes()[:-100]), "CRC",
+                         id="torn-file"),
             pytest.param(
-                lambda p: p["mask"].__setitem__(0, {"shape": [5, 4], "data": "not*base64"}),
-                id="invalid-base64",
-            ),
-            pytest.param(
-                lambda p: p["trained"]["biases"].__setitem__(0, encoded([5], 32)),
+                edited(lambda p: p["trained"]["biases"].__setitem__(0, RawArray([5], bytes(32)))),
+                "shorter",
                 id="data-length-mismatch",
             ),
+            pytest.param(with_data(lambda d: d[:-1]), "shorter", id="truncated-data"),
+            pytest.param(with_data(lambda d: d + bytes(8)), "8 bytes longer", id="trailing-bytes"),
+            pytest.param(drop_newline, "no header line", id="header-without-newline"),
             pytest.param(
-                lambda p: p["mask"].__setitem__(0, encoded([-5, -4], 20)), id="negative-shape"
+                edited(lambda p: p["mask"].__setitem__(0, RawArray([-5, -4], bytes(20)))),
+                "shape",
+                id="negative-shape",
             ),
             pytest.param(
-                lambda p: p["mask"].__setitem__(0, encoded([5.0, 4], 20)), id="non-integer-shape"
+                edited(lambda p: p["mask"].__setitem__(0, RawArray([5.0, 4], bytes(20)))),
+                "shape",
+                id="non-integer-shape",
             ),
         ],
     )
-    def test_corrupt_contents_rejected(self, tmp_path, corrupt):
+    def test_corrupt_contents_rejected(self, tmp_path, corrupt, fault):
         path = tmp_path / "ckpt.json"
         save_checkpoint(make_state(), path)
-        edit_checkpoint(path, corrupt)
-        with pytest.raises(DataFormatError, match="corrupt"):
+        corrupt(path)
+        with pytest.raises(DataFormatError, match=f"corrupt checkpoint .*{fault}"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
@@ -177,22 +226,11 @@ class TestSaveLoad:
         with pytest.raises(DataFormatError, match="corrupt"):
             load_checkpoint(path)
 
-    def test_v2_checkpoint_loads(self, tmp_path):
-        state = make_state()
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(state, path)
-        edit_checkpoint(path, lambda p: p.__setitem__("format_version", 2))
-        back = load_checkpoint(path)
-        for net in ("initial", "baseline", "trained"):
-            assert networks_equal(getattr(back, net), getattr(state, net))
-        assert masks_equal(back.mask, state.mask)
-
     def test_integral_float_arch_loads_as_integers(self, tmp_path):
         path = tmp_path / "ckpt.json"
         save_checkpoint(make_state(), path)
-        payload = json.loads(path.read_text())
-        payload["arch"] = [4, 5.0, 3]
-        path.write_text(json.dumps(payload))
+        header, data = read_checkpoint(path)
+        write_checkpoint(path, {**header, "arch": [4, 5.0, 3]}, data)
         arch = load_checkpoint(path).arch
         assert arch == (4, 5, 3) and all(type(s) is int for s in arch)
 
@@ -211,6 +249,10 @@ def test_latest_round_path_orders_by_integer_index(tmp_path):
     for index in (2, 999, 1000, 30):
         (tmp_path / f"round_{index:03d}.json").write_text("{}")
     assert latest_round_path(tmp_path).name == "round_1000.json"
+    assert latest_round_path(tmp_path, older_than=tmp_path / "round_1000.json").name == (
+        "round_999.json"
+    )
+    assert latest_round_path(tmp_path, older_than=tmp_path / "round_002.json") is None
 
 
 class TestConfigHash:
@@ -230,8 +272,8 @@ class TestResumeEquivalence:
         assert latest_round_path(tmp_path).name == "round_004.json"
         # Round 0 holds the networks that never change; later rounds store them as null.
         for r in range(5):
-            payload = json.loads((tmp_path / f"round_{r:03d}.json").read_text())
-            assert payload["format_version"] == 3
+            payload, _ = read_checkpoint(tmp_path / f"round_{r:03d}.json")
+            assert payload["format_version"] == 4
             for net in ("initial", "baseline"):
                 assert (payload[net] is None) == (r > 0)
 
@@ -292,7 +334,7 @@ class TestResumeEquivalence:
             "round_002.json", "round_003.json", "round_004.json"
         ]
         for path in crash.iterdir():
-            payload = json.loads(path.read_text())
+            payload, _ = read_checkpoint(path)
             assert payload["initial"] is not None and payload["baseline"] is not None
             back = load_checkpoint(path)
             assert networks_equal(back.initial, state.initial)

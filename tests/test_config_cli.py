@@ -9,7 +9,7 @@ from ticketlab.cli import main
 from ticketlab.config import build_datasets
 from ticketlab.results import RECORD_COLUMNS
 
-from conftest import as_v1, edit_checkpoint
+from conftest import as_v1, edit_checkpoint, flip_last_data_byte, read_checkpoint
 
 
 def spec_dict(**overrides):
@@ -58,9 +58,13 @@ def resume_after(edit_round_0):
     return argv
 
 
+def strip_seconds_column(blob):
+    return [line.rsplit(",", 1)[0] for line in blob.decode().splitlines()]
+
+
 def replace_with_other_arch(path):
     """Overwrite checkpoint `path` with a valid one of another arch but the same config hash."""
-    config_hash = json.loads(path.read_text())["config_hash"]
+    config_hash = read_checkpoint(path)[0]["config_hash"]
     assert main(["train", "--arch", "6,5,3", "--synthetic", "3,6,10",
                  "--epochs", "1", "--save", str(path)]) == 0
     edit_checkpoint(path, lambda p: p.__setitem__("config_hash", config_hash))
@@ -187,7 +191,7 @@ class TestCli:
             "round_000.json", "round_001.json", "round_002.json"
         ]
         for r, path in enumerate(sorted(ckpt_dir.iterdir())):
-            payload = json.loads(path.read_text())
+            payload, _ = read_checkpoint(path)
             assert (payload["initial"] is None) == (payload["baseline"] is None) == (r > 0)
 
         # `inspect` reads a round file as it is: a lean one reports what a full one does.
@@ -205,10 +209,38 @@ class TestCli:
         assert main(["lottery", "--config", str(spec), "--resume"]) == 0
         second = (out / "unit.csv").read_bytes()
 
-        def strip_seconds_column(blob):
-            return [line.rsplit(",", 1)[0] for line in blob.decode().splitlines()]
-
         assert strip_seconds_column(first) == strip_seconds_column(second)
+
+    def test_resume_skips_newest_checkpoint_that_fails_to_load(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        spec = write_spec(tmp_path, output_dir=str(out), checkpoint=True, seeds=[1, 2])
+        assert main(["lottery", "--config", str(spec)]) == 0
+        first = (out / "unit.csv").read_bytes()
+        newest = out / "checkpoints-unit-seed2" / "round_002.json"
+        flip_last_data_byte(newest)
+        capsys.readouterr()
+
+        assert main(["lottery", "--config", str(spec), "--resume"]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith(f"skipped: corrupt checkpoint {newest}: ") and "CRC" in err
+        assert err.count("skipped") == 1
+        assert strip_seconds_column((out / "unit.csv").read_bytes()) == strip_seconds_column(first)
+        assert load_run_state(newest).round_index == 2  # the resumed run wrote it again
+
+    @pytest.mark.parametrize(
+        "overrides, fault",
+        [
+            pytest.param({}, '"checkpoint": true', id="checkpoint-off"),
+            pytest.param({"checkpoint": True, "mode": "one_shot", "one_shot_targets": [0.5]},
+                         'mode "iterative"', id="one-shot"),
+        ],
+    )
+    def test_resume_without_checkpoints_exit_1(self, tmp_path, capsys, overrides, fault):
+        argv = lottery_with(output_dir=str(tmp_path / "out"), **overrides)(tmp_path)
+        assert main(argv + ["--resume"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --resume needs") and fault in err
+        assert not (tmp_path / "out").exists()
 
     def test_usage_error_exit_1(self, capsys):
         assert main(["train", "--arch", "6,8"]) == 1  # no dataset source
@@ -226,6 +258,10 @@ class TestCli:
             pytest.param(
                 lambda tmp: ["train", "--arch", "6,8,3", "--synthetic", "2,x,5"],
                 id="train-synthetic-non-integer",
+            ),
+            pytest.param(
+                lambda tmp: ["train", "--arch", "6,x,3", "--synthetic", "3,6,5"],
+                id="train-arch-non-integer",
             ),
             pytest.param(lottery_with(arch=[3, "x"]), id="spec-arch-non-integer"),
             pytest.param(lottery_with(seeds=["a"]), id="spec-seeds-non-integer"),
@@ -284,6 +320,11 @@ class TestCli:
                          "dataset.synthetic is missing: dim", id="synthetic-without-dim"),
             pytest.param({"arch": "43"}, "arch must be a list", id="arch-string"),
             pytest.param({"arch": 5}, "arch must be a list", id="arch-integer"),
+            pytest.param({"arch": ["6", "8", "3"]}, "layer size", id="arch-strings"),
+            pytest.param({"rounds": "2"}, "rounds", id="rounds-string"),
+            pytest.param({"rounds": " 2"}, "rounds", id="rounds-padded-string"),
+            pytest.param({"seeds": ["1"]}, "seed", id="seeds-strings"),
+            pytest.param({"train": {"epochs": "1"}}, "epochs", id="epochs-string"),
             pytest.param({"dataset": {"idx": {"train_images": 1, "train_labels": "b.idx",
                                               "test_images": "c.idx", "test_labels": "d.idx"}}},
                          "dataset.idx.train_images must be a string", id="idx-path-integer"),
