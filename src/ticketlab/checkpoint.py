@@ -209,13 +209,21 @@ def load_checkpoint(path, expected_config_hash: Optional[str] = None) -> Checkpo
     except (KeyError, TypeError, ValueError, UsageError) as exc:
         raise DataFormatError(f"corrupt checkpoint {path}: {exc}") from exc
 
-    if expected_config_hash is not None and state.config_hash != expected_config_hash:
+    _warn_if_other_config(state, path, expected_config_hash)
+    return state
+
+
+def _warn_if_other_config(state: CheckpointState, path, expected: Optional[str]) -> None:
+    """Warn when `state` was written under another config hash than `expected`.
+
+    Called straight from the public loaders, so `stacklevel=3` names their caller.
+    """
+    if expected is not None and state.config_hash != expected:
         warnings.warn(
             f"checkpoint {path} was written under a different config "
-            f"({state.config_hash[:12]}... vs {expected_config_hash[:12]}...)",
-            stacklevel=2,
+            f"({state.config_hash[:12]}... vs {expected[:12]}...)",
+            stacklevel=3,
         )
-    return state
 
 
 def load_run_state(path, expected_config_hash: Optional[str] = None) -> CheckpointState:
@@ -225,7 +233,8 @@ def load_run_state(path, expected_config_hash: Optional[str] = None) -> Checkpoi
     in its directory. That file must load, hold both networks, and carry
     the same config hash and arch; otherwise this raises DataFormatError.
     """
-    state = load_checkpoint(path, expected_config_hash)
+    state = load_checkpoint(path)
+    _warn_if_other_config(state, path, expected_config_hash)
     if state.initial is not None and state.baseline is not None:
         return state
     first_path = round_path(Path(path).parent, 0)

@@ -29,7 +29,7 @@ class PruneMask:
             m = np.asarray(m)
             if m.ndim != 2:
                 raise ShapeError(f"mask layer {l} must be 2-D, got shape {m.shape}")
-            if m.dtype != bool and not np.isin(m, (0, 1)).all():
+            if m.dtype != bool and not ((m == 0) | (m == 1)).all():
                 raise ShapeError(f"mask layer {l} has entries outside {{0, 1}}")
             if l > 0 and m.shape[1] != clean[l - 1].shape[0]:
                 raise ShapeError(f"mask layer {l} does not chain with layer {l - 1}")

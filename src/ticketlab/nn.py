@@ -13,6 +13,14 @@ float64 array's bits with them equals `np.where(kept, a, 0.0)` in every
 bit, at a cost that does not depend on how the kept positions are
 scattered.
 
+`train` skips that step where it pays: a partly pruned layer keeping
+fewer than `_INDEX_UPDATE_BELOW` of its weights gets its flat kept index
+once per call, its dW is not ANDed, and each step updates only
+`w.flat[kept] -= lr * g.flat[kept]`. Kept positions compute the same
+`w - g*lr` either way, and pruned ones are never written, so they stay
++0.0. Which path a layer takes depends only on its mask, and both give
+the same bits, so the threshold changes speed, never results.
+
 No function modifies its arguments. `train` and `sgd_step` update
 private copies of the weights and biases in place and return them as a
 new network; everything else returns new values.
@@ -40,6 +48,13 @@ _SHUFFLE_STREAM = 2
 # Rows per chunk of `_per_sample_sq_grad_sums`; bounds its intermediates
 # (1024 rows of a 784-300-100-10 network hold ~6 MB in layer 0).
 _SQ_GRAD_CHUNK_ROWS = 1024
+
+# Kept fraction under which `train` updates a partly pruned layer by its
+# flat kept index (see the module docstring). LeNet-300-100 layer 0, random
+# masks, 2-core Haswell guest: AND + dense update 0.37-0.40 ms at any
+# fraction; index update 0.01 / 0.15 / 0.27 / 0.32 / 0.37 / 0.46 ms at
+# 0.4 / 5 / 10 / 15 / 20 / 30% kept.
+_INDEX_UPDATE_BELOW = 0.15
 
 
 def check_int(value, what: str, minimum: Optional[int] = None) -> int:
@@ -317,7 +332,8 @@ def _loss_and_grads_arrays(
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Mean cross-entropy and its exact gradients, +0.0 at pruned positions.
 
-    Weights must already be masked; `bits` are their keep words.
+    Weights must already be masked; `bits` are their keep words. A layer
+    given None keep words gets its dW unmasked.
     """
     n = inputs.shape[0]
     pre, layer_in = _forward_arrays(weights, biases, inputs)
@@ -391,15 +407,23 @@ def _sgd_update(
     grad_w: list[np.ndarray],
     grad_b: list[np.ndarray],
     lr: float,
+    kept: Sequence[Optional[np.ndarray]],
 ) -> None:
-    """In place: w -= lr*g and b -= lr*g; `grad_w` is scaled by lr on the way.
+    """In place: w -= lr*g and b -= lr*g.
 
-    Masked weights and their gradients must already be +0.0; with a finite
-    lr they stay +0.0, since +0.0 - lr*(+0.0) is +0.0 for either sign of lr.
+    A layer whose `kept` entry is None is updated densely, scaling its
+    `grad_w` by lr on the way; its masked weights and gradients must
+    already be +0.0, and with a finite lr they stay +0.0, since
+    +0.0 - lr*(+0.0) is +0.0 for either sign of lr. A layer with a flat
+    kept index updates those positions only and never writes the others;
+    its weights must be C-contiguous, so that `reshape(-1)` is a view.
     """
-    for w, g in zip(weights, grad_w):
-        g *= lr
-        w -= g
+    for w, g, k in zip(weights, grad_w, kept):
+        if k is None:
+            g *= lr
+            w -= g
+        else:
+            w.reshape(-1)[k] -= lr * g.reshape(-1)[k]
     for b, g in zip(biases, grad_b):
         b -= lr * g
 
@@ -417,7 +441,7 @@ def sgd_step(
     bits, weights = masked_weights(net, mask)
     grad_w = [_zero_pruned(g, k) for g, k in zip(grads.weights, bits)]
     biases = [b.copy() for b in net.biases]
-    _sgd_update(weights, biases, grad_w, grads.biases, lr)
+    _sgd_update(weights, biases, grad_w, grads.biases, lr, [None] * len(weights))
     return DenseNetwork(weights, biases)
 
 
@@ -441,6 +465,13 @@ def train(
     measure = eval_data if eval_data is not None else data
 
     bits, weights = masked_weights(net, mask)
+    # Sparse layers get a kept index, and no keep words: their dW is not ANDed.
+    kept: list[Optional[np.ndarray]] = [None] * len(bits)
+    if mask is not None:
+        for l, (b, m) in enumerate(zip(bits, mask.layers)):
+            if b is not None and np.count_nonzero(m) < _INDEX_UPDATE_BELOW * m.size:
+                kept[l] = np.flatnonzero(m)
+    step_bits = [b if k is None else None for b, k in zip(bits, kept)]
     biases = [b.copy() for b in net.biases]
     n = len(data)
     bs = cfg.train_batch_size
@@ -456,10 +487,10 @@ def train(
         for start in range(0, n, bs):
             idx = order[start : start + bs]
             loss, grad_w, grad_b = _loss_and_grads_arrays(
-                weights, biases, bits, data.inputs[idx], data.labels[idx]
+                weights, biases, step_bits, data.inputs[idx], data.labels[idx]
             )
             loss_sum += loss * idx.shape[0]
-            _sgd_update(weights, biases, grad_w, grad_b, lr)
+            _sgd_update(weights, biases, grad_w, grad_b, lr, kept)
         history.append((loss_sum / n, evaluate(DenseNetwork(weights, biases), mask, measure)))
     return DenseNetwork(weights, biases), history
 

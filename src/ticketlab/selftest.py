@@ -47,11 +47,15 @@ def check_masked_freeze() -> bool:
     arch = [4, 6, 3]
     net = init_network(arch, seed=5)
     mask = full_mask(arch)
-    mask.layers[0][::2, ::2] = 0
+    # Layer 0 keeps 2 of 24 weights, sparse enough for train's index
+    # update; layer 1 keeps 12 of 18 and takes the AND + dense update.
+    mask.layers[0][:] = 0
+    mask.layers[0][::3, 0] = 1
     mask.layers[1][1, :] = 0
     data = gen_synthetic(3, 4, 30, seed=9)
     trained, _ = train(net, mask, data, TrainConfig(epochs=2, seed=4))
-    return all(np.all(w[~m] == 0.0) for w, m in zip(trained.weights, mask.layers))
+    # +0.0 exactly: every bit clear, the sign bit included.
+    return all(not w[~m].view(np.uint64).any() for w, m in zip(trained.weights, mask.layers))
 
 
 def check_fisher_oracle() -> bool:
@@ -137,7 +141,7 @@ def check_sparsity_compounding() -> bool:
 CHECKS = (
     ("weight and bias gradients match central finite differences", check_gradients),
     ("softmax rows sum to one", check_softmax_rows),
-    ("masked weights stay zero through training", check_masked_freeze),
+    ("masked weights stay +0.0 through dense and index updates", check_masked_freeze),
     ("fisher batch size 1 matches per-sample loop", check_fisher_oracle),
     ("global prune removes the exact count, masks shrink monotonically", check_global_prune),
     ("mask application is idempotent, rewind restores kept weights", check_mask_algebra),

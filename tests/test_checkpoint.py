@@ -237,8 +237,11 @@ class TestSaveLoad:
     def test_hash_mismatch_warns(self, tmp_path):
         path = tmp_path / "ckpt.json"
         save_checkpoint(make_state(), path)
-        with pytest.warns(UserWarning, match="different config"):
-            load_checkpoint(path, expected_config_hash="0" * 64)
+        for load in (load_checkpoint, load_run_state):
+            with pytest.warns(UserWarning, match="different config") as caught:
+                load(path, expected_config_hash="0" * 64)
+            # Attributed to the caller, not to checkpoint.py.
+            assert [w.filename for w in caught] == [__file__]
 
 
 def test_latest_round_path_orders_by_integer_index(tmp_path):

@@ -149,9 +149,15 @@ class TestSparsity:
         assert frac == pytest.approx(0.9962, abs=5e-4)
 
     def test_entries_validated(self):
-        for bad in ([[2, 0]], [[1, -1]], [[0.5, 1.0]]):
+        for bad in (
+            np.array([[2, 0]]),
+            np.array([[1, -1]]),
+            np.array([[0.5, 1.0]]),
+            np.array([[1, 255]], dtype=np.uint8),
+            np.array([[1.0, np.nan]]),
+        ):
             with pytest.raises(ShapeError):
-                PruneMask([np.array(bad)])
+                PruneMask([bad])
 
 
 class TestMaskContract:

@@ -15,7 +15,7 @@ from ticketlab import (
     sgd_step,
     train,
 )
-from ticketlab import GradientSet, PruneMask, apply_mask, rewind, rng
+from ticketlab import GradientSet, PruneMask, apply_mask, nn, rewind, rng
 from ticketlab.nn import DenseNetwork, _keep_bits, _zero_pruned, masked_weights
 from ticketlab.oracles import finite_difference, worst_relative_error
 
@@ -376,6 +376,57 @@ class TestTrainMatchesPublicApi:
         for w, m in zip(trained.weights, mask.layers):
             assert np.all(w[~m] == 0.0)
             assert not np.signbit(w[~m]).any()
+
+
+class TestIndexUpdate:
+    """`train`'s index update of sparse layers gives the same bits as the AND + dense update."""
+
+    ARCH = (50, 20, 8, 3)
+
+    @staticmethod
+    def train_through(monkeypatch, below, *args):
+        """`train(*args)` with `_INDEX_UPDATE_BELOW` at `below`, and which layers it indexed."""
+        indexed = []
+        update = nn._sgd_update
+
+        def spy(weights, biases, grad_w, grad_b, lr, kept):
+            indexed.append([k is not None for k in kept])
+            update(weights, biases, grad_w, grad_b, lr, kept)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(nn, "_INDEX_UPDATE_BELOW", below)
+            patch.setattr(nn, "_sgd_update", spy)
+            trained, history = train(*args)
+        return trained, history, indexed[0]
+
+    @pytest.mark.parametrize(
+        "kept_count, layer1_pruned",
+        [(0, False), (4, False), (50, False), (500, False), (1000, False), (50, True)],
+        ids=["0%", "0.4%", "5%", "50%", "100%", "5%-layer-1-all-pruned"],
+    )
+    def test_paths_bit_identical(self, monkeypatch, kept_count, layer1_pruned):
+        net = init_network(self.ARCH, seed=31)
+        mask = random_mask(self.ARCH, seed=8, keep_prob=0.3)
+        kept = np.zeros(net.weights[0].size, dtype=bool)
+        kept[rng.permutation(6, kept.size)[:kept_count]] = True
+        mask.layers[0] = kept.reshape(net.weights[0].shape)
+        if layer1_pruned:
+            mask.layers[1][:] = False
+        mask.layers[2][:] = True
+        if kept_count:
+            net.weights[0].reshape(-1)[np.flatnonzero(kept)[0]] = -0.0
+        data = gen_synthetic(3, self.ARCH[0], 20, seed=12, noise=0.2)
+        cfg = TrainConfig(epochs=3, learning_rate=0.4, train_batch_size=16, seed=5)
+        args = (net, mask, data, cfg)
+        dense, dense_history, dense_indexed = self.train_through(monkeypatch, 0.0, *args)
+        index, index_history, index_indexed = self.train_through(monkeypatch, 1.01, *args)
+        assert dense_indexed == [False, False, False]
+        assert index_indexed == [not m.all() for m in mask.layers]
+        assert array_bytes(index.weights) == array_bytes(dense.weights)
+        assert array_bytes(index.biases) == array_bytes(dense.biases)
+        assert index_history == dense_history
+        for w, m in zip(index.weights, mask.layers):
+            assert not w[~m].view(np.uint64).any()  # +0.0: zero with the sign bit clear
 
 
 class TestNonFiniteLearningRate:
