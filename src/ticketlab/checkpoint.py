@@ -38,7 +38,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import warnings
 import zlib
 from dataclasses import asdict, dataclass
@@ -50,7 +49,7 @@ import numpy as np
 from .errors import DataFormatError, ShapeError, UsageError
 from .masks import PruneMask
 from .nn import DenseNetwork, check_int, check_layer_sizes
-from .results import RoundRow
+from .results import RoundRow, write_atomically
 
 CHECKPOINT_VERSION = 4
 _FLOAT = np.dtype("<f8")
@@ -78,9 +77,9 @@ def config_hash(cfg) -> str:
 def save_checkpoint(state: CheckpointState, path) -> None:
     """Write a checkpoint file atomically: a synced temporary file, then a rename.
 
-    The temporary name (`.<name>.tmp`) never matches `round_*.json`, and it
-    is removed if the write fails, so an interrupted save leaves no file
-    that resume discovery could pick up.
+    `write_atomically` removes the temporary file (`.<name>.tmp`, never a
+    `round_*.json` name) if the write fails, so an interrupted save leaves
+    no file that resume discovery could pick up.
     """
     data: list[np.ndarray] = []  # filled while the header below is built, so in its order
 
@@ -109,19 +108,7 @@ def save_checkpoint(state: CheckpointState, path) -> None:
     for a in data:
         crc = zlib.crc32(a, crc)
     header["crc32"] = crc
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(json.dumps(header).encode("utf-8") + b"\n")
-            for a in data:
-                f.write(a)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_atomically(path, [json.dumps(header).encode("utf-8") + b"\n", *data])
 
 
 def load_checkpoint(path, expected_config_hash: Optional[str] = None) -> CheckpointState:

@@ -134,8 +134,6 @@ def _newest_run_state(checkpoint_dir: Path, cfg: LotteryConfig) -> Optional[Chec
 
 
 def _run_one(cfg: LotteryConfig, spec, train_data, test_data, resume: bool):
-    if cfg.mode == "one_shot":
-        return run_one_shot(cfg, train_data, test_data)
     checkpoint_dir = None
     resume_from = None
     if spec.checkpoint:
@@ -144,18 +142,14 @@ def _run_one(cfg: LotteryConfig, spec, train_data, test_data, resume: bool):
         )
         if resume:
             resume_from = _newest_run_state(checkpoint_dir, cfg)
-    return run_iterative(
-        cfg, train_data, test_data, checkpoint_dir=checkpoint_dir, resume_from=resume_from
-    )
+    run = run_iterative if cfg.mode == "iterative" else run_one_shot
+    return run(cfg, train_data, test_data, checkpoint_dir=checkpoint_dir, resume_from=resume_from)
 
 
 def _cmd_lottery(args) -> int:
     spec = load_spec(args.config)
     if args.resume and not spec.checkpoint:
         raise UsageError("--resume needs a spec with \"checkpoint\": true")
-    if args.resume and spec.lottery.mode != "iterative":
-        raise UsageError(f"--resume needs mode \"iterative\"; {spec.lottery.mode} runs "
-                         "write no checkpoints")
     train_data, test_data = build_datasets(spec)
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -242,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--resume",
         action="store_true",
-        help="continue iterative runs from their latest checkpoint (needs checkpoint: true)",
+        help="continue runs from their latest checkpoint (needs checkpoint: true)",
     )
     p.set_defaults(func=_cmd_lottery)
 

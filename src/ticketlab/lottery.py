@@ -5,12 +5,15 @@ retrain, compounding the per-round pruning fraction; the last round's
 retraining uses the dedicated final schedule and its best epoch is the
 headline result. One-shot mode trains the dense network once, then prunes
 each requested target fraction in a single step from that same trained
-network, rewinds, and retrains.
+network, rewinds, and retrains. Both modes run the same round loop, so
+both write per-round checkpoints and resume from them.
 
 Every round records sparsity, final-epoch and best-epoch test accuracy,
 train loss, movement relative to the round-0 trained baseline, Fisher
-backward-pass counts, and wall-clock seconds. Identical configs (and
-datasets) reproduce identical records apart from the seconds column.
+backward-pass counts, and wall-clock seconds; row 1 of a one-shot record
+(after a resume, its first new row) also times the sweep's one scoring
+pass. Identical configs (and datasets) reproduce identical records apart
+from the seconds column.
 """
 
 from __future__ import annotations
@@ -148,34 +151,69 @@ def _round_row(
     )
 
 
-def _validate_fisher_budget(cfg: LotteryConfig, train_data: Dataset) -> None:
+def _run_rounds(
+    cfg: LotteryConfig,
+    train_data: Dataset,
+    test_data: Dataset,
+    checkpoint_dir,
+    resume_from,
+    on_round: Optional[RoundHook],
+) -> ExperimentRecord:
+    """The round loop of both modes; round 0 trains the dense network."""
+    from . import checkpoint as ckpt
+
     if cfg.strategy == "fisher" and cfg.fisher.sample_count > len(train_data):
         raise UsageError(
             f"fisher sample_count {cfg.fisher.sample_count} exceeds the "
             f"{len(train_data)} available training rows"
         )
+    presentation = _presentation_order(cfg, train_data)
+    one_shot = cfg.mode == "one_shot"
+    last = len(cfg.one_shot_targets) if one_shot else cfg.rounds
 
+    if resume_from is not None:
+        state = resume_from
+        if not isinstance(state, ckpt.CheckpointState):
+            state = ckpt.load_run_state(resume_from, expected_config_hash=ckpt.config_hash(cfg))
+        initial, baseline = state.initial, state.baseline
+        mask, trained = state.mask, state.trained
+        rows = list(state.rows)
+        first_round = state.round_index + 1
+    else:
+        initial = init_network(cfg.arch, cfg.init_seed)
+        rows = []
+        first_round = 0
 
-def _dense_round(
-    cfg: LotteryConfig,
-    presentation: Dataset,
-    test_data: Dataset,
-    on_round: Optional[RoundHook],
-) -> tuple[DenseNetwork, PruneMask, DenseNetwork, list[RoundRow]]:
-    """Round 0: train the dense network; returns (initial, full mask, trained, [row 0])."""
-    initial = init_network(cfg.arch, cfg.init_seed)
-    mask = full_mask(cfg.arch)
-    start = time.perf_counter()
-    masked_init = apply_mask(initial, mask)
-    trained, history = train(masked_init, mask, presentation, cfg.train, eval_data=test_data)
-    _ensure_finite(trained, "round 0 (dense) training")
-    rows = [_round_row(0, mask, history, trained, trained, 0, time.perf_counter() - start)]
-    if on_round is not None:
-        on_round(0, mask, masked_init, trained)
-    return initial, mask, trained, rows
+    scores = None
+    for r in range(first_round, last + 1):
+        start = time.perf_counter()
+        if r == 0:
+            mask, passes = full_mask(cfg.arch), 0
+            start_net = apply_mask(initial, mask)
+        else:
+            if one_shot:
+                # Every target prunes the dense round's network, scored once as round 1.
+                trained, mask = baseline, full_mask(cfg.arch)
+            if scores is None or not one_shot:
+                scores, passes = _compute_scores(
+                    cfg, trained, mask, presentation, 1 if one_shot else r
+                )
+            fraction = cfg.one_shot_targets[r - 1] if one_shot else cfg.per_round_fraction
+            mask = _prune_step(mask, scores, fraction)
+            start_net = rewind(trained, initial, mask)
+        schedule = cfg.final_train if r == last or (one_shot and r > 0) else cfg.train
+        trained, history = train(start_net, mask, presentation, schedule, eval_data=test_data)
+        _ensure_finite(trained, f"round {r} training")
+        if r == 0:
+            baseline = trained
+        rows.append(
+            _round_row(r, mask, history, baseline, trained, passes, time.perf_counter() - start)
+        )
+        if on_round is not None:
+            on_round(r, mask, start_net, trained)
+        if checkpoint_dir is not None:
+            ckpt.save_round(checkpoint_dir, cfg, r, initial, baseline, mask, trained, rows)
 
-
-def _make_record(cfg: LotteryConfig, rows: list[RoundRow]) -> ExperimentRecord:
     return ExperimentRecord(
         experiment_id=cfg.experiment_id,
         method=cfg.strategy,
@@ -209,78 +247,29 @@ def run_iterative(
     `resume_from` may also be a CheckpointState that `load_run_state`
     already returned.
     """
-    from . import checkpoint as ckpt
-
     if cfg.mode != "iterative":
         raise UsageError(f"run_iterative needs mode='iterative', got {cfg.mode!r}")
-    _validate_fisher_budget(cfg, train_data)
-    presentation = _presentation_order(cfg, train_data)
-
-    if resume_from is not None:
-        state = resume_from
-        if not isinstance(state, ckpt.CheckpointState):
-            state = ckpt.load_run_state(resume_from, expected_config_hash=ckpt.config_hash(cfg))
-        initial, baseline = state.initial, state.baseline
-        mask, trained = state.mask, state.trained
-        rows = list(state.rows)
-        first_round = state.round_index + 1
-    else:
-        initial, mask, trained, rows = _dense_round(cfg, presentation, test_data, on_round)
-        baseline = trained
-        if checkpoint_dir is not None:
-            ckpt.save_round(checkpoint_dir, cfg, 0, initial, baseline, mask, trained, rows)
-        first_round = 1
-
-    for r in range(first_round, cfg.rounds + 1):
-        start = time.perf_counter()
-        scores, passes = _compute_scores(cfg, trained, mask, presentation, r)
-        mask = _prune_step(mask, scores, cfg.per_round_fraction)
-        start_net = rewind(trained, initial, mask)
-        schedule = cfg.final_train if r == cfg.rounds else cfg.train
-        trained, history = train(start_net, mask, presentation, schedule, eval_data=test_data)
-        _ensure_finite(trained, f"round {r} training")
-        rows.append(
-            _round_row(r, mask, history, baseline, trained, passes, time.perf_counter() - start)
-        )
-        if on_round is not None:
-            on_round(r, mask, start_net, trained)
-        if checkpoint_dir is not None:
-            ckpt.save_round(checkpoint_dir, cfg, r, initial, baseline, mask, trained, rows)
-
-    return _make_record(cfg, rows)
+    return _run_rounds(cfg, train_data, test_data, checkpoint_dir, resume_from, on_round)
 
 
 def run_one_shot(
     cfg: LotteryConfig,
     train_data: Dataset,
     test_data: Dataset,
+    checkpoint_dir=None,
+    resume_from=None,
     on_round: Optional[RoundHook] = None,
 ) -> ExperimentRecord:
-    """Run a one-shot pruning sweep.
+    """Run (or resume) a one-shot pruning sweep.
 
     The dense network is trained exactly once; every target fraction is
     pruned in a single step from that same trained network (scored once,
     since scores do not depend on the fraction), rewound, and retrained
     with the final-training schedule. Targets are processed in ascending
-    order, one row each after the round-0 baseline row.
+    order, one row each after the round-0 baseline row. `on_round`,
+    `checkpoint_dir` and `resume_from` work as in `run_iterative`, with
+    one round per target; a resumed run scores the baseline again.
     """
     if cfg.mode != "one_shot":
         raise UsageError(f"run_one_shot needs mode='one_shot', got {cfg.mode!r}")
-    _validate_fisher_budget(cfg, train_data)
-    presentation = _presentation_order(cfg, train_data)
-
-    initial, dense_mask, trained, rows = _dense_round(cfg, presentation, test_data, on_round)
-    scores, passes = _compute_scores(cfg, trained, dense_mask, presentation, 1)
-    for i, target in enumerate(cfg.one_shot_targets, start=1):
-        start = time.perf_counter()
-        mask = _prune_step(dense_mask, scores, target)
-        start_net = rewind(trained, initial, mask)
-        retrained, hist = train(start_net, mask, presentation, cfg.final_train, eval_data=test_data)
-        _ensure_finite(retrained, f"target {target} training")
-        rows.append(
-            _round_row(i, mask, hist, trained, retrained, passes, time.perf_counter() - start)
-        )
-        if on_round is not None:
-            on_round(i, mask, start_net, retrained)
-
-    return _make_record(cfg, rows)
+    return _run_rounds(cfg, train_data, test_data, checkpoint_dir, resume_from, on_round)

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .errors import DataFormatError, UsageError
@@ -98,11 +100,35 @@ def render_csv(table: Table) -> str:
     return buf.getvalue()
 
 
-def emit_csv(table: Table, path) -> None:
-    """Write a table to `path` as UTF-8 CSV."""
+def write_atomically(path, chunks: Iterable) -> None:
+    """Write byte chunks to `path`: a synced temporary file, then a rename.
+
+    The temporary file (`.<name>.tmp`, matching neither `*.csv` nor
+    `round_*.json`) is removed if the write fails, so an earlier file at
+    `path` stays whole. A symlink's target is replaced, not the link; a
+    path that is no regular file (`/dev/stdout`, a pipe) is written directly.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as f:
+            f.writelines(chunks)
+        return
+    path = Path(os.path.realpath(path))
+    tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(render_csv(table))
+        with open(tmp, "wb") as f:
+            f.writelines(chunks)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def emit_csv(table: Table, path) -> None:
+    """Write a table to `path` as UTF-8 CSV, atomically (see `write_atomically`)."""
+    try:
+        write_atomically(path, [render_csv(table).encode("utf-8")])
     except OSError as exc:
         raise DataFormatError(f"cannot write CSV to {path}: {exc}") from exc
 

@@ -7,6 +7,7 @@ import pytest
 
 from ticketlab import (
     DataFormatError,
+    FisherConfig,
     apply_mask,
     config_hash,
     full_mask,
@@ -14,6 +15,7 @@ from ticketlab import (
     init_network,
     load_checkpoint,
     run_iterative,
+    run_one_shot,
     save_checkpoint,
 )
 from ticketlab.checkpoint import (
@@ -266,28 +268,46 @@ class TestConfigHash:
         assert config_hash(cfg_iterative()) != config_hash(cfg_iterative(init_seed=99))
 
 
+ONE_SHOT_TARGETS = (0.2, 0.5, 0.7, 0.9)
+
+
 class TestResumeEquivalence:
     def test_resume_after_any_round_matches_uninterrupted(self, tmp_path):
+        """Both modes; a one-shot resume must score as the uninterrupted sweep did:
+        once, as round 1 (`score_random` seeds with strategy_seed + round), from
+        the round-0 baseline."""
         train_data = gen_synthetic(3, 6, 60, seed=5, noise=0.2)
         test_data = gen_synthetic(3, 6, 20, seed=77, noise=0.2)
-        cfg = cfg_iterative(rounds=4)
-        full_record = run_iterative(cfg, train_data, test_data, checkpoint_dir=tmp_path)
-        assert latest_round_path(tmp_path).name == "round_004.json"
-        # Round 0 holds the networks that never change; later rounds store them as null.
-        for r in range(5):
-            payload, _ = read_checkpoint(tmp_path / f"round_{r:03d}.json")
-            assert payload["format_version"] == 4
-            for net in ("initial", "baseline"):
-                assert (payload[net] is None) == (r > 0)
+        one_shot = dict(mode="one_shot", one_shot_targets=ONE_SHOT_TARGETS)
+        cases = [
+            ("iterative", run_iterative, cfg_iterative(rounds=4)),
+            ("one-shot-random", run_one_shot, cfg_iterative(strategy="random", **one_shot)),
+            ("one-shot-fisher", run_one_shot,
+             cfg_iterative(strategy="fisher", fisher=FisherConfig(30, 1), **one_shot)),
+        ]
+        for name, run, cfg in cases:
+            directory = tmp_path / name
+            full_record = run(cfg, train_data, test_data, checkpoint_dir=directory)
+            passes = cfg.fisher.sample_count if cfg.fisher else 0
+            assert [row.backward_passes for row in full_record.rows] == [0] + [passes] * 4, name
+            assert latest_round_path(directory).name == "round_004.json", name
+            # Round 0 holds the networks that never change; later rounds store them as null.
+            for r in range(5):
+                payload, _ = read_checkpoint(directory / f"round_{r:03d}.json")
+                assert payload["format_version"] == 4
+                for net in ("initial", "baseline"):
+                    assert (payload[net] is None) == (r > 0)
 
-        for resume_round in range(4):
-            resumed = run_iterative(
-                cfg,
-                train_data,
-                test_data,
-                resume_from=tmp_path / f"round_{resume_round:03d}.json",
-            )
-            assert strip_seconds(resumed.rows) == strip_seconds(full_record.rows)
+            for resume_round in range(4):
+                resumed = run(
+                    cfg,
+                    train_data,
+                    test_data,
+                    resume_from=directory / f"round_{resume_round:03d}.json",
+                )
+                assert strip_seconds(resumed.rows) == strip_seconds(full_record.rows), (
+                    name, resume_round
+                )
 
     def test_interrupted_save_keeps_previous_round_latest(self, tmp_path, monkeypatch):
         train_data = gen_synthetic(3, 6, 60, seed=5, noise=0.2)

@@ -227,12 +227,27 @@ class TestCli:
         assert strip_seconds_column((out / "unit.csv").read_bytes()) == strip_seconds_column(first)
         assert load_run_state(newest).round_index == 2  # the resumed run wrote it again
 
+    def test_one_shot_checkpoint_and_resume(self, tmp_path):
+        out = tmp_path / "out"
+        spec = write_spec(tmp_path, output_dir=str(out), checkpoint=True, seeds=[1, 2],
+                          mode="one_shot", one_shot_targets=[0.2, 0.5, 0.8], strategy="random")
+        assert main(["lottery", "--config", str(spec)]) == 0
+        first = (out / "unit.csv").read_bytes()
+        for seed in (1, 2):
+            assert sorted(p.name for p in (out / f"checkpoints-unit-seed{seed}").iterdir()) == [
+                f"round_{r:03d}.json" for r in range(4)
+            ]
+
+        for path in out.glob("checkpoints-*/round_*.json"):
+            if int(path.stem.split("_")[1]) > 1:
+                path.unlink()
+        assert main(["lottery", "--config", str(spec), "--resume"]) == 0
+        assert strip_seconds_column((out / "unit.csv").read_bytes()) == strip_seconds_column(first)
+
     @pytest.mark.parametrize(
         "overrides, fault",
         [
             pytest.param({}, '"checkpoint": true', id="checkpoint-off"),
-            pytest.param({"checkpoint": True, "mode": "one_shot", "one_shot_targets": [0.5]},
-                         'mode "iterative"', id="one-shot"),
         ],
     )
     def test_resume_without_checkpoints_exit_1(self, tmp_path, capsys, overrides, fault):

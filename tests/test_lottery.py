@@ -120,9 +120,10 @@ class TestRunIterative:
             run_iterative(cfg_iterative(train=blowup, final_train=blowup), *datasets)
 
     def test_wrong_mode_rejected(self, datasets):
-        cfg = cfg_iterative(mode="one_shot", one_shot_targets=(0.5,))
-        with pytest.raises(UsageError):
-            run_iterative(cfg, *datasets)
+        one_shot = cfg_iterative(mode="one_shot", one_shot_targets=(0.5,))
+        for run, cfg in ((run_iterative, one_shot), (run_one_shot, cfg_iterative())):
+            with pytest.raises(UsageError, match=f"{run.__name__} needs mode"):
+                run(cfg, *datasets)
 
     def test_fisher_budget_validated(self, datasets):
         cfg = cfg_iterative(strategy="fisher", fisher=FisherConfig(10_000, 100))

@@ -1,10 +1,12 @@
+import os
 import struct
+import threading
 from dataclasses import astuple
 
 import numpy as np
 import pytest
 
-from ticketlab import Table, UsageError, emit_csv, read_records_csv, record_table
+from ticketlab import DataFormatError, Table, UsageError, emit_csv, read_records_csv, record_table
 from ticketlab.results import RECORD_COLUMNS, render_csv
 
 from test_metrics import make_record, row
@@ -34,6 +36,41 @@ class TestEmitCsv:
         emit_csv(table, a)
         emit_csv(table, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "records.csv"
+        emit_csv(Table(("x",), [(1,), (2,)]), path)
+        before = path.read_bytes()
+
+        def full_disk(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", full_disk)
+        with pytest.raises(DataFormatError, match="No space left on device"):
+            emit_csv(Table(("x",), [(3,), (4,)]), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["records.csv"]
+
+    def test_symlink_kept_and_its_target_replaced(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        emit_csv(Table(("x",), [(1,)]), link)
+        assert link.is_symlink() and target.read_text() == "x\n1\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+    def test_pipe_written_not_replaced(self, tmp_path):
+        """A path that is no regular file, as `report --out /dev/stdout` gives, is written to."""
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()), daemon=True)
+        reader.start()
+        emit_csv(Table(("x",), [(1,)]), pipe)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [b"x\n1\n"]
+        assert pipe.is_fifo()
 
     def test_lf_newlines(self):
         text = render_csv(Table(("x",), [(1,), (2,)]))
@@ -90,8 +127,6 @@ class TestRecordRoundTrip:
         assert back[1].fisher_batch_size is None
 
     def test_bad_header_rejected(self, tmp_path):
-        from ticketlab import DataFormatError
-
         path = tmp_path / "bad.csv"
         path.write_text("nope,nope\n1,2\n")
         with pytest.raises(DataFormatError):
