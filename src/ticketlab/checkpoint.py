@@ -8,29 +8,34 @@ networks that never change after round 0: the iteration-0 network
 for weight movement). `save_round` writes those two only once per
 checkpoint directory: in `round_000.json`, and in any later round file
 whose directory has no round 0 (so a lone file stays self-contained).
-Other round files store them as `null`, and `load_run_state` takes them
-from `round_000.json` beside the file, which must carry the same config
-hash and arch. `load_checkpoint` reads one file as it is.
+Other round files leave them out, and `load_run_state` takes them from
+`round_000.json` beside the file. `load_run_state` is also the one place
+that decides which run a file belongs to: it refuses a file, or the
+`round_000.json` it borrows from, whose config hash or arch differs from
+the caller's config. `load_checkpoint` reads one file as it is.
 
-Format version 4 is one line of UTF-8 JSON, then the raw bytes of every
-array back to back. The header line holds the fields above, with each
-array given only by its shape list, and `crc32`, the `zlib.crc32` of the
-data section. The data section follows the header's order: `initial`
-weights then biases, `baseline` likewise, the mask layers, then
-`trained`. Weights and biases are little-endian float64 (`<f8`), mask
-layers uint8 0/1. Raw bytes in a fixed byte order make the round trip
-bit-exact on any host (-0.0 and subnormals included), which is what
-makes resuming bit-identical to an uninterrupted run; the file stays
-within a few hundred bytes of the arrays' own size. The name keeps its
-`.json` suffix, because resume discovery finds checkpoints by that name.
+Format version 5 is one line of UTF-8 JSON, the header, then the raw
+bytes of every array back to back, then a 4-byte trailer. The header
+holds the fields above, with `initial` and `baseline` as booleans that
+say whether the network is stored; every array's shape follows from
+`arch`, so the header gives none. The data section holds `initial`,
+`baseline` (when stored) and `trained`, each as weights then biases in
+little-endian float64 (`<f8`), then the mask layers, each packed by
+`np.packbits` (row-major, first entry in the high bit, zero-padded to a
+whole byte). The trailer is the little-endian `zlib.crc32` of every byte
+before it, header included. Raw bytes in a fixed byte order make the
+round trip bit-exact on any host (-0.0 and subnormals included), which
+is what makes resuming bit-identical to an uninterrupted run; the file
+stays within a few hundred bytes of the arrays' own size. The name keeps
+its `.json` suffix, because resume discovery finds checkpoints by that
+name.
 
 Files are written to a temporary name beside the target and renamed into
 place, so a crash mid-write leaves the previous round's file the latest.
-This build reads and writes format version 4 only. It rejects other
-versions outright, a file without a header line, a data section whose
-CRC or length does not match the header, and any array whose shape or
-pairing is inconsistent; it warns when the stored config hash does not
-match the caller's.
+This build reads and writes format version 5 only. It rejects other
+versions outright, a file without a header line, a file that fails its
+CRC, a malformed header field, and a data section whose length differs
+from the one `arch` and the two booleans give.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import warnings
 import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -51,9 +55,9 @@ from .masks import PruneMask
 from .nn import DenseNetwork, check_int, check_layer_sizes
 from .results import RoundRow, write_atomically
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 _FLOAT = np.dtype("<f8")
-_MASK = np.dtype("u1")
+_CRC_BYTES = 4
 
 
 @dataclass(eq=False)
@@ -74,59 +78,55 @@ def config_hash(cfg) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _weight_shapes(arch) -> list[tuple[int, int]]:
+    return [(fan_out, fan_in) for fan_in, fan_out in zip(arch, arch[1:])]
+
+
 def save_checkpoint(state: CheckpointState, path) -> None:
     """Write a checkpoint file atomically: a synced temporary file, then a rename.
 
-    `write_atomically` removes the temporary file (`.<name>.tmp`, never a
-    `round_*.json` name) if the write fails, so an interrupted save leaves
-    no file that resume discovery could pick up.
+    The file stores no shapes, so a network whose layer sizes are not
+    `state.arch`, or a mask that does not pair with `trained`, raises
+    ShapeError instead of being written. `write_atomically` removes the
+    temporary file (`.<name>.tmp`, never a `round_*.json` name) if the
+    write fails, so an interrupted save leaves no file that resume
+    discovery could pick up.
     """
-    data: list[np.ndarray] = []  # filled while the header below is built, so in its order
-
-    def shapes(arrays, dtype):
-        arrays = [np.ascontiguousarray(a, dtype) for a in arrays]
-        data.extend(arrays)
-        return [list(a.shape) for a in arrays]
-
-    def net(n: Optional[DenseNetwork]):
-        if n is None:
-            return None
-        return {"weights": shapes(n.weights, _FLOAT), "biases": shapes(n.biases, _FLOAT)}
-
+    nets = [n for n in (state.initial, state.baseline, state.trained) if n is not None]
+    if any(n.layer_sizes != tuple(state.arch) for n in nets):
+        raise ShapeError(f"a network to be saved does not have the layer sizes {state.arch}")
+    state.mask.check_pairing(state.trained.weights)
     header = {
         "format_version": CHECKPOINT_VERSION,
         "arch": list(state.arch),
         "round_index": state.round_index,
         "config_hash": state.config_hash,
-        "initial": net(state.initial),
-        "baseline": net(state.baseline),
-        "mask": shapes(state.mask.layers, _MASK),
-        "trained": net(state.trained),
+        "initial": state.initial is not None,
+        "baseline": state.baseline is not None,
         "rows": [asdict(r) for r in state.rows],
     }
+    chunks = [json.dumps(header).encode("utf-8") + b"\n"]
+    for n in nets:
+        chunks += [np.ascontiguousarray(a, _FLOAT) for a in n.weights + n.biases]
+    chunks += [np.packbits(m) for m in state.mask.layers]
     crc = 0
-    for a in data:
-        crc = zlib.crc32(a, crc)
-    header["crc32"] = crc
-    write_atomically(path, [json.dumps(header).encode("utf-8") + b"\n", *data])
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    write_atomically(path, [*chunks, crc.to_bytes(_CRC_BYTES, "little")])
 
 
-def load_checkpoint(path, expected_config_hash: Optional[str] = None) -> CheckpointState:
-    """Read a checkpoint, rejecting corrupt files and other format versions.
+def load_checkpoint(path) -> CheckpointState:
+    """Read one checkpoint file as it is, rejecting corrupt files and other format versions.
 
-    A file without a header line, a data section whose CRC or length does
-    not match the header, a bad shape, a mask that does not pair with the
-    stored networks, or an `arch` that differs from their layer sizes marks
-    the file corrupt.
-
-    A config-hash mismatch is reported as a warning, not an error: the
-    caller may be resuming deliberately under an edited config.
+    A file without a header line, a file that fails its CRC, a malformed
+    header field, or a data section whose length differs from the one
+    `arch` and the `initial`/`baseline` booleans give marks the file corrupt.
     """
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise DataFormatError(f"cannot read checkpoint {path}: {exc}") from exc
-    # Earlier versions are one JSON document without a newline; parsing it
+    # Versions 1-3 are one JSON document without a newline; parsing it
     # whole lets them fail on their version rather than on the layout.
     end = raw.find(b"\n")
     try:
@@ -144,94 +144,89 @@ def load_checkpoint(path, expected_config_hash: Optional[str] = None) -> Checkpo
         )
     if end < 0:
         raise DataFormatError(f"corrupt checkpoint {path}: no header line")
-    data = memoryview(raw)[end + 1:]
-    if zlib.crc32(data) != header.get("crc32"):
-        raise DataFormatError(f"corrupt checkpoint {path}: data section fails its CRC check")
+    stored_crc = int.from_bytes(raw[-_CRC_BYTES:], "little")
+    if zlib.crc32(memoryview(raw)[:-_CRC_BYTES]) != stored_crc:
+        raise DataFormatError(f"corrupt checkpoint {path}: file fails its CRC check")
+    data = memoryview(raw)[end + 1 : len(raw) - _CRC_BYTES]
 
     offset = 0
 
-    def arrays(shapes, dtype):
-        """Fresh, writable, native-order arrays cut in order from the data section."""
+    def take(count: int, dtype) -> np.ndarray:
+        """The next `count` items of the data section, as a read-only view."""
         nonlocal offset
-        out = []
-        for shape in shapes:
-            if not isinstance(shape, list) or any(type(s) is not int or s < 0 for s in shape):
-                raise ValueError(f"array shape must be a list of integers >= 0, got {shape!r}")
-            count = math.prod(shape)
-            if offset + count * dtype.itemsize > len(data):
-                raise ValueError("data section is shorter than the shapes declare")
-            a = np.frombuffer(data, dtype, count, offset)
-            out.append(a.reshape(shape).astype(dtype.newbyteorder("=")))
-            offset += count * dtype.itemsize
-        return out
+        a = np.frombuffer(data, dtype, count, offset)
+        offset += a.nbytes
+        return a
 
-    def net(obj) -> Optional[DenseNetwork]:
-        if obj is None:
-            return None
-        return DenseNetwork(arrays(obj["weights"], _FLOAT), arrays(obj["biases"], _FLOAT))
+    def net() -> DenseNetwork:
+        """Fresh, writable, native-order weights then biases."""
+        weights = [take(o * i, _FLOAT).reshape(o, i).astype(np.float64) for o, i in shapes]
+        return DenseNetwork(weights, [take(o, _FLOAT).astype(np.float64) for o, _ in shapes])
 
     try:
-        state = CheckpointState(
-            arch=check_layer_sizes(header["arch"]),
+        arch = check_layer_sizes(header["arch"])
+        for key in ("initial", "baseline"):
+            if not isinstance(header[key], bool):
+                raise ValueError(f"{key} must be true or false, got {header[key]!r}")
+        if not isinstance(header["config_hash"], str):
+            raise ValueError(f"config_hash must be a string, got {header['config_hash']!r}")
+        shapes = _weight_shapes(arch)
+        mask_bytes = [-(-o * i // 8) for o, i in shapes]
+        floats = sum(o * i + o for o, i in shapes)
+        networks = 1 + header["initial"] + header["baseline"]
+        excess = len(data) - (networks * floats * _FLOAT.itemsize + sum(mask_bytes))
+        if excess:
+            raise ValueError(
+                f"data section is {abs(excess)} bytes {'longer' if excess > 0 else 'shorter'} "
+                f"than arch {arch} needs"
+            )
+        initial = net() if header["initial"] else None
+        baseline = net() if header["baseline"] else None
+        trained = net()
+        mask = PruneMask([
+            np.unpackbits(take(n, np.uint8), count=o * i).view(bool).reshape(o, i)
+            for n, (o, i) in zip(mask_bytes, shapes)
+        ])
+        return CheckpointState(
+            arch=arch,
             round_index=check_int(header["round_index"], "round_index", 0),
             config_hash=header["config_hash"],
-            initial=net(header["initial"]),
-            baseline=net(header["baseline"]),
-            mask=PruneMask(arrays(header["mask"], _MASK)),
-            trained=net(header["trained"]),
+            initial=initial,
+            baseline=baseline,
+            mask=mask,
+            trained=trained,
             rows=[RoundRow(**r) for r in header["rows"]],
         )
-        if offset != len(data):
-            raise ValueError(
-                f"data section is {len(data) - offset} bytes longer than the shapes declare"
-            )
-        for n in (state.initial, state.baseline, state.trained):
-            if n is not None:
-                state.mask.check_pairing(n.weights)
-                if n.layer_sizes != state.arch:
-                    raise ShapeError(
-                        f"arch {state.arch} but a stored network has layer sizes "
-                        f"{n.layer_sizes}"
-                    )
     except (KeyError, TypeError, ValueError, UsageError) as exc:
         raise DataFormatError(f"corrupt checkpoint {path}: {exc}") from exc
 
-    _warn_if_other_config(state, path, expected_config_hash)
-    return state
 
+def load_run_state(path, cfg) -> CheckpointState:
+    """The state a run of `cfg` resumes from: `load_checkpoint(path)`, with
+    `initial` and `baseline` taken from round 0 when the file leaves them out.
 
-def _warn_if_other_config(state: CheckpointState, path, expected: Optional[str]) -> None:
-    """Warn when `state` was written under another config hash than `expected`.
-
-    Called straight from the public loaders, so `stacklevel=3` names their caller.
+    A round file that leaves them out gets both from `round_000.json` in
+    its directory, which must load and hold both. The file, and the
+    `round_000.json` it borrows from, must carry `cfg`'s config hash and
+    arch: a file of another run raises DataFormatError, as a corrupt one
+    does.
     """
-    if expected is not None and state.config_hash != expected:
-        warnings.warn(
-            f"checkpoint {path} was written under a different config "
-            f"({state.config_hash[:12]}... vs {expected[:12]}...)",
-            stacklevel=3,
-        )
+    expected = config_hash(cfg)
 
+    def check_run(state: CheckpointState, where) -> None:
+        if state.config_hash != expected or state.arch != cfg.arch:
+            raise DataFormatError(
+                f"{where} belongs to another run: config hash {state.config_hash[:12]}... "
+                f"vs {expected[:12]}..., arch {state.arch} vs {cfg.arch}"
+            )
 
-def load_run_state(path, expected_config_hash: Optional[str] = None) -> CheckpointState:
-    """`load_checkpoint`, with `initial` and `baseline` taken from round 0 when absent.
-
-    A round file that stores them as null gets both from `round_000.json`
-    in its directory. That file must load, hold both networks, and carry
-    the same config hash and arch; otherwise this raises DataFormatError.
-    """
     state = load_checkpoint(path)
-    _warn_if_other_config(state, path, expected_config_hash)
+    check_run(state, path)
     if state.initial is not None and state.baseline is not None:
         return state
     first_path = round_path(Path(path).parent, 0)
     first = load_checkpoint(first_path)
-    if first.config_hash != state.config_hash or first.arch != state.arch:
-        raise DataFormatError(
-            f"{first_path} belongs to another run than {path}: config hash "
-            f"{first.config_hash[:12]}... vs {state.config_hash[:12]}..., "
-            f"arch {first.arch} vs {state.arch}"
-        )
+    check_run(first, f"{first_path} (round 0 of {path})")
     if first.initial is None or first.baseline is None:
         raise DataFormatError(
             f"neither {path} nor {first_path} holds the iteration-0 network and the "
@@ -266,8 +261,8 @@ def _round_index(path: Path) -> Optional[int]:
 def save_round(directory, cfg, round_index, initial, baseline, mask, trained, rows) -> Path:
     """Write the checkpoint of one round of the experiment loop.
 
-    `initial` and `baseline` are written as null when the directory already
-    holds `round_000.json`, which carries them (see `load_run_state`).
+    `initial` and `baseline` are left out when the directory already holds
+    `round_000.json`, which carries them (see `load_run_state`).
     """
     Path(directory).mkdir(parents=True, exist_ok=True)
     path = round_path(directory, round_index)

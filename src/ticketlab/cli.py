@@ -103,24 +103,15 @@ def _cmd_train(args) -> int:
 def _newest_run_state(checkpoint_dir: Path, cfg: LotteryConfig) -> Optional[CheckpointState]:
     """Run state of the newest round file in `checkpoint_dir` that loads; None if there is none.
 
-    Files that fail to load are skipped and named on stderr. A file of
-    another arch is refused, and so is an older file written under another
-    config: another run's file cannot stand in for a damaged one (the newest
-    file only warns on a config-hash mismatch, as `load_run_state` does).
-    If round files exist but none is taken, the DataFormatError names each
-    one's fault.
+    Files that `load_run_state` refuses (damaged, or of another run) are
+    skipped and named on stderr. If round files exist but none loads, the
+    DataFormatError names each one's fault.
     """
-    expected = config_hash(cfg)
     faults = []
     path = latest_round_path(checkpoint_dir)
     while path is not None:
         try:
-            state = load_run_state(path, expected_config_hash=None if faults else expected)
-            if state.arch != cfg.arch or (faults and state.config_hash != expected):
-                raise DataFormatError(
-                    f"{path} belongs to another run: arch {state.arch}, "
-                    f"config hash {state.config_hash[:12]}..."
-                )
+            state = load_run_state(path, cfg)
         except DataFormatError as exc:
             faults.append(str(exc))
             path = latest_round_path(checkpoint_dir, older_than=path)

@@ -24,25 +24,10 @@ from .strategies import FisherConfig
 # Stream tag distinguishing a synthetic test set from its training set.
 _TEST_SPLIT_STREAM = 5
 
-_TOP_KEYS = {
-    "experiment_id",
-    "arch",
-    "strategy",
-    "mode",
-    "per_round_fraction",
-    "rounds",
-    "init_seed",
-    "data_seed",
-    "strategy_seed",
-    "train",
-    "final_train",
-    "fisher",
-    "one_shot_targets",
-    "dataset",
-    "output_dir",
-    "seeds",
-    "checkpoint",
-}
+_LOTTERY_KEYS = {f.name for f in fields(LotteryConfig)}
+_TOP_KEYS = _LOTTERY_KEYS | {"dataset", "output_dir", "seeds", "checkpoint"}
+# Spec sections that `_section` parses into the config class of that LotteryConfig field.
+_SECTIONS = {"train": TrainConfig, "final_train": TrainConfig, "fisher": FisherConfig}
 
 
 @dataclass(frozen=True)
@@ -133,23 +118,13 @@ def parse_spec(obj: dict, base_dir: Optional[Path] = None) -> ExperimentSpec:
 
     if not isinstance(obj["arch"], list):
         raise UsageError(f"arch must be a list of layer sizes, got {obj['arch']!r}")
-    lottery_kwargs = {
-        "arch": tuple(obj["arch"]),
-        "strategy": obj["strategy"],
-        "mode": obj["mode"],
-    }
-    for key in ("per_round_fraction", "rounds", "init_seed", "data_seed", "strategy_seed",
-                "experiment_id"):
+    lottery_kwargs = {key: obj[key] for key in _LOTTERY_KEYS & set(obj)}
+    lottery_kwargs["arch"] = tuple(obj["arch"])
+    for key, cls in _SECTIONS.items():
         if key in obj:
-            lottery_kwargs[key] = obj[key]
-    if "train" in obj:
-        lottery_kwargs["train"] = _section(TrainConfig, obj["train"], "train")
-    if "final_train" in obj:
-        lottery_kwargs["final_train"] = _section(TrainConfig, obj["final_train"], "final_train")
-    elif "train" in obj:
+            lottery_kwargs[key] = _section(cls, obj[key], key)
+    if "train" in obj and "final_train" not in obj:
         lottery_kwargs["final_train"] = lottery_kwargs["train"]
-    if "fisher" in obj:
-        lottery_kwargs["fisher"] = _section(FisherConfig, obj["fisher"], "fisher")
     if "one_shot_targets" in obj:
         targets = obj["one_shot_targets"]
         if not (isinstance(targets, list) and all(is_number(t) for t in targets)):

@@ -174,7 +174,7 @@ def _run_rounds(
     if resume_from is not None:
         state = resume_from
         if not isinstance(state, ckpt.CheckpointState):
-            state = ckpt.load_run_state(resume_from, expected_config_hash=ckpt.config_hash(cfg))
+            state = ckpt.load_run_state(resume_from, cfg)
         initial, baseline = state.initial, state.baseline
         mask, trained = state.mask, state.trained
         rows = list(state.rows)
@@ -241,11 +241,13 @@ def run_iterative(
     round-0 initialization, and retrains (the last round with the
     final-training schedule). `on_round(index, mask, start_net, trained)`
     fires after every round. With `checkpoint_dir`, a checkpoint is
-    written per round; `resume_from` continues from one, bit-identically
-    to an uninterrupted run, taking the iteration-0 network and the
-    baseline from `round_000.json` beside it when the file lacks them.
-    `resume_from` may also be a CheckpointState that `load_run_state`
-    already returned.
+    written per round; `resume_from`, a round file's path, continues from
+    it bit-identically to an uninterrupted run. It is read by
+    `load_run_state(resume_from, cfg)`, which takes the iteration-0
+    network and the baseline from `round_000.json` beside the file when
+    the file lacks them, and raises DataFormatError when either file
+    belongs to another run (another config hash or arch). `resume_from`
+    may also be a CheckpointState that `load_run_state` returned for `cfg`.
     """
     if cfg.mode != "iterative":
         raise UsageError(f"run_iterative needs mode='iterative', got {cfg.mode!r}")

@@ -1,14 +1,13 @@
 import json
-import math
+import re
 import zlib
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from ticketlab import full_mask, gen_synthetic, init_network
-from ticketlab.checkpoint import _FLOAT, _MASK
+from ticketlab.checkpoint import _FLOAT, _weight_shapes
 
 
 @pytest.fixture
@@ -43,48 +42,68 @@ def masks_equal(a, b):
 
 
 def read_checkpoint(path):
-    """(header, data) of a checkpoint file: its first line parsed as JSON, and the bytes after it."""
-    header, _, data = Path(path).read_bytes().partition(b"\n")
-    return json.loads(header), data
+    """(header, data) of a checkpoint file: its first line parsed as JSON, and the
+    bytes between that line and the 4-byte CRC trailer."""
+    header, _, rest = Path(path).read_bytes().partition(b"\n")
+    return json.loads(header), rest[:-4]
 
 
 def write_checkpoint(path, header, data):
-    """Write `header` as the first line and `data` after it, with the header's crc32 recomputed."""
-    header = {**header, "crc32": zlib.crc32(data)}
-    Path(path).write_bytes(json.dumps(header).encode("utf-8") + b"\n" + data)
-
-
-class RawArray(NamedTuple):
-    """A stored array given as its header shape and its data bytes, consistent or not."""
-
-    shape: object
-    data: bytes
+    """Write `header` as the first line and `data` after it, then the CRC32 trailer of both."""
+    body = json.dumps(header).encode("utf-8") + b"\n" + data
+    Path(path).write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
 
 
 def flip_last_data_byte(path):
-    """Flip one bit of a checkpoint's last byte, which only the data section's CRC can catch."""
+    """Flip one bit of a checkpoint's last data byte, which only the file's CRC can catch."""
     raw = bytearray(Path(path).read_bytes())
-    raw[-1] ^= 0x01
+    raw[-5] ^= 0x80
     Path(path).write_bytes(bytes(raw))
 
 
-def decode_checkpoint(path):
-    """The header of checkpoint `path` with each shape list replaced by its stored array.
+def flip_stored_row_bit(path):
+    """Flip the low bit of a digit in the first stored `test_accuracy`, leaving the CRC as it is.
 
-    Weights and biases come back as little-endian float64, mask layers as
-    uint8, read in header order from the data section, which they must fill
+    The header stays valid JSON with another accuracy (0.525 becomes 0.425,
+    say), so only a CRC that covers the header can catch it.
+    """
+    raw = Path(path).read_bytes()
+    digit = re.search(rb'"test_accuracy": \d\.', raw).end()
+    Path(path).write_bytes(raw[:digit] + bytes([raw[digit] ^ 0x01]) + raw[digit + 1:])
+
+
+def decode_checkpoint(path):
+    """The header of checkpoint `path` with its stored arrays in place.
+
+    `initial`, `baseline` and `trained` become {"weights", "biases"} of
+    little-endian float64 arrays (`initial` and `baseline` None when not
+    stored), and `mask` a list of bool layers unpacked from their bits. The
+    shapes come from `arch`, and the arrays must fill the data section
     exactly.
     """
     header, data = read_checkpoint(path)
+    shapes = _weight_shapes(header["arch"])
     offset = 0
 
-    def decode(shape, dtype):
+    def take(count, dtype):
         nonlocal offset
-        a = np.frombuffer(data, dtype, math.prod(shape), offset).reshape(shape)
+        a = np.frombuffer(data, dtype, count, offset)
         offset += a.nbytes
         return a.copy()
 
-    _map_arrays(header, decode)
+    def net():
+        return {
+            "weights": [take(o * i, _FLOAT).reshape(o, i) for o, i in shapes],
+            "biases": [take(o, _FLOAT) for o, _ in shapes],
+        }
+
+    for key in ("initial", "baseline"):
+        header[key] = net() if header[key] else None
+    header["trained"] = net()
+    header["mask"] = [
+        np.unpackbits(take(-(-o * i // 8), np.uint8), count=o * i).view(bool).reshape(o, i)
+        for o, i in shapes
+    ]
     assert offset == len(data), f"{len(data) - offset} data bytes left over"
     return header
 
@@ -92,22 +111,20 @@ def decode_checkpoint(path):
 def encode_checkpoint(path, payload):
     """Inverse of `decode_checkpoint`, with the CRC recomputed.
 
-    Arrays are written in place; a `RawArray` writes its shape and bytes as
-    they are; anything else in an array's place (a list) goes into the header
-    as it is.
+    The header says a network is stored when the payload holds one; the
+    arrays are written as they are, whatever `arch` says.
     """
+    header = {key: value for key, value in payload.items() if key not in ("trained", "mask")}
     chunks = []
-
-    def encode(a, dtype):
-        if isinstance(a, np.ndarray):
-            a = RawArray(list(a.shape), np.ascontiguousarray(a, dtype).tobytes())
-        if isinstance(a, RawArray):
-            chunks.append(a.data)
-            return a.shape
-        return a
-
-    _map_arrays(payload, encode)
-    write_checkpoint(path, payload, b"".join(chunks))
+    for key in ("initial", "baseline", "trained"):
+        net = payload[key]
+        if net is not None:
+            chunks += [np.ascontiguousarray(a, _FLOAT).tobytes()
+                       for a in net["weights"] + net["biases"]]
+    for key in ("initial", "baseline"):
+        header[key] = payload[key] is not None
+    chunks += [np.packbits(m).tobytes() for m in payload["mask"]]
+    write_checkpoint(path, header, b"".join(chunks))
 
 
 def edit_checkpoint(path, edit):
@@ -120,18 +137,60 @@ def edit_checkpoint(path, edit):
     encode_checkpoint(path, payload)
 
 
+def edit_header(path, edit):
+    """Rewrite checkpoint `path` after `edit(header)`, keeping its data and recomputing the CRC."""
+    header, data = read_checkpoint(path)
+    edit(header)
+    write_checkpoint(path, header, data)
+
+
 def _map_arrays(payload, fn):
-    """Replace each stored array `a` by `fn(a, dtype)`, in the order of the data section."""
-    for key in ("initial", "baseline", "mask", "trained"):
-        value = payload.get(key)
-        if isinstance(value, list):  # the mask layers
-            payload[key] = [fn(m, _MASK) for m in value]
-        elif isinstance(value, dict):  # a network
+    """Replace each array `a` of a decoded payload by `fn(a)`."""
+    for key in ("initial", "baseline", "trained"):
+        if payload[key] is not None:
             for part in ("weights", "biases"):
-                value[part] = [fn(a, _FLOAT) for a in value[part]]
+                payload[key][part] = [fn(a) for a in payload[key][part]]
+    payload["mask"] = [fn(m) for m in payload["mask"]]
 
 
-def as_v1(payload):
-    """Turn a decoded payload into format v1: decimal JSON lists, mask entries 0/1."""
-    payload["format_version"] = 1
-    _map_arrays(payload, lambda a, dtype: a.tolist())
+def as_old_version(path, version, encode_array):
+    """Rewrite checkpoint `path` as one JSON document of an earlier format `version`,
+    each array replaced by `encode_array(a)` and the mask layers as uint8 0/1."""
+    payload = decode_checkpoint(path)
+    payload["mask"] = [m.astype(np.uint8) for m in payload["mask"]]
+    _map_arrays(payload, encode_array)
+    payload["format_version"] = version
+    Path(path).write_text(json.dumps(payload))
+
+
+def as_v1(path):
+    """Rewrite checkpoint `path` in format v1: one JSON document of decimal lists."""
+    as_old_version(path, 1, lambda a: a.tolist())
+
+
+def as_v4(path):
+    """Rewrite checkpoint `path` in format v4: a header line giving every array's shape
+    and the CRC of the data, then the arrays in the order initial, baseline, mask
+    (uint8 0/1), trained."""
+    payload = decode_checkpoint(path)
+    data = []
+
+    def shapes(arrays, dtype):
+        data.extend(np.ascontiguousarray(a, dtype).tobytes() for a in arrays)
+        return [list(a.shape) for a in arrays]
+
+    def net(n):
+        if n is None:
+            return None
+        return {"weights": shapes(n["weights"], "<f8"), "biases": shapes(n["biases"], "<f8")}
+
+    header = {
+        **payload,
+        "format_version": 4,
+        "initial": net(payload["initial"]),
+        "baseline": net(payload["baseline"]),
+        "mask": shapes(payload["mask"], "u1"),
+        "trained": net(payload["trained"]),
+    }
+    header["crc32"] = zlib.crc32(b"".join(data))
+    Path(path).write_bytes(json.dumps(header).encode("utf-8") + b"\n" + b"".join(data))

@@ -8,6 +8,8 @@ import pytest
 from ticketlab import (
     DataFormatError,
     FisherConfig,
+    PruneMask,
+    ShapeError,
     apply_mask,
     config_hash,
     full_mask,
@@ -25,20 +27,26 @@ from ticketlab.checkpoint import (
     load_run_state,
     save_round,
 )
+from ticketlab.results import RoundRow
 
 from conftest import (
-    RawArray,
-    _map_arrays,
+    as_old_version,
     as_v1,
+    as_v4,
     decode_checkpoint,
     edit_checkpoint,
+    edit_header,
     flip_last_data_byte,
+    flip_stored_row_bit,
     masks_equal,
     networks_equal,
     read_checkpoint,
     write_checkpoint,
 )
 from test_lottery import cfg_iterative, strip_seconds
+
+
+TINY_DATA = (gen_synthetic(3, 4, 10, seed=5), gen_synthetic(3, 4, 5, seed=6))
 
 
 def make_state(round_index=2, arch=(4, 5, 3)):
@@ -52,13 +60,18 @@ def make_state(round_index=2, arch=(4, 5, 3)):
         baseline=init_network(arch, seed=2),
         mask=mask,
         trained=apply_mask(init_network(arch, seed=3), mask),
-        rows=[],
+        rows=[RoundRow(0, 0.0, 0.525, 0.55, 1.0986, 0.0, 0.0, 0, 0.1)],
     )
 
 
 def edited(edit):
     """A file corruption: `edit_checkpoint` with `edit`, which recomputes the CRC."""
     return lambda path: edit_checkpoint(path, edit)
+
+
+def header_edited(edit):
+    """A file corruption: `edit_header` with `edit`, which recomputes the CRC."""
+    return lambda path: edit_header(path, edit)
 
 
 def with_data(change):
@@ -89,6 +102,30 @@ class TestSaveLoad:
         assert networks_equal(back.baseline, state.baseline)
         assert networks_equal(back.trained, state.trained)
         assert masks_equal(back.mask, state.mask)
+        assert back.rows == state.rows
+
+    def test_mask_bits_round_trip_for_any_layer_size(self, tmp_path):
+        """Layer sizes on both sides of a byte boundary; the pad bits must not leak."""
+        path = tmp_path / "ckpt.json"
+        gen = np.random.default_rng(7)
+        for arch in [(1, 1), (1, 7, 1), (3, 3, 3), (9, 17, 2), (8, 8)]:
+            state = make_state(arch=arch)
+            state.mask = PruneMask([gen.random(m.shape) < 0.5 for m in state.mask.layers])
+            save_checkpoint(state, path)
+            assert masks_equal(load_checkpoint(path).mask, state.mask), arch
+
+    def test_save_refuses_state_its_arch_does_not_describe(self, tmp_path):
+        """A v5 file takes every shape from `arch`, so it must not be written otherwise."""
+        path = tmp_path / "ckpt.json"
+        state = make_state()
+        state.baseline = init_network((4, 6, 3), seed=2)
+        with pytest.raises(ShapeError, match="layer sizes"):
+            save_checkpoint(state, path)
+        state = make_state()
+        state.mask = full_mask((4, 5, 2))
+        with pytest.raises(ShapeError):
+            save_checkpoint(state, path)
+        assert not path.exists()
 
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
@@ -108,18 +145,22 @@ class TestSaveLoad:
         path = tmp_path / "ckpt.json"
         save_checkpoint(make_state(), path)
         header, data = read_checkpoint(path)
-        del header["mask"]
+        del header["round_index"]
         write_checkpoint(path, header, data)
         with pytest.raises(DataFormatError):
             load_checkpoint(path)
 
-    def test_mask_written_as_uint8_zero_one(self, tmp_path):
+    def test_mask_written_as_packed_bits(self, tmp_path):
         path = tmp_path / "ckpt.json"
         save_checkpoint(make_state(), path)
-        # Decoding checks that the data section holds exactly one byte per mask entry.
+        # Layer 0 is 5x4 with its first two entries pruned, layer 1 is 3x5 and
+        # all kept: 20 and 15 bits, row-major, first entry in the high bit, each
+        # layer zero-padded to whole bytes at the end of the data section.
+        _, data = read_checkpoint(path)
+        assert data[-5:] == bytes([0b00111111, 0xFF, 0b11110000, 0xFF, 0b11111110])
         layers = decode_checkpoint(path)["mask"]
+        assert masks_equal(load_checkpoint(path).mask, make_state().mask)
         assert [m.shape for m in layers] == [(5, 4), (3, 5)]
-        assert set(np.concatenate([m.ravel() for m in layers]).tolist()) == {0, 1}
 
     def test_extreme_values_round_trip_bit_exact(self, tmp_path):
         state = make_state()
@@ -146,70 +187,49 @@ class TestSaveLoad:
         path = tmp_path / "ckpt.json"
         save_checkpoint(state, path)
         floats = sum(w.size + b.size for w, b in zip(state.trained.weights, state.trained.biases))
-        raw_bytes = 3 * 8 * floats + state.mask.total_count()
+        raw_bytes = 3 * 8 * floats + state.mask.total_count() / 8
         assert path.stat().st_size <= 1.01 * raw_bytes
 
     def test_v1_decimal_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
         save_checkpoint(make_state(), path)
-        edit_checkpoint(path, as_v1)
-        header, data = read_checkpoint(path)
-        assert header["format_version"] == 1 and header["mask"][0][0] == [0, 0, 1, 1]
-        assert data == b""
+        as_v1(path)
+        payload = json.loads(path.read_text())
+        assert payload["format_version"] == 1 and payload["mask"][0][0] == [0, 0, 1, 1]
         with pytest.raises(DataFormatError, match="version"):
             load_checkpoint(path)
 
     def test_v2_and_v3_checkpoints_rejected(self, tmp_path):
-        """Versions 2 and 3 were one JSON document with base64 arrays; no reader is kept."""
+        """Versions 2 and 3 were one JSON document with base64 arrays, version 4 a header
+        line of shape lists before the raw arrays; no reader is kept for any of them."""
         path = tmp_path / "ckpt.json"
-        for version in (2, 3):
+        for version in (2, 3, 4):
             save_checkpoint(make_state(), path)
-            payload = decode_checkpoint(path)
-            _map_arrays(payload, lambda a, dtype: {
-                "shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")
-            })
-            del payload["crc32"]
-            payload["format_version"] = version
-            path.write_text(json.dumps(payload))
-            with pytest.raises(DataFormatError, match=f"format version {version}, .* version 4"):
+            if version == 4:
+                as_v4(path)
+            else:
+                as_old_version(path, version, lambda a: {
+                    "shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")
+                })
+            with pytest.raises(DataFormatError, match=f"format version {version}, .* version 5"):
                 load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "corrupt, fault",
         [
-            pytest.param(edited(lambda p: p["mask"][0].__setitem__((0, 0), 2)), "outside",
-                         id="mask-entry-2"),
-            pytest.param(edited(lambda p: p["mask"].pop()), "mask has", id="mask-network-mismatch"),
-            pytest.param(
-                edited(lambda p: p["trained"]["weights"].__setitem__(
-                    1, p["trained"]["weights"][1][:, :-1]
-                )),
-                "does not chain",
-                id="mis-chained-weights",
-            ),
             pytest.param(edited(lambda p: p.__setitem__("arch", [1, 2])), "arch",
                          id="arch-mismatch"),
+            pytest.param(header_edited(lambda h: h.__setitem__("initial", 1)),
+                         "initial must be true or false", id="initial-not-bool"),
+            pytest.param(header_edited(lambda h: h.__setitem__("config_hash", 5)),
+                         "config_hash must be a string", id="config-hash-not-string"),
             pytest.param(flip_last_data_byte, "CRC", id="flipped-data-byte"),
+            pytest.param(flip_stored_row_bit, "CRC", id="flipped-row-bit"),
             pytest.param(lambda path: path.write_bytes(path.read_bytes()[:-100]), "CRC",
                          id="torn-file"),
-            pytest.param(
-                edited(lambda p: p["trained"]["biases"].__setitem__(0, RawArray([5], bytes(32)))),
-                "shorter",
-                id="data-length-mismatch",
-            ),
-            pytest.param(with_data(lambda d: d[:-1]), "shorter", id="truncated-data"),
+            pytest.param(with_data(lambda d: d[:-1]), "1 bytes shorter", id="truncated-data"),
             pytest.param(with_data(lambda d: d + bytes(8)), "8 bytes longer", id="trailing-bytes"),
             pytest.param(drop_newline, "no header line", id="header-without-newline"),
-            pytest.param(
-                edited(lambda p: p["mask"].__setitem__(0, RawArray([-5, -4], bytes(20)))),
-                "shape",
-                id="negative-shape",
-            ),
-            pytest.param(
-                edited(lambda p: p["mask"].__setitem__(0, RawArray([5.0, 4], bytes(20)))),
-                "shape",
-                id="non-integer-shape",
-            ),
         ],
     )
     def test_corrupt_contents_rejected(self, tmp_path, corrupt, fault):
@@ -236,14 +256,29 @@ class TestSaveLoad:
         arch = load_checkpoint(path).arch
         assert arch == (4, 5, 3) and all(type(s) is int for s in arch)
 
-    def test_hash_mismatch_warns(self, tmp_path):
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(make_state(), path)
-        for load in (load_checkpoint, load_run_state):
-            with pytest.warns(UserWarning, match="different config") as caught:
-                load(path, expected_config_hash="0" * 64)
-            # Attributed to the caller, not to checkpoint.py.
-            assert [w.filename for w in caught] == [__file__]
+    def test_file_of_another_run_rejected(self, tmp_path):
+        """`load_run_state` and a resume refuse a file, or the round 0 it borrows
+        from, written under another config hash than the caller's."""
+        cfg = cfg_iterative(arch=(4, 5, 3))
+        other = cfg_iterative(arch=(4, 5, 3), per_round_fraction=0.25)
+        whole = tmp_path / "whole" / "round_002.json"
+        whole.parent.mkdir()
+        save_checkpoint(make_state(), whole)
+        assert load_run_state(whole, cfg).round_index == 2
+        with pytest.raises(DataFormatError, match=f"{whole} belongs to another run"):
+            load_run_state(whole, other)
+        with pytest.raises(DataFormatError, match="another run"):
+            run_iterative(other, *TINY_DATA, resume_from=whole)
+
+        lean = make_state()
+        lean.initial = lean.baseline = None
+        save_checkpoint(lean, tmp_path / "round_002.json")
+        first = make_state(round_index=0)
+        first.config_hash = config_hash(other)
+        save_checkpoint(first, tmp_path / "round_000.json")
+        with pytest.raises(DataFormatError, match="round_000.json .*belongs to another run"):
+            load_run_state(tmp_path / "round_002.json", cfg)
+        assert load_run_state(tmp_path / "round_000.json", other).round_index == 0
 
 
 def test_latest_round_path_orders_by_integer_index(tmp_path):
@@ -291,12 +326,12 @@ class TestResumeEquivalence:
             passes = cfg.fisher.sample_count if cfg.fisher else 0
             assert [row.backward_passes for row in full_record.rows] == [0] + [passes] * 4, name
             assert latest_round_path(directory).name == "round_004.json", name
-            # Round 0 holds the networks that never change; later rounds store them as null.
+            # Round 0 holds the networks that never change; later rounds leave them out.
             for r in range(5):
                 payload, _ = read_checkpoint(directory / f"round_{r:03d}.json")
-                assert payload["format_version"] == 4
+                assert payload["format_version"] == 5
                 for net in ("initial", "baseline"):
-                    assert (payload[net] is None) == (r > 0)
+                    assert payload[net] == (r == 0)
 
             for resume_round in range(4):
                 resumed = run(
@@ -345,7 +380,7 @@ class TestResumeEquivalence:
         test_data = gen_synthetic(3, 6, 20, seed=77, noise=0.2)
         cfg = cfg_iterative(rounds=4)
         full_record = run_iterative(cfg, train_data, test_data, checkpoint_dir=tmp_path / "run")
-        state = load_run_state(tmp_path / "run" / "round_002.json")
+        state = load_run_state(tmp_path / "run" / "round_002.json", cfg)
 
         # A directory without round 0 gets self-contained round files.
         crash = tmp_path / "crash"
@@ -358,7 +393,7 @@ class TestResumeEquivalence:
         ]
         for path in crash.iterdir():
             payload, _ = read_checkpoint(path)
-            assert payload["initial"] is not None and payload["baseline"] is not None
+            assert payload["initial"] and payload["baseline"]
             back = load_checkpoint(path)
             assert networks_equal(back.initial, state.initial)
             assert networks_equal(back.baseline, state.baseline)

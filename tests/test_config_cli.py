@@ -9,7 +9,15 @@ from ticketlab.cli import main
 from ticketlab.config import build_datasets
 from ticketlab.results import RECORD_COLUMNS
 
-from conftest import as_v1, edit_checkpoint, flip_last_data_byte, read_checkpoint
+from conftest import (
+    as_v1,
+    as_v4,
+    edit_checkpoint,
+    edit_header,
+    flip_last_data_byte,
+    flip_stored_row_bit,
+    read_checkpoint,
+)
 
 
 def spec_dict(**overrides):
@@ -67,7 +75,7 @@ def replace_with_other_arch(path):
     config_hash = read_checkpoint(path)[0]["config_hash"]
     assert main(["train", "--arch", "6,5,3", "--synthetic", "3,6,10",
                  "--epochs", "1", "--save", str(path)]) == 0
-    edit_checkpoint(path, lambda p: p.__setitem__("config_hash", config_hash))
+    edit_header(path, lambda h: h.__setitem__("config_hash", config_hash))
 
 
 V1_RECORD_COLUMNS = (
@@ -90,12 +98,12 @@ def report_on(**csv):
                         write_records_csv(tmp, **csv)]
 
 
-def write_corrupt_checkpoint(tmp_path, corrupt=lambda p: p["mask"][0].__setitem__((0, 0), 2)):
-    """A trained-network checkpoint edited by `corrupt` (default: first mask entry 2)."""
+def write_corrupt_checkpoint(tmp_path, corrupt=flip_last_data_byte):
+    """A trained-network checkpoint file, then `corrupt(path)` (default: one data bit flipped)."""
     path = tmp_path / "net.json"
     assert main(["train", "--arch", "6,8,3", "--synthetic", "3,6,10",
                  "--epochs", "1", "--save", str(path)]) == 0
-    edit_checkpoint(path, corrupt)
+    corrupt(path)
     return str(path)
 
 
@@ -109,6 +117,20 @@ class TestSpecParsing:
     def test_final_train_defaults_to_train(self, tmp_path):
         spec = load_spec(write_spec(tmp_path))
         assert spec.lottery.final_train == spec.lottery.train
+
+    def test_lottery_fields_pass_through(self, tmp_path):
+        """Every LotteryConfig field is a spec key, with its sections parsed."""
+        spec = load_spec(write_spec(
+            tmp_path, mode="one_shot", one_shot_targets=[0.5, 0.2], strategy="fisher",
+            fisher={"sample_count": 30, "fisher_batch_size": 10},
+            final_train={"epochs": 3, "learning_rate": 0.1, "train_batch_size": 8, "seed": 4},
+        ))
+        cfg = spec.lottery
+        assert (cfg.experiment_id, cfg.per_round_fraction, cfg.rounds) == ("unit", 0.3, 2)
+        assert (cfg.init_seed, cfg.data_seed, cfg.strategy_seed) == (1, 2, 3)
+        assert cfg.one_shot_targets == (0.2, 0.5)
+        assert (cfg.fisher.sample_count, cfg.fisher.fisher_batch_size) == (30, 10)
+        assert (cfg.train.epochs, cfg.final_train.epochs, cfg.final_train.seed) == (2, 3, 4)
 
     def test_unknown_top_level_key(self, tmp_path):
         with pytest.raises(UsageError, match="unknown key.*learning_rat"):
@@ -192,11 +214,12 @@ class TestCli:
         ]
         for r, path in enumerate(sorted(ckpt_dir.iterdir())):
             payload, _ = read_checkpoint(path)
-            assert (payload["initial"] is None) == (payload["baseline"] is None) == (r > 0)
+            assert payload["initial"] == payload["baseline"] == (r == 0)
 
         # `inspect` reads a round file as it is: a lean one reports what a full one does.
         lean = ckpt_dir / "round_001.json"
-        save_checkpoint(load_run_state(lean), tmp_path / "full.json")
+        cfg = seed_configs(load_spec(spec))[0]
+        save_checkpoint(load_run_state(lean, cfg), tmp_path / "full.json")
         capsys.readouterr()
         assert main(["inspect", str(lean)]) == 0
         lean_report = capsys.readouterr().out
@@ -225,7 +248,41 @@ class TestCli:
         assert err.startswith(f"skipped: corrupt checkpoint {newest}: ") and "CRC" in err
         assert err.count("skipped") == 1
         assert strip_seconds_column((out / "unit.csv").read_bytes()) == strip_seconds_column(first)
-        assert load_run_state(newest).round_index == 2  # the resumed run wrote it again
+        resumed_state = load_run_state(newest, seed_configs(load_spec(spec))[1])
+        assert resumed_state.round_index == 2  # the resumed run wrote it again
+
+    def test_resume_skips_checkpoint_with_flipped_row_bit(self, tmp_path, capsys):
+        """The CRC covers the header, so a changed recorded row does not reach the CSV."""
+        out = tmp_path / "out"
+        spec = write_spec(tmp_path, output_dir=str(out), checkpoint=True, seeds=[1])
+        assert main(["lottery", "--config", str(spec)]) == 0
+        first = (out / "unit.csv").read_bytes()
+        newest = out / "checkpoints-unit-seed1" / "round_002.json"
+        flip_stored_row_bit(newest)
+        capsys.readouterr()
+
+        assert main(["lottery", "--config", str(spec), "--resume"]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith(f"skipped: corrupt checkpoint {newest}: ") and "CRC" in err
+        assert strip_seconds_column((out / "unit.csv").read_bytes()) == strip_seconds_column(first)
+
+    def test_resume_under_other_spec_exit_2(self, tmp_path, capsys):
+        """Every round file belongs to the run of the spec as it was, so a resume
+        under an edited spec has nothing to continue from."""
+        out = tmp_path / "out"
+        spec = write_spec(tmp_path, output_dir=str(out), checkpoint=True, seeds=[1])
+        assert main(["lottery", "--config", str(spec)]) == 0
+        first = (out / "unit.csv").read_bytes()
+        capsys.readouterr()
+
+        spec = write_spec(tmp_path, output_dir=str(out), checkpoint=True, seeds=[1],
+                          per_round_fraction=0.25)
+        assert main(["lottery", "--config", str(spec), "--resume"]) == 2
+        err = capsys.readouterr().err
+        newest = out / "checkpoints-unit-seed1" / "round_002.json"
+        assert err.startswith("data error: no checkpoint in ")
+        assert f"{newest} belongs to another run" in err
+        assert (out / "unit.csv").read_bytes() == first
 
     def test_one_shot_checkpoint_and_resume(self, tmp_path):
         out = tmp_path / "out"
@@ -365,11 +422,11 @@ class TestCli:
             ),
             pytest.param(
                 lambda tmp: ["inspect", write_corrupt_checkpoint(tmp)],
-                id="inspect-mask-entry-2",
+                id="inspect-flipped-data-byte",
             ),
             pytest.param(
                 lambda tmp: ["inspect", write_corrupt_checkpoint(
-                    tmp, lambda p: p.__setitem__("arch", [1, 2]))],
+                    tmp, lambda path: edit_header(path, lambda h: h.__setitem__("arch", [1, 2])))],
                 id="inspect-arch-mismatch",
             ),
             pytest.param(
@@ -377,8 +434,12 @@ class TestCli:
                 id="inspect-v1-checkpoint",
             ),
             pytest.param(
+                lambda tmp: ["inspect", write_corrupt_checkpoint(tmp, as_v4)],
+                id="inspect-v4-checkpoint",
+            ),
+            pytest.param(
                 lambda tmp: ["inspect", write_corrupt_checkpoint(
-                    tmp, lambda p: p.__setitem__("round_index", 2.5))],
+                    tmp, lambda path: edit_header(path, lambda h: h.__setitem__("round_index", 2.5)))],
                 id="inspect-round-index-non-integral",
             ),
             pytest.param(resume_after(lambda p: p.unlink()), id="resume-round-0-missing"),
