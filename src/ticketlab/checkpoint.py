@@ -2,40 +2,37 @@
 
 A checkpoint file (`round_NNN.json`) records the format version, the
 architecture, the round index, a hash of the experiment config, the
-current mask and trained network, the rows recorded so far, and the two
-networks that never change after round 0: the iteration-0 network
-(`initial`, for rewinding) and the round-0 trained baseline (`baseline`,
-for weight movement). `save_round` writes those two only once per
-checkpoint directory: in `round_000.json`, and in any later round file
-whose directory has no round 0 (so a lone file stays self-contained).
-Other round files leave them out, and `load_run_state` takes them from
-`round_000.json` beside the file. `load_run_state` is also the one place
-that decides which run a file belongs to: it refuses a file, or the
-`round_000.json` it borrows from, whose config hash or arch differs from
-the caller's config. `load_checkpoint` reads one file as it is.
+sha256 of the run's iteration-0 network (`initial_sha256`), the rows
+recorded so far, and the round's trained network and mask. No file
+stores the two networks that never change after round 0: the
+iteration-0 network (`initial`, for rewinding) is
+`init_network(cfg.arch, cfg.init_seed)`, which the config hash pins, and
+the round-0 trained baseline (`baseline`, for weight movement) is the
+trained network of `round_000.json`. `load_run_state` regenerates the
+one and reads the other, and it is the one place that decides which run
+a file belongs to. `load_checkpoint` reads one file as it is.
 
-Format version 5 is one line of UTF-8 JSON, the header, then the raw
-bytes of every array back to back, then a 4-byte trailer. The header
-holds the fields above, with `initial` and `baseline` as booleans that
-say whether the network is stored; every array's shape follows from
-`arch`, so the header gives none. The data section holds `initial`,
-`baseline` (when stored) and `trained`, each as weights then biases in
-little-endian float64 (`<f8`), then the mask layers, each packed by
-`np.packbits` (row-major, first entry in the high bit, zero-padded to a
-whole byte). The trailer is the little-endian `zlib.crc32` of every byte
-before it, header included. Raw bytes in a fixed byte order make the
-round trip bit-exact on any host (-0.0 and subnormals included), which
-is what makes resuming bit-identical to an uninterrupted run; the file
-stays within a few hundred bytes of the arrays' own size. The name keeps
-its `.json` suffix, because resume discovery finds checkpoints by that
-name.
+Format version 6 is one line of UTF-8 JSON, the header, then the raw
+bytes of the trained network, then the mask, then a 4-byte trailer. The
+header holds the fields above; every array's shape follows from `arch`.
+The network is weights then biases in little-endian float64 (`<f8`), and
+`initial_sha256` is the sha256 of the same bytes of the iteration-0
+network. Each mask layer is packed by `np.packbits` (row-major, first
+entry in the high bit, zero-padded to a whole byte). The trailer is the
+little-endian `zlib.crc32` of every byte before it, header included.
+Raw bytes in a fixed byte order make the round trip bit-exact on any
+host (-0.0 and subnormals included), which is what makes resuming
+bit-identical to an uninterrupted run; a file is the arrays' own size
+plus a header of a few hundred bytes (about 2.17 MB for LeNet-300-100,
+in every round). The name keeps its `.json` suffix, because resume
+discovery finds checkpoints by that name.
 
 Files are written to a temporary name beside the target and renamed into
 place, so a crash mid-write leaves the previous round's file the latest.
-This build reads and writes format version 5 only. It rejects other
+This build reads and writes format version 6 only. It rejects other
 versions outright, a file without a header line, a file that fails its
 CRC, a malformed header field, and a data section whose length differs
-from the one `arch` and the two booleans give.
+from the one `arch` gives.
 """
 
 from __future__ import annotations
@@ -51,11 +48,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataFormatError, ShapeError, UsageError
-from .masks import PruneMask
-from .nn import DenseNetwork, check_int, check_layer_sizes
+from .masks import PruneMask, full_mask
+from .nn import DenseNetwork, check_int, check_layer_sizes, init_network
 from .results import RoundRow, write_atomically
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 _FLOAT = np.dtype("<f8")
 _CRC_BYTES = 4
 
@@ -65,17 +62,34 @@ class CheckpointState:
     arch: tuple[int, ...]
     round_index: int
     config_hash: str
-    initial: Optional[DenseNetwork]
-    baseline: Optional[DenseNetwork]
+    initial_sha256: str
     mask: PruneMask
     trained: DenseNetwork
     rows: list
+
+
+@dataclass(eq=False)
+class RunState(CheckpointState):
+    """A round file's state with the two networks no round file stores (see `load_run_state`)."""
+
+    initial: DenseNetwork
+    baseline: DenseNetwork
 
 
 def config_hash(cfg) -> str:
     """Stable hash of a config: sha256 over its canonical JSON form."""
     canonical = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _network_arrays(net: DenseNetwork) -> list[np.ndarray]:
+    """Weights then biases, as the contiguous little-endian float64 arrays a file stores."""
+    return [np.ascontiguousarray(a, _FLOAT) for a in net.weights + net.biases]
+
+
+def network_sha256(net: DenseNetwork) -> str:
+    """sha256 of a network's bytes as a checkpoint stores them; a file's `initial_sha256`."""
+    return hashlib.sha256(b"".join(_network_arrays(net))).hexdigest()
 
 
 def _weight_shapes(arch) -> list[tuple[int, int]]:
@@ -92,22 +106,18 @@ def save_checkpoint(state: CheckpointState, path) -> None:
     write fails, so an interrupted save leaves no file that resume
     discovery could pick up.
     """
-    nets = [n for n in (state.initial, state.baseline, state.trained) if n is not None]
-    if any(n.layer_sizes != tuple(state.arch) for n in nets):
-        raise ShapeError(f"a network to be saved does not have the layer sizes {state.arch}")
+    if state.trained.layer_sizes != tuple(state.arch):
+        raise ShapeError(f"the network to be saved does not have the layer sizes {state.arch}")
     state.mask.check_pairing(state.trained.weights)
     header = {
         "format_version": CHECKPOINT_VERSION,
         "arch": list(state.arch),
         "round_index": state.round_index,
         "config_hash": state.config_hash,
-        "initial": state.initial is not None,
-        "baseline": state.baseline is not None,
+        "initial_sha256": state.initial_sha256,
         "rows": [asdict(r) for r in state.rows],
     }
-    chunks = [json.dumps(header).encode("utf-8") + b"\n"]
-    for n in nets:
-        chunks += [np.ascontiguousarray(a, _FLOAT) for a in n.weights + n.biases]
+    chunks = [json.dumps(header).encode("utf-8") + b"\n", *_network_arrays(state.trained)]
     chunks += [np.packbits(m) for m in state.mask.layers]
     crc = 0
     for chunk in chunks:
@@ -120,7 +130,7 @@ def load_checkpoint(path) -> CheckpointState:
 
     A file without a header line, a file that fails its CRC, a malformed
     header field, or a data section whose length differs from the one
-    `arch` and the `initial`/`baseline` booleans give marks the file corrupt.
+    `arch` gives marks the file corrupt.
     """
     try:
         raw = Path(path).read_bytes()
@@ -158,31 +168,23 @@ def load_checkpoint(path) -> CheckpointState:
         offset += a.nbytes
         return a
 
-    def net() -> DenseNetwork:
-        """Fresh, writable, native-order weights then biases."""
-        weights = [take(o * i, _FLOAT).reshape(o, i).astype(np.float64) for o, i in shapes]
-        return DenseNetwork(weights, [take(o, _FLOAT).astype(np.float64) for o, _ in shapes])
-
     try:
         arch = check_layer_sizes(header["arch"])
-        for key in ("initial", "baseline"):
-            if not isinstance(header[key], bool):
-                raise ValueError(f"{key} must be true or false, got {header[key]!r}")
-        if not isinstance(header["config_hash"], str):
-            raise ValueError(f"config_hash must be a string, got {header['config_hash']!r}")
+        for key in ("config_hash", "initial_sha256"):
+            if not isinstance(header[key], str):
+                raise ValueError(f"{key} must be a string, got {header[key]!r}")
         shapes = _weight_shapes(arch)
         mask_bytes = [-(-o * i // 8) for o, i in shapes]
         floats = sum(o * i + o for o, i in shapes)
-        networks = 1 + header["initial"] + header["baseline"]
-        excess = len(data) - (networks * floats * _FLOAT.itemsize + sum(mask_bytes))
+        excess = len(data) - (floats * _FLOAT.itemsize + sum(mask_bytes))
         if excess:
             raise ValueError(
                 f"data section is {abs(excess)} bytes {'longer' if excess > 0 else 'shorter'} "
                 f"than arch {arch} needs"
             )
-        initial = net() if header["initial"] else None
-        baseline = net() if header["baseline"] else None
-        trained = net()
+        # Fresh, writable, native-order arrays.
+        weights = [take(o * i, _FLOAT).reshape(o, i).astype(np.float64) for o, i in shapes]
+        trained = DenseNetwork(weights, [take(o, _FLOAT).astype(np.float64) for o, _ in shapes])
         mask = PruneMask([
             np.unpackbits(take(n, np.uint8), count=o * i).view(bool).reshape(o, i)
             for n, (o, i) in zip(mask_bytes, shapes)
@@ -191,8 +193,7 @@ def load_checkpoint(path) -> CheckpointState:
             arch=arch,
             round_index=check_int(header["round_index"], "round_index", 0),
             config_hash=header["config_hash"],
-            initial=initial,
-            baseline=baseline,
+            initial_sha256=header["initial_sha256"],
             mask=mask,
             trained=trained,
             rows=[RoundRow(**r) for r in header["rows"]],
@@ -201,39 +202,30 @@ def load_checkpoint(path) -> CheckpointState:
         raise DataFormatError(f"corrupt checkpoint {path}: {exc}") from exc
 
 
-def load_run_state(path, cfg) -> CheckpointState:
-    """The state a run of `cfg` resumes from: `load_checkpoint(path)`, with
-    `initial` and `baseline` taken from round 0 when the file leaves them out.
+def load_run_state(path, cfg) -> RunState:
+    """The state a run of `cfg` resumes from: `load_checkpoint(path)` with
+    the run's iteration-0 network and round-0 baseline.
 
-    A round file that leaves them out gets both from `round_000.json` in
-    its directory, which must load and hold both. The file, and the
-    `round_000.json` it borrows from, must carry `cfg`'s config hash and
-    arch: a file of another run raises DataFormatError, as a corrupt one
-    does.
+    `initial` is regenerated as `init_network(cfg.arch, cfg.init_seed)`.
+    `baseline` is the trained network of round 0: the file's own when it
+    is round 0, else that of `round_000.json` in its directory, which must
+    load. Both files must carry `cfg`'s config hash and arch and the
+    sha256 of the regenerated `initial`: a file of another run raises
+    DataFormatError, as a corrupt one does.
     """
-    expected = config_hash(cfg)
-
-    def check_run(state: CheckpointState, where) -> None:
-        if state.config_hash != expected or state.arch != cfg.arch:
-            raise DataFormatError(
-                f"{where} belongs to another run: config hash {state.config_hash[:12]}... "
-                f"vs {expected[:12]}..., arch {state.arch} vs {cfg.arch}"
-            )
-
     state = load_checkpoint(path)
-    check_run(state, path)
-    if state.initial is not None and state.baseline is not None:
-        return state
     first_path = round_path(Path(path).parent, 0)
-    first = load_checkpoint(first_path)
-    check_run(first, f"{first_path} (round 0 of {path})")
-    if first.initial is None or first.baseline is None:
-        raise DataFormatError(
-            f"neither {path} nor {first_path} holds the iteration-0 network and the "
-            "round-0 baseline"
-        )
-    state.initial, state.baseline = first.initial, first.baseline
-    return state
+    first = state if state.round_index == 0 else load_checkpoint(first_path)
+    initial = init_network(cfg.arch, cfg.init_seed)
+    run = (config_hash(cfg), cfg.arch, network_sha256(initial))
+    for s, where in ((state, path), (first, f"{first_path} (round 0 of {path})")):
+        if (s.config_hash, s.arch, s.initial_sha256) != run:
+            raise DataFormatError(
+                f"{where} belongs to another run: config hash {s.config_hash[:12]}... vs "
+                f"{run[0][:12]}..., arch {s.arch} vs {run[1]}, initial sha256 "
+                f"{s.initial_sha256[:12]}... vs {run[2][:12]}..."
+            )
+    return RunState(**vars(state), initial=initial, baseline=first.trained)
 
 
 def round_path(directory, round_index: int) -> Path:
@@ -261,24 +253,19 @@ def _round_index(path: Path) -> Optional[int]:
 def save_round(directory, cfg, round_index, initial, baseline, mask, trained, rows) -> Path:
     """Write the checkpoint of one round of the experiment loop.
 
-    `initial` and `baseline` are left out when the directory already holds
-    `round_000.json`, which carries them (see `load_run_state`).
+    The file stores `trained` and `mask`, with the sha256 of `initial`. A
+    directory without `round_000.json` first gets one, made from
+    `baseline`, a full mask and `rows[:1]`, because every round file takes
+    the run's baseline from it (see `load_run_state`).
     """
     Path(directory).mkdir(parents=True, exist_ok=True)
+    run = dict(arch=cfg.arch, config_hash=config_hash(cfg), initial_sha256=network_sha256(initial))
+    if round_index > 0 and not round_path(directory, 0).exists():
+        first = CheckpointState(**run, round_index=0, mask=full_mask(cfg.arch), trained=baseline,
+                                rows=list(rows[:1]))
+        save_checkpoint(first, round_path(directory, 0))
     path = round_path(directory, round_index)
-    if round_index > 0 and round_path(directory, 0).exists():
-        initial = baseline = None
-    save_checkpoint(
-        CheckpointState(
-            arch=cfg.arch,
-            round_index=round_index,
-            config_hash=config_hash(cfg),
-            initial=initial,
-            baseline=baseline,
-            mask=mask,
-            trained=trained,
-            rows=list(rows),
-        ),
-        path,
-    )
+    state = CheckpointState(**run, round_index=round_index, mask=mask, trained=trained,
+                            rows=list(rows))
+    save_checkpoint(state, path)
     return path

@@ -17,10 +17,12 @@ from typing import Optional
 from .errors import DataFormatError, NumericalError, UsageError
 from .checkpoint import (
     CheckpointState,
+    RunState,
     config_hash,
     latest_round_path,
     load_checkpoint,
     load_run_state,
+    network_sha256,
     save_checkpoint,
 )
 from .config import build_datasets, load_spec, seed_configs
@@ -85,22 +87,15 @@ def _cmd_train(args) -> int:
     print(f"final accuracy {history[-1][1]:.4f} (best {max(a for _, a in history):.4f})")
 
     if args.save:
-        state = CheckpointState(
-            arch=arch,
-            round_index=0,
-            config_hash=config_hash(cfg),
-            initial=net,
-            baseline=trained,
-            mask=mask,
-            trained=trained,
-            rows=[],
-        )
+        state = CheckpointState(arch=arch, round_index=0, config_hash=config_hash(cfg),
+                                initial_sha256=network_sha256(net), mask=mask, trained=trained,
+                                rows=[])
         save_checkpoint(state, args.save)
         print(f"checkpoint written to {args.save}")
     return 0
 
 
-def _newest_run_state(checkpoint_dir: Path, cfg: LotteryConfig) -> Optional[CheckpointState]:
+def _newest_run_state(checkpoint_dir: Path, cfg: LotteryConfig) -> Optional[RunState]:
     """Run state of the newest round file in `checkpoint_dir` that loads; None if there is none.
 
     Files that `load_run_state` refuses (damaged, or of another run) are

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -115,6 +116,10 @@ def parse_spec(obj: dict, base_dir: Optional[Path] = None) -> ExperimentSpec:
     for key in ("experiment_id", "output_dir"):
         if not isinstance(obj.get(key, ""), str):
             raise UsageError(f"{key} must be a string, got {obj[key]!r}")
+    # The id names the record CSV and the checkpoint directories in output_dir.
+    experiment_id = obj.get("experiment_id", "")
+    if experiment_id in (".", "..") or {"/", os.sep, os.altsep} & set(experiment_id):
+        raise UsageError(f"experiment_id must be a plain file name, got {experiment_id!r}")
 
     if not isinstance(obj["arch"], list):
         raise UsageError(f"arch must be a list of layer sizes, got {obj['arch']!r}")
@@ -140,6 +145,8 @@ def parse_spec(obj: dict, base_dir: Optional[Path] = None) -> ExperimentSpec:
         if not isinstance(seeds, list) or not seeds:
             raise UsageError("seeds must be a non-empty list of integers")
         seeds = tuple(check_int(s, "seed") for s in seeds)
+        if len(set(seeds)) != len(seeds):
+            raise UsageError(f"seeds must not repeat, got {list(seeds)}")
     checkpoint = obj.get("checkpoint", False)
     if not isinstance(checkpoint, bool):
         raise UsageError(f"checkpoint must be true or false, got {checkpoint!r}")

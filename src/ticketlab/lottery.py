@@ -173,7 +173,7 @@ def _run_rounds(
 
     if resume_from is not None:
         state = resume_from
-        if not isinstance(state, ckpt.CheckpointState):
+        if not isinstance(state, ckpt.RunState):
             state = ckpt.load_run_state(resume_from, cfg)
         initial, baseline = state.initial, state.baseline
         mask, trained = state.mask, state.trained
@@ -243,11 +243,11 @@ def run_iterative(
     fires after every round. With `checkpoint_dir`, a checkpoint is
     written per round; `resume_from`, a round file's path, continues from
     it bit-identically to an uninterrupted run. It is read by
-    `load_run_state(resume_from, cfg)`, which takes the iteration-0
-    network and the baseline from `round_000.json` beside the file when
-    the file lacks them, and raises DataFormatError when either file
-    belongs to another run (another config hash or arch). `resume_from`
-    may also be a CheckpointState that `load_run_state` returned for `cfg`.
+    `load_run_state(resume_from, cfg)`, which regenerates the iteration-0
+    network from `cfg`, takes the baseline from `round_000.json` beside
+    the file, and raises DataFormatError when either file belongs to
+    another run (another config hash, arch or iteration-0 network).
+    `resume_from` may also be the RunState it returned for `cfg`.
     """
     if cfg.mode != "iterative":
         raise UsageError(f"run_iterative needs mode='iterative', got {cfg.mode!r}")

@@ -75,9 +75,8 @@ def flip_stored_row_bit(path):
 def decode_checkpoint(path):
     """The header of checkpoint `path` with its stored arrays in place.
 
-    `initial`, `baseline` and `trained` become {"weights", "biases"} of
-    little-endian float64 arrays (`initial` and `baseline` None when not
-    stored), and `mask` a list of bool layers unpacked from their bits. The
+    `trained` becomes {"weights", "biases"} of little-endian float64
+    arrays, and `mask` a list of bool layers unpacked from their bits. The
     shapes come from `arch`, and the arrays must fill the data section
     exactly.
     """
@@ -91,15 +90,10 @@ def decode_checkpoint(path):
         offset += a.nbytes
         return a.copy()
 
-    def net():
-        return {
-            "weights": [take(o * i, _FLOAT).reshape(o, i) for o, i in shapes],
-            "biases": [take(o, _FLOAT) for o, _ in shapes],
-        }
-
-    for key in ("initial", "baseline"):
-        header[key] = net() if header[key] else None
-    header["trained"] = net()
+    header["trained"] = {
+        "weights": [take(o * i, _FLOAT).reshape(o, i) for o, i in shapes],
+        "biases": [take(o, _FLOAT) for o, _ in shapes],
+    }
     header["mask"] = [
         np.unpackbits(take(-(-o * i // 8), np.uint8), count=o * i).view(bool).reshape(o, i)
         for o, i in shapes
@@ -109,20 +103,12 @@ def decode_checkpoint(path):
 
 
 def encode_checkpoint(path, payload):
-    """Inverse of `decode_checkpoint`, with the CRC recomputed.
-
-    The header says a network is stored when the payload holds one; the
-    arrays are written as they are, whatever `arch` says.
-    """
+    """Inverse of `decode_checkpoint`, with the CRC recomputed; the arrays are
+    written as they are, whatever `arch` says."""
     header = {key: value for key, value in payload.items() if key not in ("trained", "mask")}
-    chunks = []
-    for key in ("initial", "baseline", "trained"):
-        net = payload[key]
-        if net is not None:
-            chunks += [np.ascontiguousarray(a, _FLOAT).tobytes()
-                       for a in net["weights"] + net["biases"]]
-    for key in ("initial", "baseline"):
-        header[key] = payload[key] is not None
+    trained = payload["trained"]
+    chunks = [np.ascontiguousarray(a, _FLOAT).tobytes()
+              for a in trained["weights"] + trained["biases"]]
     chunks += [np.packbits(m).tobytes() for m in payload["mask"]]
     write_checkpoint(path, header, b"".join(chunks))
 
@@ -146,20 +132,20 @@ def edit_header(path, edit):
 
 def _map_arrays(payload, fn):
     """Replace each array `a` of a decoded payload by `fn(a)`."""
-    for key in ("initial", "baseline", "trained"):
-        if payload[key] is not None:
-            for part in ("weights", "biases"):
-                payload[key][part] = [fn(a) for a in payload[key][part]]
+    for part in ("weights", "biases"):
+        payload["trained"][part] = [fn(a) for a in payload["trained"][part]]
     payload["mask"] = [fn(m) for m in payload["mask"]]
 
 
 def as_old_version(path, version, encode_array):
     """Rewrite checkpoint `path` as one JSON document of an earlier format `version`,
-    each array replaced by `encode_array(a)` and the mask layers as uint8 0/1."""
+    each array replaced by `encode_array(a)` and the mask layers as uint8 0/1,
+    storing neither `initial` nor `baseline` (as a later round's file did)."""
     payload = decode_checkpoint(path)
     payload["mask"] = [m.astype(np.uint8) for m in payload["mask"]]
     _map_arrays(payload, encode_array)
-    payload["format_version"] = version
+    del payload["initial_sha256"]
+    payload.update(format_version=version, initial=None, baseline=None)
     Path(path).write_text(json.dumps(payload))
 
 
@@ -171,7 +157,7 @@ def as_v1(path):
 def as_v4(path):
     """Rewrite checkpoint `path` in format v4: a header line giving every array's shape
     and the CRC of the data, then the arrays in the order initial, baseline, mask
-    (uint8 0/1), trained."""
+    (uint8 0/1), trained; this one stores neither `initial` nor `baseline`."""
     payload = decode_checkpoint(path)
     data = []
 
@@ -179,18 +165,25 @@ def as_v4(path):
         data.extend(np.ascontiguousarray(a, dtype).tobytes() for a in arrays)
         return [list(a.shape) for a in arrays]
 
-    def net(n):
-        if n is None:
-            return None
-        return {"weights": shapes(n["weights"], "<f8"), "biases": shapes(n["biases"], "<f8")}
-
+    del payload["initial_sha256"]
     header = {
         **payload,
         "format_version": 4,
-        "initial": net(payload["initial"]),
-        "baseline": net(payload["baseline"]),
+        "initial": None,
+        "baseline": None,
         "mask": shapes(payload["mask"], "u1"),
-        "trained": net(payload["trained"]),
+        "trained": {"weights": shapes(payload["trained"]["weights"], "<f8"),
+                    "biases": shapes(payload["trained"]["biases"], "<f8")},
     }
     header["crc32"] = zlib.crc32(b"".join(data))
     Path(path).write_bytes(json.dumps(header).encode("utf-8") + b"\n" + b"".join(data))
+
+
+def as_v5(path):
+    """Rewrite checkpoint `path` in format v5, which had the v6 layout except that
+    the header's booleans `initial` and `baseline` said whether those networks
+    were stored before `trained`; this one stores neither, as a later round's file did."""
+    header, data = read_checkpoint(path)
+    del header["initial_sha256"]
+    write_checkpoint(path, {**header, "format_version": 5, "initial": False, "baseline": False},
+                     data)

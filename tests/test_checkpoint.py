@@ -16,6 +16,7 @@ from ticketlab import (
     gen_synthetic,
     init_network,
     load_checkpoint,
+    rng,
     run_iterative,
     run_one_shot,
     save_checkpoint,
@@ -25,6 +26,7 @@ from ticketlab.checkpoint import (
     CheckpointState,
     latest_round_path,
     load_run_state,
+    network_sha256,
     save_round,
 )
 from ticketlab.results import RoundRow
@@ -33,6 +35,7 @@ from conftest import (
     as_old_version,
     as_v1,
     as_v4,
+    as_v5,
     decode_checkpoint,
     edit_checkpoint,
     edit_header,
@@ -56,8 +59,7 @@ def make_state(round_index=2, arch=(4, 5, 3)):
         arch=arch,
         round_index=round_index,
         config_hash=config_hash(cfg_iterative(arch=arch)),
-        initial=init_network(arch, seed=1),
-        baseline=init_network(arch, seed=2),
+        initial_sha256=network_sha256(init_network(arch, seed=1)),
         mask=mask,
         trained=apply_mask(init_network(arch, seed=3), mask),
         rows=[RoundRow(0, 0.0, 0.525, 0.55, 1.0986, 0.0, 0.0, 0, 0.1)],
@@ -98,8 +100,7 @@ class TestSaveLoad:
         assert back.arch == state.arch
         assert back.round_index == state.round_index
         assert back.config_hash == state.config_hash
-        assert networks_equal(back.initial, state.initial)
-        assert networks_equal(back.baseline, state.baseline)
+        assert back.initial_sha256 == state.initial_sha256
         assert networks_equal(back.trained, state.trained)
         assert masks_equal(back.mask, state.mask)
         assert back.rows == state.rows
@@ -115,10 +116,10 @@ class TestSaveLoad:
             assert masks_equal(load_checkpoint(path).mask, state.mask), arch
 
     def test_save_refuses_state_its_arch_does_not_describe(self, tmp_path):
-        """A v5 file takes every shape from `arch`, so it must not be written otherwise."""
+        """A file takes every shape from `arch`, so it must not be written otherwise."""
         path = tmp_path / "ckpt.json"
         state = make_state()
-        state.baseline = init_network((4, 6, 3), seed=2)
+        state.trained = init_network((4, 6, 3), seed=2)
         with pytest.raises(ShapeError, match="layer sizes"):
             save_checkpoint(state, path)
         state = make_state()
@@ -166,16 +167,17 @@ class TestSaveLoad:
         state = make_state()
         extremes = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
                     0.1, 1 / 3, 2.2250738585072014e-308, 1.2345678901234567e-7]
-        state.initial.weights[0].flat[: len(extremes)] = extremes
-        state.initial.biases[0][:] = [-0.0, 5e-324, 0.30000000000000004, 1e308, -1e-308]
+        # Kept positions only: the first two weights of layer 0 are pruned, so +0.0.
+        state.trained.weights[0].flat[2 : 2 + len(extremes)] = extremes
+        state.trained.biases[0][:] = [-0.0, 5e-324, 0.30000000000000004, 1e308, -1e-308]
         path = tmp_path / "ckpt.json"
         save_checkpoint(state, path)
-        stored = decode_checkpoint(path)["initial"]["biases"][0]
-        assert stored.tobytes() == state.initial.biases[0].astype("<f8").tobytes()
+        stored = decode_checkpoint(path)["trained"]["biases"][0]
+        assert stored.tobytes() == state.trained.biases[0].astype("<f8").tobytes()
         back = load_checkpoint(path)
         for saved, loaded in zip(
-            state.initial.weights + state.initial.biases + state.trained.weights,
-            back.initial.weights + back.initial.biases + back.trained.weights,
+            state.trained.weights + state.trained.biases,
+            back.trained.weights + back.trained.biases,
         ):
             assert loaded.dtype == np.float64 and loaded.flags.writeable
             assert np.array_equal(loaded.view(np.uint64), saved.view(np.uint64))
@@ -187,7 +189,7 @@ class TestSaveLoad:
         path = tmp_path / "ckpt.json"
         save_checkpoint(state, path)
         floats = sum(w.size + b.size for w, b in zip(state.trained.weights, state.trained.biases))
-        raw_bytes = 3 * 8 * floats + state.mask.total_count() / 8
+        raw_bytes = 8 * floats + state.mask.total_count() / 8
         assert path.stat().st_size <= 1.01 * raw_bytes
 
     def test_v1_decimal_checkpoint_rejected(self, tmp_path):
@@ -201,17 +203,20 @@ class TestSaveLoad:
 
     def test_v2_and_v3_checkpoints_rejected(self, tmp_path):
         """Versions 2 and 3 were one JSON document with base64 arrays, version 4 a header
-        line of shape lists before the raw arrays; no reader is kept for any of them."""
+        line of shape lists before the raw arrays, version 5 up to three networks a
+        file; no reader is kept for any of them."""
         path = tmp_path / "ckpt.json"
-        for version in (2, 3, 4):
+        for version in (2, 3, 4, 5):
             save_checkpoint(make_state(), path)
             if version == 4:
                 as_v4(path)
+            elif version == 5:
+                as_v5(path)
             else:
                 as_old_version(path, version, lambda a: {
                     "shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")
                 })
-            with pytest.raises(DataFormatError, match=f"format version {version}, .* version 5"):
+            with pytest.raises(DataFormatError, match=f"format version {version}, .* version 6"):
                 load_checkpoint(path)
 
     @pytest.mark.parametrize(
@@ -219,8 +224,8 @@ class TestSaveLoad:
         [
             pytest.param(edited(lambda p: p.__setitem__("arch", [1, 2])), "arch",
                          id="arch-mismatch"),
-            pytest.param(header_edited(lambda h: h.__setitem__("initial", 1)),
-                         "initial must be true or false", id="initial-not-bool"),
+            pytest.param(header_edited(lambda h: h.__setitem__("initial_sha256", 1)),
+                         "initial_sha256 must be a string", id="initial-sha256-not-string"),
             pytest.param(header_edited(lambda h: h.__setitem__("config_hash", 5)),
                          "config_hash must be a string", id="config-hash-not-string"),
             pytest.param(flip_last_data_byte, "CRC", id="flipped-data-byte"),
@@ -257,28 +262,45 @@ class TestSaveLoad:
         assert arch == (4, 5, 3) and all(type(s) is int for s in arch)
 
     def test_file_of_another_run_rejected(self, tmp_path):
-        """`load_run_state` and a resume refuse a file, or the round 0 it borrows
-        from, written under another config hash than the caller's."""
+        """`load_run_state` regenerates `initial` and takes `baseline` from round 0;
+        it and a resume refuse a file, or the round 0 beside it, written under
+        another config hash or from another iteration-0 network than the caller's."""
         cfg = cfg_iterative(arch=(4, 5, 3))
         other = cfg_iterative(arch=(4, 5, 3), per_round_fraction=0.25)
-        whole = tmp_path / "whole" / "round_002.json"
-        whole.parent.mkdir()
-        save_checkpoint(make_state(), whole)
-        assert load_run_state(whole, cfg).round_index == 2
-        with pytest.raises(DataFormatError, match=f"{whole} belongs to another run"):
-            load_run_state(whole, other)
-        with pytest.raises(DataFormatError, match="another run"):
-            run_iterative(other, *TINY_DATA, resume_from=whole)
-
-        lean = make_state()
-        lean.initial = lean.baseline = None
-        save_checkpoint(lean, tmp_path / "round_002.json")
+        path = tmp_path / "round_002.json"
+        save_checkpoint(make_state(), path)
         first = make_state(round_index=0)
+        first.trained = init_network((4, 5, 3), seed=4)
+        save_checkpoint(first, tmp_path / "round_000.json")
+        state = load_run_state(path, cfg)
+        assert state.round_index == 2
+        assert networks_equal(state.initial, init_network((4, 5, 3), seed=1))
+        assert networks_equal(state.baseline, first.trained)
+        assert networks_equal(load_run_state(tmp_path / "round_000.json", cfg).baseline,
+                              first.trained)
+        with pytest.raises(DataFormatError, match=f"{path} belongs to another run"):
+            load_run_state(path, other)
+        with pytest.raises(DataFormatError, match="another run"):
+            run_iterative(other, *TINY_DATA, resume_from=path)
+
         first.config_hash = config_hash(other)
         save_checkpoint(first, tmp_path / "round_000.json")
         with pytest.raises(DataFormatError, match="round_000.json .*belongs to another run"):
-            load_run_state(tmp_path / "round_002.json", cfg)
+            load_run_state(path, cfg)
         assert load_run_state(tmp_path / "round_000.json", other).round_index == 0
+
+        header_edited(lambda h: h.__setitem__("initial_sha256", "0" * 64))(path)
+        with pytest.raises(DataFormatError, match="initial sha256 000000000000... vs "):
+            load_run_state(path, cfg)
+
+
+def test_regenerated_bits_are_pinned():
+    """A resume regenerates the iteration-0 network, so a change to `rng` or
+    `init_network` must fail here before it fails a resume."""
+    assert rng.raw64(0, 2).tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
+    assert network_sha256(init_network((784, 300, 100, 10), 1)) == (
+        "d18e5d95d9fdd900329755d80836efa4c9993c58f5b427e6e7888415918b6ece"
+    )
 
 
 def test_latest_round_path_orders_by_integer_index(tmp_path):
@@ -326,12 +348,14 @@ class TestResumeEquivalence:
             passes = cfg.fisher.sample_count if cfg.fisher else 0
             assert [row.backward_passes for row in full_record.rows] == [0] + [passes] * 4, name
             assert latest_round_path(directory).name == "round_004.json", name
-            # Round 0 holds the networks that never change; later rounds leave them out.
+            # Every file, round 0 included, holds one network and its mask.
+            digest = network_sha256(init_network(cfg.arch, cfg.init_seed))
+            data_bytes = set()
             for r in range(5):
-                payload, _ = read_checkpoint(directory / f"round_{r:03d}.json")
-                assert payload["format_version"] == 5
-                for net in ("initial", "baseline"):
-                    assert payload[net] == (r == 0)
+                header, data = read_checkpoint(directory / f"round_{r:03d}.json")
+                assert (header["format_version"], header["initial_sha256"]) == (6, digest)
+                data_bytes.add(len(data))
+            assert data_bytes == {8 * (6 * 8 + 8 + 8 * 3 + 3) + 6 + 3}, name
 
             for resume_round in range(4):
                 resumed = run(
@@ -375,25 +399,21 @@ class TestResumeEquivalence:
         resumed = run_iterative(cfg, train_data, test_data, resume_from=latest)
         assert strip_seconds(resumed.rows) == strip_seconds(full_record.rows)
 
-    def test_lone_round_file_resumes_bit_identically(self, tmp_path):
+    def test_save_round_into_empty_directory_writes_round_0(self, tmp_path):
+        """A round file saved into a directory without round 0 first writes the
+        `round_000.json` that an uninterrupted run writes, and resumes as one."""
         train_data = gen_synthetic(3, 6, 60, seed=5, noise=0.2)
         test_data = gen_synthetic(3, 6, 20, seed=77, noise=0.2)
         cfg = cfg_iterative(rounds=4)
-        full_record = run_iterative(cfg, train_data, test_data, checkpoint_dir=tmp_path / "run")
-        state = load_run_state(tmp_path / "run" / "round_002.json", cfg)
+        run = tmp_path / "run"
+        full_record = run_iterative(cfg, train_data, test_data, checkpoint_dir=run)
+        state = load_run_state(run / "round_002.json", cfg)
 
-        # A directory without round 0 gets self-contained round files.
         crash = tmp_path / "crash"
-        lone = save_round(crash, cfg, 2, state.initial, state.baseline, state.mask,
-                          state.trained, state.rows)
-        resumed = run_iterative(cfg, train_data, test_data, checkpoint_dir=crash, resume_from=lone)
+        later = save_round(crash, cfg, 2, state.initial, state.baseline, state.mask,
+                           state.trained, state.rows)
+        assert sorted(p.name for p in crash.iterdir()) == ["round_000.json", "round_002.json"]
+        for name in ("round_000.json", "round_002.json"):
+            assert (crash / name).read_bytes() == (run / name).read_bytes(), name
+        resumed = run_iterative(cfg, train_data, test_data, resume_from=later)
         assert strip_seconds(resumed.rows) == strip_seconds(full_record.rows)
-        assert sorted(p.name for p in crash.iterdir()) == [
-            "round_002.json", "round_003.json", "round_004.json"
-        ]
-        for path in crash.iterdir():
-            payload, _ = read_checkpoint(path)
-            assert payload["initial"] and payload["baseline"]
-            back = load_checkpoint(path)
-            assert networks_equal(back.initial, state.initial)
-            assert networks_equal(back.baseline, state.baseline)

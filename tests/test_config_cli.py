@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ticketlab import UsageError, load_spec, read_records_csv, save_checkpoint, seed_configs
+from ticketlab import UsageError, load_spec, read_records_csv, seed_configs
 from ticketlab.checkpoint import load_run_state
 from ticketlab.cli import main
 from ticketlab.config import build_datasets
@@ -12,6 +12,7 @@ from ticketlab.results import RECORD_COLUMNS
 from conftest import (
     as_v1,
     as_v4,
+    as_v5,
     edit_checkpoint,
     edit_header,
     flip_last_data_byte,
@@ -212,20 +213,11 @@ class TestCli:
         assert sorted(p.name for p in ckpt_dir.iterdir()) == [
             "round_000.json", "round_001.json", "round_002.json"
         ]
-        for r, path in enumerate(sorted(ckpt_dir.iterdir())):
-            payload, _ = read_checkpoint(path)
-            assert payload["initial"] == payload["baseline"] == (r == 0)
-
-        # `inspect` reads a round file as it is: a lean one reports what a full one does.
-        lean = ckpt_dir / "round_001.json"
-        cfg = seed_configs(load_spec(spec))[0]
-        save_checkpoint(load_run_state(lean, cfg), tmp_path / "full.json")
+        # Every round file, round 0 included, holds one network and its mask.
+        assert len({len(read_checkpoint(path)[1]) for path in ckpt_dir.iterdir()}) == 1
         capsys.readouterr()
-        assert main(["inspect", str(lean)]) == 0
-        lean_report = capsys.readouterr().out
-        assert main(["inspect", str(tmp_path / "full.json")]) == 0
-        assert capsys.readouterr().out == lean_report
-        assert "round index       1\n" in lean_report
+        assert main(["inspect", str(ckpt_dir / "round_001.json")]) == 0
+        assert "round index       1\n" in capsys.readouterr().out
 
         # Drop the final checkpoint to simulate an interruption, then resume from round 1.
         (ckpt_dir / "round_002.json").unlink()
@@ -364,6 +356,9 @@ class TestCli:
             ),
             pytest.param(lottery_with(output_dir=5), id="spec-output-dir-non-string"),
             pytest.param(lottery_with(experiment_id=5), id="spec-experiment-id-non-string"),
+            pytest.param(lottery_with(seeds=[1, 1]), id="spec-seeds-duplicate"),
+            pytest.param(lottery_with(experiment_id="a/b"), id="spec-experiment-id-path"),
+            pytest.param(lottery_with(experiment_id=".."), id="spec-experiment-id-parent"),
         ],
     )
     def test_non_integer_values_exit_1(self, tmp_path, capsys, argv):
@@ -438,6 +433,10 @@ class TestCli:
                 id="inspect-v4-checkpoint",
             ),
             pytest.param(
+                lambda tmp: ["inspect", write_corrupt_checkpoint(tmp, as_v5)],
+                id="inspect-v5-checkpoint",
+            ),
+            pytest.param(
                 lambda tmp: ["inspect", write_corrupt_checkpoint(
                     tmp, lambda path: edit_header(path, lambda h: h.__setitem__("round_index", 2.5)))],
                 id="inspect-round-index-non-integral",
@@ -448,9 +447,9 @@ class TestCli:
                 id="resume-round-0-corrupt",
             ),
             pytest.param(
-                resume_after(lambda p: edit_checkpoint(
-                    p, lambda d: d.update(initial=None, baseline=None))),
-                id="resume-round-0-lacks-networks",
+                resume_after(lambda p: edit_header(
+                    p, lambda h: h.__setitem__("initial_sha256", "0" * 64))),
+                id="resume-initial-digest-mismatch",
             ),
             pytest.param(
                 resume_after(lambda p: edit_checkpoint(
