@@ -130,12 +130,10 @@ def load_checkpoint(path) -> CheckpointState:
 
     A file without a header line, a file that fails its CRC, a malformed
     header field, or a data section whose length differs from the one
-    `arch` gives marks the file corrupt.
+    `arch` gives marks the file corrupt (DataFormatError). A file that
+    cannot be read raises its OSError.
     """
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise DataFormatError(f"cannot read checkpoint {path}: {exc}") from exc
+    raw = Path(path).read_bytes()
     # Versions 1-3 are one JSON document without a newline; parsing it
     # whole lets them fail on their version rather than on the layout.
     end = raw.find(b"\n")
@@ -250,16 +248,25 @@ def _round_index(path: Path) -> Optional[int]:
     return int(index) if index.isdecimal() else None
 
 
-def save_round(directory, cfg, round_index, initial, baseline, mask, trained, rows) -> Path:
+def run_fields(cfg, initial) -> dict:
+    """The header fields that every round file of a run of `cfg` shares."""
+    return dict(arch=cfg.arch, config_hash=config_hash(cfg), initial_sha256=network_sha256(initial))
+
+
+def save_round(directory, cfg, round_index, initial, baseline, mask, trained, rows,
+               run: Optional[dict] = None) -> Path:
     """Write the checkpoint of one round of the experiment loop.
 
     The file stores `trained` and `mask`, with the sha256 of `initial`. A
     directory without `round_000.json` first gets one, made from
     `baseline`, a full mask and `rows[:1]`, because every round file takes
-    the run's baseline from it (see `load_run_state`).
+    the run's baseline from it (see `load_run_state`). A caller that saves
+    many rounds passes `run`, its `run_fields(cfg, initial)` taken once, so
+    that no save hashes the config and `initial` again.
     """
     Path(directory).mkdir(parents=True, exist_ok=True)
-    run = dict(arch=cfg.arch, config_hash=config_hash(cfg), initial_sha256=network_sha256(initial))
+    if run is None:
+        run = run_fields(cfg, initial)
     if round_index > 0 and not round_path(directory, 0).exists():
         first = CheckpointState(**run, round_index=0, mask=full_mask(cfg.arch), trained=baseline,
                                 rows=list(rows[:1]))

@@ -3,8 +3,8 @@
 Commands: `train` (fit a dense classifier), `lottery` (run an experiment
 spec), `report` (assemble figure data from record CSVs), `inspect`
 (sparsity and connectivity of a checkpoint), `selftest` (invariant
-battery). Exit codes: 0 success, 1 usage error, 2 data/format error,
-3 numerical failure.
+battery). Exit codes: 0 success, 1 usage error, 2 data/format error or
+a file that cannot be read or written (any OSError), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ def _cmd_train(args) -> int:
         learning_rate=args.learning_rate,
         train_batch_size=args.batch_size,
         seed=args.seed,
-        shuffle_each_epoch=not args.no_shuffle,
     )
     net = init_network(arch, args.seed)
     mask = full_mask(arch)
@@ -98,16 +97,16 @@ def _cmd_train(args) -> int:
 def _newest_run_state(checkpoint_dir: Path, cfg: LotteryConfig) -> Optional[RunState]:
     """Run state of the newest round file in `checkpoint_dir` that loads; None if there is none.
 
-    Files that `load_run_state` refuses (damaged, or of another run) are
-    skipped and named on stderr. If round files exist but none loads, the
-    DataFormatError names each one's fault.
+    Files that `load_run_state` refuses (damaged, unreadable, or of
+    another run) are skipped and named on stderr. If round files exist but
+    none loads, the DataFormatError names each one's fault.
     """
     faults = []
     path = latest_round_path(checkpoint_dir)
     while path is not None:
         try:
             state = load_run_state(path, cfg)
-        except DataFormatError as exc:
+        except (DataFormatError, OSError) as exc:
             faults.append(str(exc))
             path = latest_round_path(checkpoint_dir, older_than=path)
             continue
@@ -213,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", type=float, default=0.1)
     p.add_argument("--batch-size", type=int, default=128)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-shuffle", action="store_true", help="fixed batch order every epoch")
     p.add_argument("--save", help="write a checkpoint of the trained network")
     p.set_defaults(func=_cmd_train)
 
@@ -250,7 +248,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DataFormatError as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

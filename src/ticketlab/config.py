@@ -128,8 +128,6 @@ def parse_spec(obj: dict, base_dir: Optional[Path] = None) -> ExperimentSpec:
     for key, cls in _SECTIONS.items():
         if key in obj:
             lottery_kwargs[key] = _section(cls, obj[key], key)
-    if "train" in obj and "final_train" not in obj:
-        lottery_kwargs["final_train"] = lottery_kwargs["train"]
     if "one_shot_targets" in obj:
         targets = obj["one_shot_targets"]
         if not (isinstance(targets, list) and all(is_number(t) for t in targets)):
@@ -161,12 +159,10 @@ def parse_spec(obj: dict, base_dir: Optional[Path] = None) -> ExperimentSpec:
 
 
 def load_spec(path) -> ExperimentSpec:
-    """Read and validate a spec file."""
+    """Read and validate a spec file; an unreadable one raises its OSError."""
     path = Path(path)
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise UsageError(f"cannot read spec {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"spec {path} is not valid JSON: {exc}") from exc
     try:

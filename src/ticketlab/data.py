@@ -50,24 +50,21 @@ def _read_header(f, path, expected_magic: int, dims: int, what: str) -> tuple[in
 def load_idx(images_path, labels_path) -> Dataset:
     """Parse an IDX image/label file pair into a flat float dataset.
 
-    Raises DataFormatError on an unreadable file, a wrong magic number
-    (reporting the offending bytes), truncation, or an image/label count
-    mismatch.
+    Raises DataFormatError on a wrong magic number (reporting the
+    offending bytes), truncation, or an image/label count mismatch, and
+    the OSError of a file that cannot be read.
     """
     images_path, labels_path = Path(images_path), Path(labels_path)
-    try:
-        with open(images_path, "rb") as f:
-            count, n_rows, n_cols = _read_header(f, images_path, IMAGES_MAGIC, 3, "image")
-            pixels = np.frombuffer(
-                _read_exact(f, count * n_rows * n_cols, images_path, "pixel data"), dtype=np.uint8
-            )
-        with open(labels_path, "rb") as f:
-            (label_count,) = _read_header(f, labels_path, LABELS_MAGIC, 1, "label")
-            labels = np.frombuffer(
-                _read_exact(f, label_count, labels_path, "label data"), dtype=np.uint8
-            )
-    except OSError as exc:
-        raise DataFormatError(f"cannot read IDX file: {exc}") from exc
+    with open(images_path, "rb") as f:
+        count, n_rows, n_cols = _read_header(f, images_path, IMAGES_MAGIC, 3, "image")
+        pixels = np.frombuffer(
+            _read_exact(f, count * n_rows * n_cols, images_path, "pixel data"), dtype=np.uint8
+        )
+    with open(labels_path, "rb") as f:
+        (label_count,) = _read_header(f, labels_path, LABELS_MAGIC, 1, "label")
+        labels = np.frombuffer(
+            _read_exact(f, label_count, labels_path, "label data"), dtype=np.uint8
+        )
     if count != label_count:
         raise DataFormatError(
             f"{images_path} has {count} images but {labels_path} has {label_count} labels"

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes: UsageError -> 1,
-DataFormatError -> 2, NumericalError -> 3.
+DataFormatError -> 2, NumericalError -> 3. The library raises no error
+of its own for a file it cannot read or write: the OSError goes through
+as the OS reports it, and the CLI maps it to exit 2 as well.
 """
 
 
@@ -18,7 +20,7 @@ class ShapeError(UsageError):
 
 
 class DataFormatError(TicketLabError):
-    """A file on disk is malformed: bad magic, truncation, version mismatch."""
+    """A file's content is malformed: bad magic, truncation, version mismatch."""
 
 
 class NumericalError(TicketLabError):

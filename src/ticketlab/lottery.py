@@ -25,6 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NumericalError, TicketLabError, UsageError
+from . import checkpoint as ckpt
 from . import rng
 from .masks import PruneMask, apply_mask, full_mask, rewind, sparsity
 from .metrics import MovementReport, weight_movement
@@ -42,7 +43,11 @@ _DATA_STREAM = 6
 
 @dataclass(frozen=True)
 class LotteryConfig:
-    """Everything needed to reproduce one experiment bit-for-bit."""
+    """Everything needed to reproduce one experiment bit-for-bit.
+
+    An omitted `final_train` is `train`; an omitted `experiment_id` is
+    `<strategy>-<mode>` (the record's seed column tells seeds apart).
+    """
 
     arch: tuple[int, ...]
     strategy: str
@@ -53,7 +58,7 @@ class LotteryConfig:
     data_seed: int = 0
     strategy_seed: int = 0
     train: TrainConfig = TrainConfig()
-    final_train: TrainConfig = TrainConfig()
+    final_train: Optional[TrainConfig] = None
     fisher: Optional[FisherConfig] = None
     one_shot_targets: Optional[tuple[float, ...]] = None
     experiment_id: str = ""
@@ -61,6 +66,8 @@ class LotteryConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "arch", check_layer_sizes(self.arch))
         check_int_fields(self, rounds=1, init_seed=None, data_seed=None, strategy_seed=None)
+        if self.final_train is None:
+            object.__setattr__(self, "final_train", self.train)
         if self.strategy not in STRATEGIES:
             raise UsageError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.mode not in MODES:
@@ -79,9 +86,7 @@ class LotteryConfig:
                 raise UsageError(f"one_shot_targets must lie in [0, 1], got {targets}")
             object.__setattr__(self, "one_shot_targets", targets)
         if not self.experiment_id:
-            object.__setattr__(
-                self, "experiment_id", f"{self.strategy}-{self.mode}-seed{self.init_seed}"
-            )
+            object.__setattr__(self, "experiment_id", f"{self.strategy}-{self.mode}")
 
 
 RoundHook = Callable[[int, PruneMask, DenseNetwork, DenseNetwork], None]
@@ -160,8 +165,6 @@ def _run_rounds(
     on_round: Optional[RoundHook],
 ) -> ExperimentRecord:
     """The round loop of both modes; round 0 trains the dense network."""
-    from . import checkpoint as ckpt
-
     if cfg.strategy == "fisher" and cfg.fisher.sample_count > len(train_data):
         raise UsageError(
             f"fisher sample_count {cfg.fisher.sample_count} exceeds the "
@@ -179,10 +182,14 @@ def _run_rounds(
         mask, trained = state.mask, state.trained
         rows = list(state.rows)
         first_round = state.round_index + 1
+        # load_run_state has checked these against cfg and the regenerated `initial`.
+        run = dict(arch=state.arch, config_hash=state.config_hash,
+                   initial_sha256=state.initial_sha256)
     else:
         initial = init_network(cfg.arch, cfg.init_seed)
         rows = []
         first_round = 0
+        run = ckpt.run_fields(cfg, initial) if checkpoint_dir is not None else None
 
     scores = None
     for r in range(first_round, last + 1):
@@ -212,7 +219,7 @@ def _run_rounds(
         if on_round is not None:
             on_round(r, mask, start_net, trained)
         if checkpoint_dir is not None:
-            ckpt.save_round(checkpoint_dir, cfg, r, initial, baseline, mask, trained, rows)
+            ckpt.save_round(checkpoint_dir, cfg, r, initial, baseline, mask, trained, rows, run)
 
     return ExperimentRecord(
         experiment_id=cfg.experiment_id,

@@ -133,10 +133,6 @@ class DenseNetwork:
         return (self.weights[0].shape[1],) + tuple(w.shape[0] for w in self.weights)
 
     @property
-    def num_layers(self) -> int:
-        return len(self.weights)
-
-    @property
     def num_classes(self) -> int:
         return self.weights[-1].shape[0]
 
@@ -165,17 +161,12 @@ class TrainConfig:
     learning_rate: float = 0.1
     train_batch_size: int = 128
     seed: int = 0
-    shuffle_each_epoch: bool = True
 
     def __post_init__(self) -> None:
         check_int_fields(self, epochs=1, train_batch_size=1, seed=None)
         lr = self.learning_rate
         if not (is_number(lr) and lr > 0 and math.isfinite(lr)):
             raise UsageError(f"learning_rate must be a finite number > 0, got {lr!r}")
-        if not isinstance(self.shuffle_each_epoch, bool):
-            raise UsageError(
-                f"shuffle_each_epoch must be true or false, got {self.shuffle_each_epoch!r}"
-            )
 
 
 @dataclass(eq=False)
@@ -479,10 +470,7 @@ def train(
 
     history: list[tuple[float, float]] = []
     for epoch in range(cfg.epochs):
-        if cfg.shuffle_each_epoch:
-            order = rng.permutation(rng.derive(cfg.seed, _SHUFFLE_STREAM, epoch), n)
-        else:
-            order = np.arange(n)
+        order = rng.permutation(rng.derive(cfg.seed, _SHUFFLE_STREAM, epoch), n)
         loss_sum = 0.0
         for start in range(0, n, bs):
             idx = order[start : start + bs]

@@ -126,11 +126,11 @@ def write_atomically(path, chunks: Iterable) -> None:
 
 
 def emit_csv(table: Table, path) -> None:
-    """Write a table to `path` as UTF-8 CSV, atomically (see `write_atomically`)."""
-    try:
-        write_atomically(path, [render_csv(table).encode("utf-8")])
-    except OSError as exc:
-        raise DataFormatError(f"cannot write CSV to {path}: {exc}") from exc
+    """Write a table to `path` as UTF-8 CSV, atomically (see `write_atomically`).
+
+    A failed write raises its OSError and leaves an earlier file at `path` whole.
+    """
+    write_atomically(path, [render_csv(table).encode("utf-8")])
 
 
 def record_table(records: Iterable[ExperimentRecord]) -> Table:
@@ -188,8 +188,6 @@ def read_records_csv(path) -> list[ExperimentRecord]:
                     records[key] = _parse_record(line[:head])
                 cells = zip(_ROW_FIELDS, line[head:])
                 records[key].rows.append(RoundRow(*(_PARSE[f.type](c) for f, c in cells)))
-    except OSError as exc:
-        raise DataFormatError(f"cannot read CSV {path}: {exc}") from exc
     except (ValueError, UsageError) as exc:
         raise DataFormatError(f"{path}: malformed cell: {exc}") from exc
     return list(records.values())

@@ -21,6 +21,7 @@ from ticketlab import (
     run_one_shot,
     save_checkpoint,
 )
+from ticketlab import checkpoint as ckpt
 from ticketlab.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointState,
@@ -398,6 +399,32 @@ class TestResumeEquivalence:
         assert latest.name == "round_002.json"
         resumed = run_iterative(cfg, train_data, test_data, resume_from=latest)
         assert strip_seconds(resumed.rows) == strip_seconds(full_record.rows)
+
+    def test_checkpointed_run_hashes_initial_once(self, tmp_path, monkeypatch):
+        """The header fields every round file shares are taken once per run: from
+        `cfg` and `initial` on a fresh run, from the checked RunState on a resume."""
+        train_data = gen_synthetic(3, 6, 60, seed=5, noise=0.2)
+        test_data = gen_synthetic(3, 6, 20, seed=77, noise=0.2)
+        cfg = cfg_iterative(rounds=3)
+        hashed = []
+
+        def counting_sha256(net):
+            hashed.append(net)
+            return network_sha256(net)
+
+        monkeypatch.setattr(ckpt, "network_sha256", counting_sha256)
+        run_iterative(cfg, train_data, test_data, checkpoint_dir=tmp_path)
+        assert len(hashed) == 1
+        header = read_checkpoint(tmp_path / "round_003.json")[0]
+
+        (tmp_path / "round_003.json").unlink()
+        hashed.clear()
+        run_iterative(cfg, train_data, test_data, checkpoint_dir=tmp_path,
+                      resume_from=tmp_path / "round_002.json")
+        assert len(hashed) == 1  # load_run_state's check of the regenerated network
+        resumed = read_checkpoint(tmp_path / "round_003.json")[0]
+        for key in ("arch", "config_hash", "initial_sha256"):
+            assert resumed[key] == header[key], key
 
     def test_save_round_into_empty_directory_writes_round_0(self, tmp_path):
         """A round file saved into a directory without round 0 first writes the

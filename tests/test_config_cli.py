@@ -99,6 +99,19 @@ def report_on(**csv):
                         write_records_csv(tmp, **csv)]
 
 
+def blocked_by_file(path):
+    """A regular file at `path`, where a directory is wanted; returns its path as text."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("not a directory\n")
+    return str(path)
+
+
+def checkpoint_dir_blocked(tmp):
+    """argv for a checkpointed `lottery` whose seed-1 checkpoint directory is a file."""
+    blocked_by_file(tmp / "out" / "checkpoints-unit-seed1")
+    return lottery_with(output_dir=str(tmp / "out"), checkpoint=True, seeds=[1])(tmp)
+
+
 def write_corrupt_checkpoint(tmp_path, corrupt=flip_last_data_byte):
     """A trained-network checkpoint file, then `corrupt(path)` (default: one data bit flipped)."""
     path = tmp_path / "net.json"
@@ -243,6 +256,42 @@ class TestCli:
         resumed_state = load_run_state(newest, seed_configs(load_spec(spec))[1])
         assert resumed_state.round_index == 2  # the resumed run wrote it again
 
+    def test_resume_skips_newest_checkpoint_that_cannot_be_read(self, tmp_path, capsys):
+        """An OSError on reading a round file skips it as a damaged file is skipped."""
+        out = tmp_path / "out"
+        spec = write_spec(tmp_path, output_dir=str(out), checkpoint=True, seeds=[1])
+        assert main(["lottery", "--config", str(spec)]) == 0
+        first = (out / "unit.csv").read_bytes()
+        newest = out / "checkpoints-unit-seed1" / "round_002.json"
+        newest.unlink()
+        newest.symlink_to(tmp_path / "gone.json")  # dangling: reading it fails
+        capsys.readouterr()
+
+        assert main(["lottery", "--config", str(spec), "--resume"]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("skipped: ") and f"{newest}" in err and err.count("skipped") == 1
+        assert strip_seconds_column((out / "unit.csv").read_bytes()) == strip_seconds_column(first)
+        resumed_state = load_run_state(newest, seed_configs(load_spec(spec))[0])
+        assert resumed_state.round_index == 2  # the resumed run wrote it again
+
+    def test_default_experiment_id_is_shared_by_every_seed(self, tmp_path):
+        """The seed column and the checkpoint directory name tell the seeds apart."""
+        out = tmp_path / "out"
+        obj = spec_dict(output_dir=str(out), checkpoint=True, seeds=[1, 2])
+        del obj["experiment_id"]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(obj))
+        assert [c.experiment_id for c in seed_configs(load_spec(spec))] == ["l1-iterative"] * 2
+
+        assert main(["lottery", "--config", str(spec)]) == 0
+        records = read_records_csv(out / "l1-iterative.csv")
+        assert [(r.experiment_id, r.seed) for r in records] == [
+            ("l1-iterative", 1), ("l1-iterative", 2)
+        ]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "checkpoints-l1-iterative-seed1", "checkpoints-l1-iterative-seed2", "l1-iterative.csv"
+        ]
+
     def test_resume_skips_checkpoint_with_flipped_row_bit(self, tmp_path, capsys):
         """The CRC covers the header, so a changed recorded row does not reach the CSV."""
         out = tmp_path / "out"
@@ -368,12 +417,6 @@ class TestCli:
     @pytest.mark.parametrize(
         "overrides, field",
         [
-            pytest.param({"train": {"shuffle_each_epoch": "x"}}, "shuffle_each_epoch",
-                         id="shuffle-string"),
-            pytest.param({"train": {"shuffle_each_epoch": "no"}}, "shuffle_each_epoch",
-                         id="shuffle-no"),
-            pytest.param({"final_train": {"shuffle_each_epoch": 0}}, "shuffle_each_epoch",
-                         id="final-shuffle-integer"),
             pytest.param({"per_round_fraction": "x"}, "per_round_fraction",
                          id="per-round-fraction-string"),
             pytest.param({"train": {"learning_rate": "x"}}, "learning_rate",
@@ -466,11 +509,32 @@ class TestCli:
                 report_on(row="unit,fisher,iterative,1,6-x-3,10,0,0.0,0.5,0.5,1.0,0.0,0.0,0,0.1"),
                 id="report-malformed-arch",
             ),
+            # Paths the OS refuses to read or write: the OSError maps to exit 2.
+            pytest.param(
+                lambda tmp: lottery_with(output_dir=blocked_by_file(tmp / "out"))(tmp),
+                id="lottery-output-dir-is-file",
+            ),
+            pytest.param(checkpoint_dir_blocked, id="lottery-checkpoint-dir-blocked"),
+            pytest.param(
+                lambda tmp: ["train", "--arch", "6,8,3", "--synthetic", "3,6,10", "--epochs", "1",
+                             "--save", str(tmp / "missing" / "net.json")],
+                id="train-save-into-missing-dir",
+            ),
+            pytest.param(
+                lambda tmp: ["lottery", "--config", str(tmp / "missing.json")],
+                id="lottery-missing-spec",
+            ),
+            pytest.param(
+                lambda tmp: ["report", "--figure", "width_comparison", "--out",
+                             str(tmp / "fig.csv"), str(tmp / "missing.csv")],
+                id="report-missing-csv",
+            ),
         ],
     )
     def test_unreadable_inputs_exit_2(self, tmp_path, capsys, argv):
         assert main(argv(tmp_path)) == 2
-        assert capsys.readouterr().err.startswith("data error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "Traceback" not in err
 
     @pytest.mark.filterwarnings("ignore:(invalid value|overflow)")
     def test_numerical_error_exit_3(self, tmp_path, capsys):

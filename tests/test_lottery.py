@@ -164,7 +164,7 @@ class TestRunOneShot:
         assert record.mode == "one_shot"
         assert record.seed == 1
         assert record.arch == ARCH
-        assert record.experiment_id == "l1-one_shot-seed1"
+        assert record.experiment_id == "l1-one_shot"
 
 
 class TestConfigValidation:
@@ -181,6 +181,12 @@ class TestConfigValidation:
     def test_fisher_strategy_needs_config(self):
         with pytest.raises(UsageError):
             cfg_iterative(strategy="fisher")
+
+    def test_final_train_defaults_to_train(self):
+        cfg = LotteryConfig(arch=ARCH, strategy="l1", mode="iterative", train=FAST)
+        assert cfg.final_train == FAST
+        assert cfg == cfg_iterative(init_seed=0, data_seed=0, strategy_seed=0,
+                                    per_round_fraction=0.2, rounds=10)
 
     def test_targets_sorted_on_construction(self):
         cfg = cfg_iterative(mode="one_shot", one_shot_targets=(0.9, 0.1))

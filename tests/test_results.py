@@ -46,7 +46,7 @@ class TestEmitCsv:
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(os, "fsync", full_disk)
-        with pytest.raises(DataFormatError, match="No space left on device"):
+        with pytest.raises(OSError, match="No space left on device"):
             emit_csv(Table(("x",), [(3,), (4,)]), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["records.csv"]
