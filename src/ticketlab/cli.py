@@ -2,17 +2,22 @@
 
 Commands: `train` (fit a dense classifier), `lottery` (run an experiment
 spec), `report` (assemble figure data from record CSVs), `inspect`
-(sparsity and connectivity of a checkpoint), `selftest` (invariant
-battery). Exit codes: 0 success, 1 usage error, 2 data/format error or
-a file that cannot be read or written (any OSError), 3 numerical failure.
+(sparsity and connectivity of a checkpoint), `verify` (replay each
+seed's newest checkpointed round and compare its bits). Exit codes: 0
+success, 1 usage error, 2 data/format error or a file that cannot be
+read or written (any OSError), 3 numerical failure or, for `verify`, a
+replayed round that differs from its checkpoint.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from .errors import DataFormatError, NumericalError, UsageError
 from .checkpoint import (
@@ -23,16 +28,16 @@ from .checkpoint import (
     load_checkpoint,
     load_run_state,
     network_sha256,
+    round_path,
     save_checkpoint,
 )
 from .config import build_datasets, load_spec, seed_configs
 from .data import gen_synthetic, load_idx
-from .lottery import LotteryConfig, run_iterative, run_one_shot
+from .lottery import LotteryConfig, replay_round, run_iterative, run_one_shot
 from .masks import full_mask, sparsity
-from .metrics import FIGURES, connectivity_report, figure_data
+from .metrics import FIGURES, bit_difference, connectivity_report, figure_data
 from .nn import TrainConfig, check_layer_sizes, init_network, parse_int, train
-from .results import emit_csv, read_records_csv, record_table
-from .selftest import run_selftest
+from .results import emit_csv, read_records_csv, record_table, written_in_place
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,17 +123,23 @@ def _newest_run_state(checkpoint_dir: Path, cfg: LotteryConfig) -> Optional[RunS
     return None
 
 
-def _run_one(cfg: LotteryConfig, spec, train_data, test_data, resume: bool):
-    checkpoint_dir = None
-    resume_from = None
-    if spec.checkpoint:
-        checkpoint_dir = (
-            Path(spec.output_dir) / f"checkpoints-{cfg.experiment_id}-seed{cfg.init_seed}"
-        )
-        if resume:
-            resume_from = _newest_run_state(checkpoint_dir, cfg)
-    run = run_iterative if cfg.mode == "iterative" else run_one_shot
-    return run(cfg, train_data, test_data, checkpoint_dir=checkpoint_dir, resume_from=resume_from)
+def _checkpoint_dirs(spec, configs, make: bool) -> list[Path]:
+    """The checkpoint directory of each of `configs`, made first if `make`.
+
+    A `round_*.json` in one that exists but is no regular file raises
+    DataFormatError before any training: a save would write into it in
+    place (see `write_atomically`), and a resume would skip it.
+    """
+    dirs = []
+    for cfg in configs:
+        directory = Path(spec.output_dir) / f"checkpoints-{cfg.experiment_id}-seed{cfg.init_seed}"
+        if make:
+            directory.mkdir(parents=True, exist_ok=True)
+        for path in sorted(directory.glob("round_*.json")):
+            if written_in_place(path):
+                raise DataFormatError(f"{path} is not a regular file")
+        dirs.append(directory)
+    return dirs
 
 
 def _cmd_lottery(args) -> int:
@@ -138,11 +149,18 @@ def _cmd_lottery(args) -> int:
     train_data, test_data = build_datasets(spec)
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    configs = seed_configs(spec)
+    checkpoint_dirs = [None] * len(configs)
+    if spec.checkpoint:
+        checkpoint_dirs = _checkpoint_dirs(spec, configs, make=True)
 
     records = []
-    for cfg in seed_configs(spec):
+    for cfg, checkpoint_dir in zip(configs, checkpoint_dirs):
         print(f"running {cfg.experiment_id} (seed {cfg.init_seed}, {cfg.strategy}/{cfg.mode})")
-        record = _run_one(cfg, spec, train_data, test_data, args.resume)
+        resume_from = _newest_run_state(checkpoint_dir, cfg) if args.resume else None
+        run = run_iterative if cfg.mode == "iterative" else run_one_shot
+        record = run(cfg, train_data, test_data, checkpoint_dir=checkpoint_dir,
+                     resume_from=resume_from)
         for row in record.rows:
             print(
                 f"  round {row.round:3d}  pruned {row.fraction_pruned:7.4f}  "
@@ -193,8 +211,40 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
-def _cmd_selftest(args) -> int:
-    return 0 if run_selftest() else 3
+def _cmd_verify(args) -> int:
+    spec = load_spec(args.config)
+    if not spec.checkpoint:
+        raise UsageError("verify needs a spec with \"checkpoint\": true")
+    configs = seed_configs(spec)
+    checkpoint_dirs = _checkpoint_dirs(spec, configs, make=False)
+    train_data, test_data = build_datasets(spec)
+    equal = True
+    for cfg, directory in zip(configs, checkpoint_dirs):
+        newest = latest_round_path(directory)
+        if newest is None:
+            raise DataFormatError(f"no checkpoint in {directory}")
+        stored = load_run_state(newest, cfg)
+        k = stored.round_index
+        previous = load_run_state(round_path(directory, k - 1), cfg) if k else None
+        if previous is not None and previous.round_index != k - 1:
+            raise DataFormatError(
+                f"{round_path(directory, k - 1)} holds round {previous.round_index}")
+        row, mask, trained = replay_round(cfg, train_data, test_data, previous)
+        weights = bit_difference(stored.trained, trained)
+        same_mask = all(map(np.array_equal, stored.mask.layers, mask.layers))
+        same_row = dataclasses.replace(row, seconds=0.0) == dataclasses.replace(
+            stored.rows[-1], seconds=0.0)
+        notes = [
+            "first in {}, differing values {}, max {} ULP".format(*weights) if weights
+            else "weights equal",
+            "masks equal" if same_mask else "masks differ",
+            "row equal" if same_row else "row differs",
+        ]
+        differs = weights is not None or not (same_mask and same_row)
+        equal = equal and not differs
+        print(f"seed {cfg.init_seed} round {k}: "
+              + ("differs: " + "; ".join(notes) if differs else "equal"))
+    return 0 if equal else 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,8 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("checkpoint", help="checkpoint file (round_NNN.json)")
     p.set_defaults(func=_cmd_inspect)
 
-    p = sub.add_parser("selftest", help="run the invariant battery")
-    p.set_defaults(func=_cmd_selftest)
+    p = sub.add_parser(
+        "verify", help="replay each seed's newest checkpointed round and compare its bits"
+    )
+    p.add_argument("--config", required=True, help="JSON experiment spec (needs checkpoint: true)")
+    p.set_defaults(func=_cmd_verify)
     return parser
 
 

@@ -163,8 +163,9 @@ def _run_rounds(
     checkpoint_dir,
     resume_from,
     on_round: Optional[RoundHook],
+    stop: Optional[int] = None,
 ) -> ExperimentRecord:
-    """The round loop of both modes; round 0 trains the dense network."""
+    """The round loop of both modes; round 0 trains the dense network; `stop` ends it early."""
     if cfg.strategy == "fisher" and cfg.fisher.sample_count > len(train_data):
         raise UsageError(
             f"fisher sample_count {cfg.fisher.sample_count} exceeds the "
@@ -192,7 +193,7 @@ def _run_rounds(
         run = ckpt.run_fields(cfg, initial) if checkpoint_dir is not None else None
 
     scores = None
-    for r in range(first_round, last + 1):
+    for r in range(first_round, (last if stop is None else stop) + 1):
         start = time.perf_counter()
         if r == 0:
             mask, passes = full_mask(cfg.arch), 0
@@ -282,3 +283,16 @@ def run_one_shot(
     if cfg.mode != "one_shot":
         raise UsageError(f"run_one_shot needs mode='one_shot', got {cfg.mode!r}")
     return _run_rounds(cfg, train_data, test_data, checkpoint_dir, resume_from, on_round)
+
+
+def replay_round(
+    cfg: LotteryConfig, train_data: Dataset, test_data: Dataset, previous=None
+) -> tuple[RoundRow, PruneMask, DenseNetwork]:
+    """The row, mask and trained network of the round after `previous` (the RunState
+    of a round file of a run of `cfg`; round 0 without it), run again as a resume
+    from it would, writing no checkpoint."""
+    replayed = []
+    record = _run_rounds(cfg, train_data, test_data, None, previous,
+                         lambda r, mask, start_net, trained: replayed.extend((mask, trained)),
+                         stop=0 if previous is None else previous.round_index + 1)
+    return record.rows[-1], *replayed

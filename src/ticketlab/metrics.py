@@ -18,7 +18,7 @@ one or zero inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -87,6 +87,30 @@ def connectivity_report(mask: PruneMask) -> ConnectivityReport:
     return ConnectivityReport(
         [LayerConnectivity(m.sum(axis=1, dtype=np.int64)) for m in mask.layers]
     )
+
+
+def _ulp_order(a: np.ndarray) -> np.ndarray:
+    """float64 bits as int64 that sort as the floats do; -0.0 and +0.0 both map to 0."""
+    bits = a.view(np.int64)
+    return np.where(bits < 0, np.iinfo(np.int64).min - bits, bits)
+
+
+def bit_difference(a: DenseNetwork, b: DenseNetwork) -> Optional[tuple[str, int, int]]:
+    """None when every weight and bias of `a` has the bits of `b`'s. Else the first
+    array that differs, taken layer by layer with weights first ("layer 0 weights"),
+    then, over all arrays, the count of values whose bits differ and the largest
+    distance between two of them in units in the last place (ULP)."""
+    first, count, max_ulp = None, 0, 0
+    for l, pair in enumerate(zip(a.weights, b.weights, a.biases, b.biases)):
+        for part, x, y in (("weights", *pair[:2]), ("biases", *pair[2:])):
+            differs = x.view(np.uint64) != y.view(np.uint64)
+            if differs.any():
+                first = first or f"layer {l} {part}"
+                count += int(differs.sum())
+                # Unsigned, so that even the distance from -inf to +inf fits.
+                lo, hi = np.sort([_ulp_order(x[differs]), _ulp_order(y[differs])], axis=0)
+                max_ulp = max(max_ulp, int((hi.view(np.uint64) - lo.view(np.uint64)).max()))
+    return None if first is None else (first, count, max_ulp)
 
 
 FIGURES = ("accuracy_vs_sparsity", "movement_vs_sparsity", "width_comparison", "batch_comparison")

@@ -1,4 +1,4 @@
-"""Reference loops that `selftest` and the test suite check the fast paths against.
+"""Reference loops that the test suite checks the fast paths against.
 
 Each oracle is a plain loop over the public API and never calls the
 vectorised code it checks, so an agreement is evidence.

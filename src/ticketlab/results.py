@@ -100,28 +100,36 @@ def render_csv(table: Table) -> str:
     return buf.getvalue()
 
 
+def written_in_place(path) -> bool:
+    """Whether `write_atomically` writes `path` directly: it exists and is no regular file."""
+    return os.path.exists(path) and not os.path.isfile(path)
+
+
 def write_atomically(path, chunks: Iterable) -> None:
     """Write byte chunks to `path`: a synced temporary file, then a rename.
 
     The temporary file (`.<name>.tmp`, matching neither `*.csv` nor
     `round_*.json`) is removed if the write fails, so an earlier file at
-    `path` stays whole. A symlink's target is replaced, not the link; a
-    path that is no regular file (`/dev/stdout`, a pipe) is written directly.
+    `path` stays whole, and an OSError that names no file gets `path` as
+    its file name. A symlink's target is replaced, not the link; a path
+    that is no regular file (`/dev/stdout`, a pipe) is written directly.
     """
-    if os.path.exists(path) and not os.path.isfile(path):
+    if written_in_place(path):
         with open(path, "wb") as f:
             f.writelines(chunks)
         return
-    path = Path(os.path.realpath(path))
-    tmp = path.with_name(f".{path.name}.tmp")
+    target = Path(os.path.realpath(path))
+    tmp = target.with_name(f".{target.name}.tmp")
     try:
         with open(tmp, "wb") as f:
             f.writelines(chunks)
             f.flush()
             os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
+        os.replace(tmp, target)
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename is None and exc.errno is not None:
+            exc.filename = str(path)
         raise
 
 

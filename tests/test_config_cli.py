@@ -1,9 +1,14 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ticketlab import UsageError, load_spec, read_records_csv, seed_configs
+from ticketlab import UsageError, load_spec, lottery, read_records_csv, seed_configs
 from ticketlab.checkpoint import load_run_state
 from ticketlab.cli import main
 from ticketlab.config import build_datasets
@@ -110,6 +115,18 @@ def checkpoint_dir_blocked(tmp):
     """argv for a checkpointed `lottery` whose seed-1 checkpoint directory is a file."""
     blocked_by_file(tmp / "out" / "checkpoints-unit-seed1")
     return lottery_with(output_dir=str(tmp / "out"), checkpoint=True, seeds=[1])(tmp)
+
+
+def untrainable(*args, **kwargs):
+    raise AssertionError("train was called")
+
+
+def checkpointed_run(tmp_path, **overrides):
+    """Run a checkpointed spec_dict(**overrides) into `tmp_path / "out"`; returns the
+    spec's path and the seed-1 checkpoint directory."""
+    spec = write_spec(tmp_path, output_dir=str(tmp_path / "out"), checkpoint=True, **overrides)
+    assert main(["lottery", "--config", str(spec)]) == 0
+    return spec, tmp_path / "out" / "checkpoints-unit-seed1"
 
 
 def write_corrupt_checkpoint(tmp_path, corrupt=flip_last_data_byte):
@@ -343,17 +360,36 @@ class TestCli:
         assert strip_seconds_column((out / "unit.csv").read_bytes()) == strip_seconds_column(first)
 
     @pytest.mark.parametrize(
-        "overrides, fault",
+        "argv, command",
         [
-            pytest.param({}, '"checkpoint": true', id="checkpoint-off"),
+            pytest.param(["lottery", "--resume"], "--resume", id="checkpoint-off"),
+            pytest.param(["verify"], "verify", id="verify-checkpoint-off"),
         ],
     )
-    def test_resume_without_checkpoints_exit_1(self, tmp_path, capsys, overrides, fault):
-        argv = lottery_with(output_dir=str(tmp_path / "out"), **overrides)(tmp_path)
-        assert main(argv + ["--resume"]) == 1
+    def test_resume_without_checkpoints_exit_1(self, tmp_path, capsys, argv, command):
+        spec = write_spec(tmp_path, output_dir=str(tmp_path / "out"))
+        assert main([argv[0], "--config", str(spec), *argv[1:]]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: --resume needs") and fault in err
+        assert err.startswith(f"error: {command} needs") and '"checkpoint": true' in err
         assert not (tmp_path / "out").exists()
+
+    def test_round_file_that_is_no_regular_file_exit_2_before_training(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A save would write into it in place, so no command trains at all."""
+        spec, directory = checkpointed_run(tmp_path, seeds=[1, 2])
+        first = (tmp_path / "out" / "unit.csv").read_bytes()
+        newest = directory / "round_002.json"
+        newest.unlink()
+        newest.mkdir()
+        monkeypatch.setattr(lottery, "train", untrainable)
+        capsys.readouterr()
+        for argv in (["lottery", "--config", str(spec), "--resume"],
+                     ["lottery", "--config", str(spec)],
+                     ["verify", "--config", str(spec)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"data error: {newest} is not a regular file\n"
+        assert (tmp_path / "out" / "unit.csv").read_bytes() == first
 
     def test_usage_error_exit_1(self, capsys):
         assert main(["train", "--arch", "6,8"]) == 1  # no dataset source
@@ -531,8 +567,11 @@ class TestCli:
             ),
         ],
     )
-    def test_unreadable_inputs_exit_2(self, tmp_path, capsys, argv):
-        assert main(argv(tmp_path)) == 2
+    def test_unreadable_inputs_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        """Each fault is found before a lottery round trains."""
+        argv = argv(tmp_path)
+        monkeypatch.setattr(lottery, "train", untrainable)
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and "Traceback" not in err
 
@@ -546,17 +585,12 @@ class TestCli:
         )
         assert main(["lottery", "--config", str(spec)]) == 3
 
-    def test_selftest(self, capsys):
-        assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "[PASS]" in out and "[FAIL]" not in out
-
     def test_help_lists_all_commands(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        for command in ("train", "lottery", "report", "inspect", "selftest"):
+        for command in ("train", "lottery", "report", "inspect", "verify"):
             assert command in out
 
     def test_train_on_idx_files(self, tmp_path, capsys):
@@ -610,3 +644,110 @@ class TestCli:
 
         assert main(["report", "--figure", "batch_comparison", "--out", str(fig), records,
                      "--batch-sizes", "10"]) == 1
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def ticketlab_process(argv, **env):
+    """`python -m ticketlab.cli *argv` in a fresh process with `env` added to the environment."""
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "ticketlab.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=600)
+
+
+def verify_lines(capsys, spec):
+    """(exit code, stdout lines) of `verify` on `spec`."""
+    capsys.readouterr()
+    code = main(["verify", "--config", str(spec)])
+    return code, capsys.readouterr().out.splitlines()
+
+
+class TestVerify:
+    @pytest.mark.parametrize(
+        "overrides, newest",
+        [
+            pytest.param({}, 2, id="iterative"),
+            pytest.param({"mode": "one_shot", "one_shot_targets": [0.2, 0.6], "strategy": "random"},
+                         2, id="one-shot"),
+            pytest.param({}, 0, id="newest-round-0"),
+        ],
+    )
+    def test_reproduced_run_is_equal(self, tmp_path, capsys, overrides, newest):
+        spec, _ = checkpointed_run(tmp_path, **overrides)
+        for path in (tmp_path / "out").glob("checkpoints-*/round_*.json"):
+            if int(path.stem[len("round_"):]) > newest:
+                path.unlink()
+        expected = [f"seed {seed} round {newest}: equal" for seed in (1, 2)]
+        assert verify_lines(capsys, spec) == (0, expected)
+
+    def test_changed_kept_weight_exit_3(self, tmp_path, capsys):
+        spec, directory = checkpointed_run(tmp_path)
+
+        def nudge(payload):
+            weights, kept = payload["trained"]["weights"][1], payload["mask"][1]
+            index = tuple(np.argwhere(kept)[0])
+            weights[index] = np.nextafter(weights[index], np.inf)
+
+        edit_checkpoint(directory / "round_002.json", nudge)
+        assert verify_lines(capsys, spec) == (3, [
+            "seed 1 round 2: differs: first in layer 1 weights, differing values 1, max 1 ULP; "
+            "masks equal; row equal",
+            "seed 2 round 2: equal",
+        ])
+
+    def test_changed_dataset_exit_3(self, tmp_path, capsys):
+        spec, _ = checkpointed_run(tmp_path, seeds=[1])
+        data = spec_dict()["dataset"]
+        data["synthetic"].update(noise=0.9, seed=4)
+        write_spec(tmp_path, output_dir=str(tmp_path / "out"), checkpoint=True, seeds=[1],
+                   dataset=data)
+        code, lines = verify_lines(capsys, spec)
+        assert code == 3
+        assert len(lines) == 1 and lines[0].startswith("seed 1 round 2: differs: first in layer ")
+        assert lines[0].endswith("; row differs")
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two BLAS threads need two CPUs")
+    def test_run_under_two_blas_threads_differs_under_one(self, tmp_path):
+        """The masks agree, but the trained bits depend on the BLAS thread count."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(spec_dict(
+            arch=[784, 300, 100, 10], per_round_fraction=0.5, rounds=1, seeds=[1],
+            train={"epochs": 2, "learning_rate": 0.1, "train_batch_size": 128, "seed": 0},
+            dataset={"synthetic": {"classes": 10, "dim": 784, "per_class": 300,
+                                   "test_per_class": 20, "noise": 0.3, "seed": 3}},
+            output_dir=str(tmp_path / "out"), checkpoint=True,
+        )))
+        run = ticketlab_process(["lottery", "--config", str(spec)], OPENBLAS_NUM_THREADS="2")
+        assert run.returncode == 0, run.stderr
+        same = ticketlab_process(["verify", "--config", str(spec)], OPENBLAS_NUM_THREADS="2")
+        assert (same.returncode, same.stdout) == (0, "seed 1 round 1: equal\n"), same.stderr
+        other = ticketlab_process(["verify", "--config", str(spec)], OPENBLAS_NUM_THREADS="1")
+        assert other.returncode == 3, other.stderr
+        assert other.stdout.startswith("seed 1 round 1: differs: first in layer ")
+        assert "; masks equal;" in other.stdout
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            pytest.param(lambda d: (d / "round_001.json").unlink(), "round_001.json",
+                         id="previous-round-missing"),
+            pytest.param(lambda d: flip_last_data_byte(d / "round_002.json"),
+                         "corrupt checkpoint", id="newest-damaged"),
+            pytest.param(lambda d: edit_header(d / "round_002.json",
+                                               lambda h: h.__setitem__("config_hash", "0" * 64)),
+                         "round_002.json belongs to another run", id="newest-of-another-run"),
+            pytest.param(lambda d: (d / "round_000.json").unlink(), "round_000.json",
+                         id="round-0-missing"),
+            pytest.param(shutil.rmtree, "no checkpoint in", id="no-checkpoints"),
+        ],
+    )
+    def test_unusable_round_file_exit_2(self, tmp_path, capsys, edit, named):
+        """A file that fails to load is named, never skipped."""
+        spec, directory = checkpointed_run(tmp_path)
+        edit(directory)
+        capsys.readouterr()
+        assert main(["verify", "--config", str(spec)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("data error: ") and named in err

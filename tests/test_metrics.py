@@ -10,6 +10,7 @@ from ticketlab import (
     init_network,
     weight_movement,
 )
+from ticketlab.metrics import bit_difference
 from ticketlab.results import ExperimentRecord, RoundRow
 from ticketlab.nn import DenseNetwork
 from ticketlab.oracles import movement_element_loop
@@ -95,6 +96,18 @@ class TestWeightMovement:
             m[:] = 0
         with pytest.raises(UsageError):
             weight_movement(tiny_net, tiny_net, mask)
+
+
+class TestBitDifference:
+    def test_first_array_count_and_max_ulp(self):
+        a = init_network((3, 4, 2), seed=1)
+        b = a.copy()
+        assert bit_difference(a, b) is None
+        b.biases[0][0] = -0.0  # other bits, same value: 0 ULP
+        b.weights[1][1, 2] = np.nextafter(np.nextafter(b.weights[1][1, 2], np.inf), np.inf)
+        assert bit_difference(a, b) == ("layer 0 biases", 2, 2)
+        a.weights[0][0, 0], b.weights[0][0, 0] = -np.inf, np.inf
+        assert bit_difference(a, b) == ("layer 0 weights", 3, 2 * 0x7FF0_0000_0000_0000)
 
 
 class TestConnectivity:

@@ -428,6 +428,23 @@ class TestIndexUpdate:
         for w, m in zip(index.weights, mask.layers):
             assert not w[~m].view(np.uint64).any()  # +0.0: zero with the sign bit clear
 
+    def test_index_and_dense_layers_in_one_call(self, monkeypatch):
+        """At the shipped threshold, one call updates a sparse layer by index and a
+        denser one densely; pruned weights of both come back as +0.0."""
+        arch = (4, 6, 3)
+        net = init_network(arch, seed=5)
+        mask = full_mask(arch)
+        mask.layers[0][:] = False
+        mask.layers[0][::3, 0] = True  # 2 of 24 kept
+        mask.layers[1][1, :] = False  # 12 of 18 kept
+        data = gen_synthetic(3, 4, 30, seed=9)
+        trained, _, indexed = self.train_through(
+            monkeypatch, nn._INDEX_UPDATE_BELOW, net, mask, data, TrainConfig(epochs=2, seed=4)
+        )
+        assert indexed == [True, False]
+        for w, m in zip(trained.weights, mask.layers):
+            assert not w[~m].view(np.uint64).any()
+
 
 class TestNonFiniteLearningRate:
     @pytest.mark.parametrize("lr", [np.inf, -np.inf, np.nan])

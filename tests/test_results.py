@@ -46,8 +46,9 @@ class TestEmitCsv:
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(os, "fsync", full_disk)
-        with pytest.raises(OSError, match="No space left on device"):
+        with pytest.raises(OSError, match="No space left on device") as exc:
             emit_csv(Table(("x",), [(3,), (4,)]), path)
+        assert str(path) in str(exc.value)  # fsync names no file; the target is set
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["records.csv"]
 
