@@ -12,27 +12,33 @@ trained network of `round_000.json`. `load_run_state` regenerates the
 one and reads the other, and it is the one place that decides which run
 a file belongs to. `load_checkpoint` reads one file as it is.
 
-Format version 6 is one line of UTF-8 JSON, the header, then the raw
-bytes of the trained network, then the mask, then a 4-byte trailer. The
+Format version 7 is one line of UTF-8 JSON, the header, then the mask,
+then the kept weights, then the biases, then a 4-byte trailer. The
 header holds the fields above; every array's shape follows from `arch`.
-The network is weights then biases in little-endian float64 (`<f8`), and
-`initial_sha256` is the sha256 of the same bytes of the iteration-0
-network. Each mask layer is packed by `np.packbits` (row-major, first
-entry in the high bit, zero-padded to a whole byte). The trailer is the
+Each mask layer is packed by `np.packbits` (row-major, first entry in
+the high bit, zero-padded to a whole byte). The weights that follow are
+the kept ones only, layer by layer in mask order (`w[m]`, row-major),
+and the biases come whole; both are little-endian float64 (`<f8`). A
+pruned weight is not stored: it reads back as `+0.0`, which `nn` keeps
+at every pruned position, and `save_checkpoint` refuses a network with
+any other bits there. `initial_sha256` is the sha256 of the iteration-0
+network's weights then biases, all of them, as `<f8`. The trailer is the
 little-endian `zlib.crc32` of every byte before it, header included.
 Raw bytes in a fixed byte order make the round trip bit-exact on any
 host (-0.0 and subnormals included), which is what makes resuming
-bit-identical to an uninterrupted run; a file is the arrays' own size
-plus a header of a few hundred bytes (about 2.17 MB for LeNet-300-100,
-in every round). The name keeps its `.json` suffix, because resume
+bit-identical to an uninterrupted run. A file is a header of a few
+hundred bytes, the mask bits, and 8 bytes per kept weight and per bias:
+for LeNet-300-100 about 36.6 KB plus 2.13 MB times the kept fraction
+(2.17 MB at round 0). The name keeps its `.json` suffix, because resume
 discovery finds checkpoints by that name.
 
 Files are written to a temporary name beside the target and renamed into
 place, so a crash mid-write leaves the previous round's file the latest.
-This build reads and writes format version 6 only. It rejects other
-versions outright, a file without a header line, a file that fails its
-CRC, a malformed header field, and a data section whose length differs
-from the one `arch` gives.
+This build reads and writes format version 7 only. It rejects other
+versions outright (version 6 stored every weight, pruned ones included),
+a file without a header line, a file that fails its CRC, a malformed
+header field, and a data section whose length differs from the one
+`arch` and the stored mask give.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from .masks import PruneMask, full_mask
 from .nn import DenseNetwork, check_int, check_layer_sizes, init_network
 from .results import RoundRow, write_atomically
 
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 _FLOAT = np.dtype("<f8")
 _CRC_BYTES = 4
 
@@ -101,14 +107,27 @@ def save_checkpoint(state: CheckpointState, path) -> None:
 
     The file stores no shapes, so a network whose layer sizes are not
     `state.arch`, or a mask that does not pair with `trained`, raises
-    ShapeError instead of being written. `write_atomically` removes the
-    temporary file (`.<name>.tmp`, never a `round_*.json` name) if the
-    write fails, so an interrupted save leaves no file that resume
-    discovery could pick up.
+    ShapeError instead of being written. It stores no pruned weight
+    either, so a network with anything but `+0.0` at a pruned position
+    (`-0.0`, NaN, any nonzero value) raises UsageError. `write_atomically`
+    removes the temporary file (`.<name>.tmp`, never a `round_*.json`
+    name) if the write fails, so an interrupted save leaves no file that
+    resume discovery could pick up.
     """
     if state.trained.layer_sizes != tuple(state.arch):
         raise ShapeError(f"the network to be saved does not have the layer sizes {state.arch}")
     state.mask.check_pairing(state.trained.weights)
+    layers = len(state.mask.layers)
+    arrays = _network_arrays(state.trained)
+    weights, biases = arrays[:layers], arrays[layers:]
+    for l, (m, w) in enumerate(zip(state.mask.layers, weights)):
+        lost = np.flatnonzero(~m & (w.view("<u8") != 0))
+        if lost.size:
+            raise UsageError(
+                f"layer {l} of the network to be saved has {lost.size} pruned weights that "
+                f"are not +0.0 (first at flat index {lost[0]}); a checkpoint stores kept "
+                "weights only"
+            )
     header = {
         "format_version": CHECKPOINT_VERSION,
         "arch": list(state.arch),
@@ -117,8 +136,9 @@ def save_checkpoint(state: CheckpointState, path) -> None:
         "initial_sha256": state.initial_sha256,
         "rows": [asdict(r) for r in state.rows],
     }
-    chunks = [json.dumps(header).encode("utf-8") + b"\n", *_network_arrays(state.trained)]
+    chunks = [json.dumps(header).encode("utf-8") + b"\n"]
     chunks += [np.packbits(m) for m in state.mask.layers]
+    chunks += [w[m] for m, w in zip(state.mask.layers, weights)] + biases
     crc = 0
     for chunk in chunks:
         crc = zlib.crc32(chunk, crc)
@@ -130,8 +150,8 @@ def load_checkpoint(path) -> CheckpointState:
 
     A file without a header line, a file that fails its CRC, a malformed
     header field, or a data section whose length differs from the one
-    `arch` gives marks the file corrupt (DataFormatError). A file that
-    cannot be read raises its OSError.
+    `arch` and the stored mask give marks the file corrupt
+    (DataFormatError). A file that cannot be read raises its OSError.
     """
     raw = Path(path).read_bytes()
     # Versions 1-3 are one JSON document without a newline; parsing it
@@ -172,21 +192,22 @@ def load_checkpoint(path) -> CheckpointState:
             if not isinstance(header[key], str):
                 raise ValueError(f"{key} must be a string, got {header[key]!r}")
         shapes = _weight_shapes(arch)
-        mask_bytes = [-(-o * i // 8) for o, i in shapes]
-        floats = sum(o * i + o for o, i in shapes)
-        excess = len(data) - (floats * _FLOAT.itemsize + sum(mask_bytes))
+        mask = PruneMask([
+            np.unpackbits(take(-(-o * i // 8), np.uint8), count=o * i).view(bool).reshape(o, i)
+            for o, i in shapes
+        ])
+        kept = [int(np.count_nonzero(m)) for m in mask.layers]
+        excess = len(data) - offset - _FLOAT.itemsize * (sum(kept) + sum(o for o, _ in shapes))
         if excess:
             raise ValueError(
                 f"data section is {abs(excess)} bytes {'longer' if excess > 0 else 'shorter'} "
-                f"than arch {arch} needs"
+                f"than arch {arch} and its {sum(kept)} kept weights need"
             )
-        # Fresh, writable, native-order arrays.
-        weights = [take(o * i, _FLOAT).reshape(o, i).astype(np.float64) for o, i in shapes]
+        # Fresh, writable, native-order arrays, +0.0 at every pruned position.
+        weights = [np.zeros(m.shape) for m in mask.layers]
+        for w, m, k in zip(weights, mask.layers, kept):
+            w[m] = take(k, _FLOAT)
         trained = DenseNetwork(weights, [take(o, _FLOAT).astype(np.float64) for o, _ in shapes])
-        mask = PruneMask([
-            np.unpackbits(take(n, np.uint8), count=o * i).view(bool).reshape(o, i)
-            for n, (o, i) in zip(mask_bytes, shapes)
-        ])
         return CheckpointState(
             arch=arch,
             round_index=check_int(header["round_index"], "round_index", 0),

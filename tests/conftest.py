@@ -75,10 +75,11 @@ def flip_stored_row_bit(path):
 def decode_checkpoint(path):
     """The header of checkpoint `path` with its stored arrays in place.
 
-    `trained` becomes {"weights", "biases"} of little-endian float64
-    arrays, and `mask` a list of bool layers unpacked from their bits. The
-    shapes come from `arch`, and the arrays must fill the data section
-    exactly.
+    `mask` becomes a list of bool layers unpacked from their bits, and
+    `trained` {"weights", "biases"} of little-endian float64 arrays, each
+    weight layer `+0.0` wherever its mask prunes and the stored kept
+    values, in mask order, elsewhere. The shapes come from `arch`, and the
+    arrays must fill the data section exactly.
     """
     header, data = read_checkpoint(path)
     shapes = _weight_shapes(header["arch"])
@@ -90,26 +91,28 @@ def decode_checkpoint(path):
         offset += a.nbytes
         return a.copy()
 
-    header["trained"] = {
-        "weights": [take(o * i, _FLOAT).reshape(o, i) for o, i in shapes],
-        "biases": [take(o, _FLOAT) for o, _ in shapes],
-    }
     header["mask"] = [
         np.unpackbits(take(-(-o * i // 8), np.uint8), count=o * i).view(bool).reshape(o, i)
         for o, i in shapes
     ]
+    weights = [np.zeros((o, i), _FLOAT) for o, i in shapes]
+    for w, m in zip(weights, header["mask"]):
+        w[m] = take(int(m.sum()), _FLOAT)
+    header["trained"] = {"weights": weights, "biases": [take(o, _FLOAT) for o, _ in shapes]}
     assert offset == len(data), f"{len(data) - offset} data bytes left over"
     return header
 
 
 def encode_checkpoint(path, payload):
     """Inverse of `decode_checkpoint`, with the CRC recomputed; the arrays are
-    written as they are, whatever `arch` says."""
+    written as they are, whatever `arch` says, and each weight layer only at
+    the positions its mask layer keeps."""
     header = {key: value for key, value in payload.items() if key not in ("trained", "mask")}
     trained = payload["trained"]
-    chunks = [np.ascontiguousarray(a, _FLOAT).tobytes()
-              for a in trained["weights"] + trained["biases"]]
-    chunks += [np.packbits(m).tobytes() for m in payload["mask"]]
+    chunks = [np.packbits(m).tobytes() for m in payload["mask"]]
+    chunks += [np.ascontiguousarray(w, _FLOAT)[m].tobytes()
+               for w, m in zip(trained["weights"], payload["mask"])]
+    chunks += [np.ascontiguousarray(b, _FLOAT).tobytes() for b in trained["biases"]]
     write_checkpoint(path, header, b"".join(chunks))
 
 
@@ -179,10 +182,22 @@ def as_v4(path):
     Path(path).write_bytes(json.dumps(header).encode("utf-8") + b"\n" + b"".join(data))
 
 
+def as_v6(path):
+    """Rewrite checkpoint `path` in format v6: the same header, then every weight
+    (pruned ones as +0.0) and bias as `<f8`, then the mask bits."""
+    payload = decode_checkpoint(path)
+    trained = payload.pop("trained")
+    chunks = [np.ascontiguousarray(a, _FLOAT).tobytes()
+              for a in trained["weights"] + trained["biases"]]
+    chunks += [np.packbits(m).tobytes() for m in payload.pop("mask")]
+    write_checkpoint(path, {**payload, "format_version": 6}, b"".join(chunks))
+
+
 def as_v5(path):
     """Rewrite checkpoint `path` in format v5, which had the v6 layout except that
     the header's booleans `initial` and `baseline` said whether those networks
     were stored before `trained`; this one stores neither, as a later round's file did."""
+    as_v6(path)
     header, data = read_checkpoint(path)
     del header["initial_sha256"]
     write_checkpoint(path, {**header, "format_version": 5, "initial": False, "baseline": False},

@@ -1,4 +1,6 @@
 import base64
+import hashlib
+import itertools
 import json
 import os
 
@@ -10,6 +12,7 @@ from ticketlab import (
     FisherConfig,
     PruneMask,
     ShapeError,
+    UsageError,
     apply_mask,
     config_hash,
     full_mask,
@@ -37,6 +40,7 @@ from conftest import (
     as_v1,
     as_v4,
     as_v5,
+    as_v6,
     decode_checkpoint,
     edit_checkpoint,
     edit_header,
@@ -51,6 +55,11 @@ from test_lottery import cfg_iterative, strip_seconds
 
 
 TINY_DATA = (gen_synthetic(3, 4, 10, seed=5), gen_synthetic(3, 4, 5, seed=6))
+
+
+ODD_ARCHES = [(1, 1), (1, 7, 1), (3, 3, 3), (9, 17, 2), (8, 8)]
+EXTREMES = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3,
+            2.2250738585072014e-308, -2.225073858507201e-308, 1.2345678901234567e-7]
 
 
 def make_state(round_index=2, arch=(4, 5, 3)):
@@ -110,9 +119,10 @@ class TestSaveLoad:
         """Layer sizes on both sides of a byte boundary; the pad bits must not leak."""
         path = tmp_path / "ckpt.json"
         gen = np.random.default_rng(7)
-        for arch in [(1, 1), (1, 7, 1), (3, 3, 3), (9, 17, 2), (8, 8)]:
+        for arch in ODD_ARCHES:
             state = make_state(arch=arch)
             state.mask = PruneMask([gen.random(m.shape) < 0.5 for m in state.mask.layers])
+            state.trained = apply_mask(state.trained, state.mask)
             save_checkpoint(state, path)
             assert masks_equal(load_checkpoint(path).mask, state.mask), arch
 
@@ -157,41 +167,67 @@ class TestSaveLoad:
         save_checkpoint(make_state(), path)
         # Layer 0 is 5x4 with its first two entries pruned, layer 1 is 3x5 and
         # all kept: 20 and 15 bits, row-major, first entry in the high bit, each
-        # layer zero-padded to whole bytes at the end of the data section.
+        # layer zero-padded to whole bytes at the start of the data section.
         _, data = read_checkpoint(path)
-        assert data[-5:] == bytes([0b00111111, 0xFF, 0b11110000, 0xFF, 0b11111110])
+        assert data[:5] == bytes([0b00111111, 0xFF, 0b11110000, 0xFF, 0b11111110])
         layers = decode_checkpoint(path)["mask"]
         assert masks_equal(load_checkpoint(path).mask, make_state().mask)
         assert [m.shape for m in layers] == [(5, 4), (3, 5)]
 
     def test_extreme_values_round_trip_bit_exact(self, tmp_path):
-        state = make_state()
-        extremes = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
-                    0.1, 1 / 3, 2.2250738585072014e-308, 1.2345678901234567e-7]
-        # Kept positions only: the first two weights of layer 0 are pruned, so +0.0.
-        state.trained.weights[0].flat[2 : 2 + len(extremes)] = extremes
-        state.trained.biases[0][:] = [-0.0, 5e-324, 0.30000000000000004, 1e308, -1e-308]
+        """Kept -0.0, subnormals and extremes come back in every bit, in layers
+        that keep some, none or all of their weights; pruned ones as +0.0."""
+        gen = np.random.default_rng(11)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(state, path)
-        stored = decode_checkpoint(path)["trained"]["biases"][0]
-        assert stored.tobytes() == state.trained.biases[0].astype("<f8").tobytes()
-        back = load_checkpoint(path)
-        for saved, loaded in zip(
-            state.trained.weights + state.trained.biases,
-            back.trained.weights + back.trained.biases,
-        ):
-            assert loaded.dtype == np.float64 and loaded.flags.writeable
-            assert np.array_equal(loaded.view(np.uint64), saved.view(np.uint64))
-        for m, w in zip(back.mask.layers, back.trained.weights):
-            assert (w[~m] == 0).all() and not np.signbit(w[~m]).any()
+        patterns = [lambda m: gen.random(m.shape) < 0.5, np.zeros_like, np.ones_like]
+        for arch, shift in itertools.product(ODD_ARCHES, range(3)):
+            state = make_state(arch=arch)
+            state.mask = PruneMask([patterns[(l + shift) % 3](m).astype(bool)
+                                    for l, m in enumerate(state.mask.layers)])
+            for w, m in zip(state.trained.weights, state.mask.layers):
+                w[:] = 0.0
+                w[m] = np.resize(EXTREMES, int(m.sum()))
+            for b in state.trained.biases:
+                b[:] = np.resize(EXTREMES[::-1], b.size)
+            save_checkpoint(state, path)
+            back = load_checkpoint(path)
+            assert masks_equal(back.mask, state.mask)
+            for saved, loaded in zip(
+                state.trained.weights + state.trained.biases,
+                back.trained.weights + back.trained.biases,
+            ):
+                assert loaded.dtype == np.float64 and loaded.flags.writeable
+                assert np.array_equal(loaded.view(np.uint64), saved.view(np.uint64)), (arch, shift)
+            for m, w in zip(back.mask.layers, back.trained.weights):
+                assert (w[~m] == 0).all() and not np.signbit(w[~m]).any()
 
-    def test_lenet_size_close_to_raw_bytes(self, tmp_path):
-        state = make_state(arch=(784, 300, 100, 10))
+    @pytest.mark.parametrize("value", [-0.0, 1e-300, np.nan], ids=["minus-zero", "tiny", "nan"])
+    def test_save_refuses_nonzero_pruned_position(self, tmp_path, value):
+        """A file stores kept weights only, so a pruned position must hold +0.0,
+        whose bits it gives back; anything else would be lost."""
+        path = tmp_path / "ckpt.json"
+        state = make_state()
+        state.trained.weights[0][0, 1] = value  # flat index 1 of layer 0 is pruned
+        with pytest.raises(UsageError,
+                           match=r"layer 0 .* 1 pruned weights .*\(first at flat index 1\)"):
+            save_checkpoint(state, path)
+        assert not path.exists() and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.512, 0.0115])
+    def test_lenet_size_follows_kept_fraction(self, tmp_path, fraction):
+        """A LeNet-300-100 file is its header line, 33,275 bytes of mask bits,
+        8 bytes per kept weight and per bias, and the 4-byte CRC."""
+        arch = (784, 300, 100, 10)
+        gen = np.random.default_rng(3)
+        state = make_state(arch=arch)
+        state.mask = PruneMask([gen.random(m.shape) < fraction for m in state.mask.layers])
+        state.trained = apply_mask(state.trained, state.mask)
         path = tmp_path / "ckpt.json"
         save_checkpoint(state, path)
-        floats = sum(w.size + b.size for w, b in zip(state.trained.weights, state.trained.biases))
-        raw_bytes = 8 * floats + state.mask.total_count() / 8
-        assert path.stat().st_size <= 1.01 * raw_bytes
+        kept = state.mask.kept_count()
+        assert abs(kept / 266_200 - fraction) < 0.002
+        header_line = path.read_bytes().index(b"\n") + 1
+        assert path.stat().st_size == header_line + 33_275 + 8 * (kept + 410) + 4
 
     def test_v1_decimal_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
@@ -205,19 +241,18 @@ class TestSaveLoad:
     def test_v2_and_v3_checkpoints_rejected(self, tmp_path):
         """Versions 2 and 3 were one JSON document with base64 arrays, version 4 a header
         line of shape lists before the raw arrays, version 5 up to three networks a
-        file; no reader is kept for any of them."""
+        file, version 6 every weight of one network, pruned ones included; no reader
+        is kept for any of them."""
         path = tmp_path / "ckpt.json"
-        for version in (2, 3, 4, 5):
+        for version in (2, 3, 4, 5, 6):
             save_checkpoint(make_state(), path)
-            if version == 4:
-                as_v4(path)
-            elif version == 5:
-                as_v5(path)
+            if version >= 4:
+                {4: as_v4, 5: as_v5, 6: as_v6}[version](path)
             else:
                 as_old_version(path, version, lambda a: {
                     "shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")
                 })
-            with pytest.raises(DataFormatError, match=f"format version {version}, .* version 6"):
+            with pytest.raises(DataFormatError, match=f"format version {version}, .* version 7"):
                 load_checkpoint(path)
 
     @pytest.mark.parametrize(
@@ -235,6 +270,12 @@ class TestSaveLoad:
                          id="torn-file"),
             pytest.param(with_data(lambda d: d[:-1]), "1 bytes shorter", id="truncated-data"),
             pytest.param(with_data(lambda d: d + bytes(8)), "8 bytes longer", id="trailing-bytes"),
+            # Layer 0's first mask byte is 0b00111111: one more or one fewer kept
+            # weight than the stored values.
+            pytest.param(with_data(lambda d: bytes([0b01111111]) + d[1:]),
+                         "8 bytes shorter than arch .* 34 kept", id="one-kept-value-short"),
+            pytest.param(with_data(lambda d: bytes([0b00011111]) + d[1:]),
+                         "8 bytes longer than arch .* 32 kept", id="one-kept-value-long"),
             pytest.param(drop_newline, "no header line", id="header-without-newline"),
         ],
     )
@@ -271,7 +312,7 @@ class TestSaveLoad:
         path = tmp_path / "round_002.json"
         save_checkpoint(make_state(), path)
         first = make_state(round_index=0)
-        first.trained = init_network((4, 5, 3), seed=4)
+        first.trained = apply_mask(init_network((4, 5, 3), seed=4), first.mask)
         save_checkpoint(first, tmp_path / "round_000.json")
         state = load_run_state(path, cfg)
         assert state.round_index == 2
@@ -301,6 +342,16 @@ def test_regenerated_bits_are_pinned():
     assert rng.raw64(0, 2).tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
     assert network_sha256(init_network((784, 300, 100, 10), 1)) == (
         "d18e5d95d9fdd900329755d80836efa4c9993c58f5b427e6e7888415918b6ece"
+    )
+
+
+def test_file_layout_is_pinned(tmp_path):
+    """Every byte of a file follows from its state, so a change to the on-disk
+    layout must fail here before it fails to read a file an earlier build wrote."""
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(make_state(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "81c0b35669fafaf65e70ff36800f096d586816bfe81818dab6683f259147f923"
     )
 
 
@@ -349,14 +400,15 @@ class TestResumeEquivalence:
             passes = cfg.fisher.sample_count if cfg.fisher else 0
             assert [row.backward_passes for row in full_record.rows] == [0] + [passes] * 4, name
             assert latest_round_path(directory).name == "round_004.json", name
-            # Every file, round 0 included, holds one network and its mask.
+            # Every file, round 0 included, holds the mask bits (6 + 3 bytes) and
+            # one network's kept weights and 8 + 3 biases.
             digest = network_sha256(init_network(cfg.arch, cfg.init_seed))
-            data_bytes = set()
             for r in range(5):
-                header, data = read_checkpoint(directory / f"round_{r:03d}.json")
-                assert (header["format_version"], header["initial_sha256"]) == (6, digest)
-                data_bytes.add(len(data))
-            assert data_bytes == {8 * (6 * 8 + 8 + 8 * 3 + 3) + 6 + 3}, name
+                path = directory / f"round_{r:03d}.json"
+                header, data = read_checkpoint(path)
+                assert (header["format_version"], header["initial_sha256"]) == (7, digest)
+                kept = load_checkpoint(path).mask.kept_count()
+                assert len(data) == 6 + 3 + 8 * (kept + 8 + 3), (name, r)
 
             for resume_round in range(4):
                 resumed = run(

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from ticketlab import UsageError, load_spec, lottery, read_records_csv, seed_configs
-from ticketlab.checkpoint import load_run_state
+from ticketlab import checkpoint, cli, results
+from ticketlab.checkpoint import load_checkpoint, load_run_state
 from ticketlab.cli import main
 from ticketlab.config import build_datasets
 from ticketlab.results import RECORD_COLUMNS
@@ -18,6 +19,7 @@ from conftest import (
     as_v1,
     as_v4,
     as_v5,
+    as_v6,
     edit_checkpoint,
     edit_header,
     flip_last_data_byte,
@@ -243,8 +245,12 @@ class TestCli:
         assert sorted(p.name for p in ckpt_dir.iterdir()) == [
             "round_000.json", "round_001.json", "round_002.json"
         ]
-        # Every round file, round 0 included, holds one network and its mask.
-        assert len({len(read_checkpoint(path)[1]) for path in ckpt_dir.iterdir()}) == 1
+        # Every round file, round 0 included, holds its mask bits (6 + 3 bytes) and
+        # one network's kept weights and 8 + 3 biases, so later rounds are smaller.
+        paths = [ckpt_dir / f"round_{r:03d}.json" for r in range(3)]
+        sizes = [len(read_checkpoint(path)[1]) for path in paths]
+        kept = [load_checkpoint(path).mask.kept_count() for path in paths]
+        assert sizes == [9 + 8 * (k + 11) for k in kept] and sizes[0] > sizes[1] > sizes[2]
         capsys.readouterr()
         assert main(["inspect", str(ckpt_dir / "round_001.json")]) == 0
         assert "round index       1\n" in capsys.readouterr().out
@@ -341,6 +347,20 @@ class TestCli:
         assert err.startswith("data error: no checkpoint in ")
         assert f"{newest} belongs to another run" in err
         assert (out / "unit.csv").read_bytes() == first
+
+    def test_resume_over_v6_directory_exit_2(self, tmp_path, capsys):
+        """This build reads format version 7 only: a directory of version-6 files
+        written before it has nothing to continue from."""
+        spec, directory = checkpointed_run(tmp_path, seeds=[1])
+        first = (tmp_path / "out" / "unit.csv").read_bytes()
+        for path in directory.iterdir():
+            as_v6(path)
+        capsys.readouterr()
+        assert main(["lottery", "--config", str(spec), "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: no checkpoint in {directory} loads: ")
+        assert err.count("has format version 6, this build reads version 7") == 3
+        assert (tmp_path / "out" / "unit.csv").read_bytes() == first
 
     def test_one_shot_checkpoint_and_resume(self, tmp_path):
         out = tmp_path / "out"
@@ -516,6 +536,10 @@ class TestCli:
                 id="inspect-v5-checkpoint",
             ),
             pytest.param(
+                lambda tmp: ["inspect", write_corrupt_checkpoint(tmp, as_v6)],
+                id="inspect-v6-checkpoint",
+            ),
+            pytest.param(
                 lambda tmp: ["inspect", write_corrupt_checkpoint(
                     tmp, lambda path: edit_header(path, lambda h: h.__setitem__("round_index", 2.5)))],
                 id="inspect-round-index-non-integral",
@@ -644,6 +668,107 @@ class TestCli:
 
         assert main(["report", "--figure", "batch_comparison", "--out", str(fig), records,
                      "--batch-sizes", "10"]) == 1
+
+
+class SimulatedKill(BaseException):
+    """A crash that no handler in ticketlab catches, as a killed process would not."""
+
+
+def torn(data):
+    """The first half of `data`, then a kill."""
+    yield data[: len(data) // 2]
+    raise SimulatedKill
+
+
+def kill_in_write(module, at):
+    """Kill the run halfway through the `at`-th file that `module` writes through
+    `write_atomically`, while it fills the temporary file."""
+
+    def install(monkeypatch):
+        real, seen = module.write_atomically, []
+
+        def write(path, chunks):
+            seen.append(path)
+            real(path, torn(b"".join(chunks)) if len(seen) == at else chunks)
+
+        monkeypatch.setattr(module, "write_atomically", write)
+
+    return install
+
+
+def kill_before_rename(at):
+    """Kill the run after the `at`-th write has synced its temporary file, before
+    `os.replace` moves it into place."""
+
+    def install(monkeypatch):
+        real, seen = os.replace, []
+
+        def replace(src, dst):
+            seen.append(dst)
+            if len(seen) == at:
+                raise SimulatedKill
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+
+    return install
+
+
+def kill_between_seeds(monkeypatch):
+    """Kill the run after seed 1 has finished, before seed 2 starts."""
+    real, runs = cli.run_iterative, []
+
+    def run(*args, **kwargs):
+        runs.append(args)
+        if len(runs) == 2:
+            raise SimulatedKill
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_iterative", run)
+
+
+class TestCrashMatrix:
+    """A `lottery` run killed at any write point resumes to the uninterrupted record.
+
+    The spec writes six round files (rounds 0-2 of seed 1, then of seed 2),
+    then the CSV. A killed write leaves its temporary file behind, since no
+    cleanup runs; a resume must neither read it nor leave it.
+    """
+
+    @pytest.mark.parametrize(
+        "install, left_behind",
+        [pytest.param(kill_in_write(checkpoint, at), 1, id=f"checkpoint-write-{at}")
+         for at in (1, 2, 5)]
+        + [pytest.param(kill_before_rename(at), 1, id=f"before-rename-{at}") for at in (1, 3, 6)]
+        + [
+            pytest.param(kill_in_write(results, 1), 1, id="mid-csv"),
+            pytest.param(kill_between_seeds, 0, id="between-seeds"),
+        ],
+    )
+    def test_resume_writes_uninterrupted_record(self, tmp_path, monkeypatch, install,
+                                                left_behind):
+        (tmp_path / "clean").mkdir()
+        checkpointed_run(tmp_path / "clean")
+        clean = tmp_path / "clean" / "out"
+        out = tmp_path / "out"
+        spec = write_spec(tmp_path, output_dir=str(out), checkpoint=True)
+        real_unlink = Path.unlink
+        with monkeypatch.context() as patch:
+            install(patch)
+            # What a killed process leaves: `write_atomically` never removes its
+            # temporary file.
+            patch.setattr(Path, "unlink", lambda path, missing_ok=False: (
+                None if path.name.endswith(".tmp") else real_unlink(path, missing_ok)))
+            with pytest.raises(SimulatedKill):
+                main(["lottery", "--config", str(spec)])
+        assert len(list(out.rglob(".*.tmp"))) == left_behind
+        assert not (out / "unit.csv").exists()
+
+        assert main(["lottery", "--config", str(spec), "--resume"]) == 0
+        assert strip_seconds_column((out / "unit.csv").read_bytes()) == strip_seconds_column(
+            (clean / "unit.csv").read_bytes())
+        assert sorted(p.relative_to(out) for p in out.rglob("*")) == sorted(
+            p.relative_to(clean) for p in clean.rglob("*"))
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
