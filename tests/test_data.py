@@ -16,6 +16,9 @@ from ticketlab import (
     train,
     write_idx,
 )
+from ticketlab import rng
+
+from test_rng import sha256_le
 
 
 @pytest.fixture
@@ -109,6 +112,18 @@ class TestGenSynthetic:
         mask = full_mask([5, 16, 3])
         trained, _ = train(net, mask, ds, TrainConfig(epochs=20, seed=1))
         assert evaluate(trained, mask, ds) >= 0.95
+
+    def test_acceptance_corpus_golden_digests(self):
+        """The acceptance tests' train and test sets keep their exact bits."""
+        train_set = gen_synthetic(10, 784, 1000, seed=101, noise=0.3)
+        test_set = gen_synthetic(10, 784, 200, seed=rng.derive(101, 5), noise=0.3)
+        digests = [sha256_le(a) for ds in (train_set, test_set) for a in (ds.inputs, ds.labels)]
+        assert digests == [
+            "66da31f6380a05dd6235c79b2d03db705acfa54d8134fff90d783b8d8458bab2",
+            "f4b723a53c892154ccfe38d838fb0fbc8d2b1a67b5aec4d24175524651c4eeb8",
+            "a033c2e7937297ee751b243c5845c240f5259d242c0c4baf8e702eebce9aa4a0",
+            "c24692bd6ac163e5f035af5e97377ad65e46f5718ee25149c44641edc94957de",
+        ]
 
 
 class TestWriteIdx:
