@@ -27,6 +27,9 @@ LABELS_MAGIC = 0x00000801
 # Stream tag for blob noise (see rng.derive).
 _BLOB_STREAM = 4
 
+# Elements per block of rows that gen_synthetic shifts onto the class centers.
+_BLOCK_ELEMENTS = 1 << 16
+
 
 def _read_exact(f, n: int, path, what: str) -> bytes:
     data = f.read(n)
@@ -69,7 +72,8 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise DataFormatError(
             f"{images_path} has {count} images but {labels_path} has {label_count} labels"
         )
-    inputs = pixels.reshape(count, n_rows * n_cols).astype(np.float64) / 255.0
+    inputs = pixels.reshape(count, n_rows * n_cols).astype(np.float64)
+    inputs /= 255.0
     return Dataset(inputs, labels.astype(np.int64))
 
 
@@ -119,5 +123,15 @@ def gen_synthetic(
     n = classes * per_class
     labels = np.arange(n, dtype=np.int64) % classes
     centers = np.stack([_blob_center(c, dim) for c in range(classes)])
-    offsets = rng.normals(rng.derive(seed, _BLOB_STREAM), n * dim).reshape(n, dim)
-    return Dataset(centers[labels] + noise * offsets, labels)
+    # center + noise * offset, computed in place over the offsets by blocks
+    # of rows, so that no temporary is the size of the dataset.
+    inputs = rng.normals(rng.derive(seed, _BLOB_STREAM), n * dim).reshape(n, dim)
+    rows = max(1, _BLOCK_ELEMENTS // dim)
+    row_centers = np.empty((min(rows, n), dim))
+    for start in range(0, n, rows):
+        block = inputs[start : start + rows]
+        block_centers = row_centers[: block.shape[0]]
+        np.take(centers, labels[start : start + rows], axis=0, out=block_centers)
+        block *= noise
+        block += block_centers
+    return Dataset(inputs, labels)

@@ -8,6 +8,12 @@ each requested target fraction in a single step from that same trained
 network, rewinds, and retrains. Both modes run the same round loop, so
 both write per-round checkpoints and resume from them.
 
+Before round 0 the training rows get one seeded presentation order (from
+`data_seed`). Every round trains through it as an index into the caller's
+dataset (`train(..., rows=order)`), so a run holds a single copy of its
+training set; the Fisher scorer's set is the first `sample_count` rows of
+that order, copied once per run and only for the `fisher` strategy.
+
 Every round records sparsity, final-epoch and best-epoch test accuracy,
 train loss, movement relative to the round-0 trained baseline, Fisher
 backward-pass counts, and wall-clock seconds; row 1 of a one-shot record
@@ -37,7 +43,7 @@ from .strategies import FisherConfig, global_prune, score_fisher, score_l1, scor
 STRATEGIES = ("random", "l1", "fisher")
 MODES = ("one_shot", "iterative")
 
-# Stream tag for the one-time presentation-order shuffle of the training set.
+# Stream tag for the one-time presentation order of the training rows.
 _DATA_STREAM = 6
 
 
@@ -97,17 +103,11 @@ def _ensure_finite(net: DenseNetwork, context: str) -> None:
         raise NumericalError(f"non-finite weights after {context}; aborting experiment")
 
 
-def _presentation_order(cfg: LotteryConfig, train_data: Dataset) -> Dataset:
-    """One-time seeded shuffle fixing both batch content and the Fisher subset."""
-    order = rng.permutation(rng.derive(cfg.data_seed, _DATA_STREAM), len(train_data))
-    return train_data.take(order)
-
-
 def _compute_scores(
     cfg: LotteryConfig,
     trained: DenseNetwork,
     mask: PruneMask,
-    fisher_set: Dataset,
+    fisher_set: Optional[Dataset],
     round_index: int,
 ) -> tuple[list[np.ndarray], int]:
     """Dispatch to the configured scorer; returns (scores, backward passes)."""
@@ -171,7 +171,11 @@ def _run_rounds(
             f"fisher sample_count {cfg.fisher.sample_count} exceeds the "
             f"{len(train_data)} available training rows"
         )
-    presentation = _presentation_order(cfg, train_data)
+    # The presentation order: every round trains through it, and its first rows are the Fisher set.
+    order = rng.permutation(rng.derive(cfg.data_seed, _DATA_STREAM), len(train_data))
+    fisher_set = None
+    if cfg.strategy == "fisher":
+        fisher_set = train_data.take(order[: cfg.fisher.sample_count])
     one_shot = cfg.mode == "one_shot"
     last = len(cfg.one_shot_targets) if one_shot else cfg.rounds
 
@@ -204,13 +208,15 @@ def _run_rounds(
                 trained, mask = baseline, full_mask(cfg.arch)
             if scores is None or not one_shot:
                 scores, passes = _compute_scores(
-                    cfg, trained, mask, presentation, 1 if one_shot else r
+                    cfg, trained, mask, fisher_set, 1 if one_shot else r
                 )
             fraction = cfg.one_shot_targets[r - 1] if one_shot else cfg.per_round_fraction
             mask = _prune_step(mask, scores, fraction)
             start_net = rewind(trained, initial, mask)
         schedule = cfg.final_train if r == last or (one_shot and r > 0) else cfg.train
-        trained, history = train(start_net, mask, presentation, schedule, eval_data=test_data)
+        trained, history = train(
+            start_net, mask, train_data, schedule, eval_data=test_data, rows=order
+        )
         _ensure_finite(trained, f"round {r} training")
         if r == 0:
             baseline = trained

@@ -260,11 +260,12 @@ def masked_weights(
 def _check_labelled_rows(
     net: DenseNetwork, inputs: np.ndarray, labels: np.ndarray, what: str
 ) -> None:
-    """UsageError for no rows or a label past the class count; ShapeError for a wrong width.
+    """UsageError for no labels or a label past the class count; ShapeError for a wrong width.
 
-    Takes the arrays of a Dataset, which has already checked their shapes and values.
+    Takes the arrays of a Dataset, which has already checked their shapes
+    and values; `labels` may be those of a selection of its rows.
     """
-    if inputs.shape[0] == 0:
+    if labels.shape[0] == 0:
         raise UsageError(f"{what} is empty")
     if inputs.shape[1] != net.layer_sizes[0]:
         raise ShapeError(f"{what} dim {inputs.shape[1]} vs network input dim {net.layer_sizes[0]}")
@@ -442,18 +443,30 @@ def train(
     data: Dataset,
     cfg: TrainConfig,
     eval_data: Optional[Dataset] = None,
+    rows: Optional[np.ndarray] = None,
 ) -> tuple[DenseNetwork, list[tuple[float, float]]]:
     """Minibatch SGD for cfg.epochs epochs; returns the trained network and history.
 
     History holds one (train_loss, test_accuracy) pair per epoch:
     train_loss is the sample-weighted mean of the minibatch losses seen
     during the epoch, accuracy is measured on `eval_data` (falling back to
-    `data`). Shuffling uses the substream derive(cfg.seed, 2, epoch), so
-    identical (net, mask, data, cfg) reproduce bit-identical results.
-    Masked weights are zeroed before the first step and stay 0 throughout.
+    the training rows). Shuffling uses the substream derive(cfg.seed, 2,
+    epoch), so identical (net, mask, data, cfg) reproduce bit-identical
+    results. Masked weights are zeroed before the first step and stay 0
+    throughout.
+
+    `rows`, an integer index array, trains on `data.take(rows)` without
+    making that copy: each epoch's shuffle is composed with `rows`, and
+    every batch is gathered from `data` itself. The network and history
+    are those of `train(net, mask, data.take(rows), cfg, eval_data)` in
+    every bit.
     """
-    _check_labelled_rows(net, data.inputs, data.labels, "training data")
-    measure = eval_data if eval_data is not None else data
+    labels = data.labels if rows is None else data.labels[rows]
+    _check_labelled_rows(net, data.inputs, labels, "training data")
+    if eval_data is not None:
+        measure = eval_data
+    else:
+        measure = data if rows is None else data.take(rows)
 
     bits, weights = masked_weights(net, mask)
     # Sparse layers get a kept index, and no keep words: their dW is not ANDed.
@@ -464,13 +477,15 @@ def train(
                 kept[l] = np.flatnonzero(m)
     step_bits = [b if k is None else None for b, k in zip(bits, kept)]
     biases = [b.copy() for b in net.biases]
-    n = len(data)
+    n = labels.shape[0]
     bs = cfg.train_batch_size
     lr = cfg.learning_rate
 
     history: list[tuple[float, float]] = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(rng.derive(cfg.seed, _SHUFFLE_STREAM, epoch), n)
+        if rows is not None:
+            order = rows[order]
         loss_sum = 0.0
         for start in range(0, n, bs):
             idx = order[start : start + bs]

@@ -7,8 +7,8 @@ version.
 
 Scheme: output i of the stream with seed s is mix64(s + i * GAMMA), where
 mix64 is the splitmix64 finalizer and GAMMA its golden-ratio increment.
-Because output i depends only on (s, i) the streams vectorize, and
-substreams are derived by folding integer path components into the seed
+Because output i depends only on (s, i) the streams vectorize, array
+outputs are generated block by block with the same bits, and substreams are derived by folding integer path components into the seed
 (see `derive`).
 """
 
@@ -48,32 +48,85 @@ def derive(seed: int, *path: int) -> int:
     return state
 
 
-def _mix_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX_A_U64
-    z = (z ^ (z >> np.uint64(27))) * _MIX_B_U64
-    return z ^ (z >> np.uint64(31))
+# Elements per block of the array generators, which write their output
+# through a few block-sized buffers made once per call, never through a
+# temporary the size of the output. A multiple of 8, so that the elements
+# a SIMD loop leaves to its tail are the ones it leaves in one call over
+# the whole array.
+_BLOCK = 1 << 16
+
+
+def _raw64_blocks(seed: int, n: int):
+    """Yield (start, stop, z) per block: z holds outputs start+1 .. stop as uint64,
+    in a buffer that the next block reuses."""
+    steps = np.arange(min(n, _BLOCK), dtype=np.uint64) * _GAMMA_U64
+    buf, tmp = np.empty_like(steps), np.empty_like(steps)
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        k = stop - start
+        z = buf[:k]
+        np.add(steps[:k], np.uint64((seed + (start + 1) * _GAMMA) & _M64), out=z)
+        t = tmp[:k]
+        for shift, factor in ((30, _MIX_A_U64), (27, _MIX_B_U64), (31, None)):
+            np.right_shift(z, np.uint64(shift), out=t)
+            z ^= t
+            if factor is not None:
+                z *= factor
+        yield start, stop, z
+
+
+def _to_uniform(z: np.ndarray, out: np.ndarray) -> None:
+    """Write the uniforms of raw outputs `z` into `out`; shifts `z` in place."""
+    z >>= np.uint64(11)
+    np.multiply(z, _U2_POW_NEG53, out=out)
 
 
 def raw64(seed: int, n: int) -> np.ndarray:
     """First `n` outputs of the stream, as uint64."""
-    idx = np.arange(1, n + 1, dtype=np.uint64)
-    return _mix_array(np.uint64(seed & _M64) + idx * _GAMMA_U64)
+    out = np.empty(n, dtype=np.uint64)
+    for start, stop, z in _raw64_blocks(seed, n):
+        out[start:stop] = z
+    return out
 
 
 def uniforms(seed: int, n: int) -> np.ndarray:
     """`n` i.i.d. uniforms in [0, 1) with 53-bit resolution."""
-    return (raw64(seed, n) >> np.uint64(11)).astype(np.float64) * _U2_POW_NEG53
+    out = np.empty(n)
+    for start, stop, z in _raw64_blocks(seed, n):
+        _to_uniform(z, out[start:stop])
+    return out
 
 
 def normals(seed: int, n: int) -> np.ndarray:
-    """`n` i.i.d. standard normals via Box-Muller on two substreams."""
+    """`n` i.i.d. standard normals via Box-Muller on two substreams.
+
+    Pair j turns uniforms u1[j], u2[j] into r*cos(theta) at position j and
+    r*sin(theta) at position m + j, m = ceil(n/2); the last sine is dropped
+    when n is odd.
+    """
     m = (n + 1) // 2
-    u1 = uniforms(derive(seed, 0), m)
-    u2 = uniforms(derive(seed, 1), m)
-    # 1 - u1 is in (0, 1], so the log is finite.
-    r = np.sqrt(-2.0 * np.log1p(-u1))
-    theta = (2.0 * np.pi) * u2
-    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+    out = np.empty(n)
+    r_buf = np.empty(min(m, _BLOCK))
+    theta_buf = np.empty_like(r_buf)
+    pairs = zip(_raw64_blocks(derive(seed, 0), m), _raw64_blocks(derive(seed, 1), m))
+    for (start, stop, z1), (_, _, z2) in pairs:
+        r, theta = r_buf[: stop - start], theta_buf[: stop - start]
+        # r = sqrt(-2 log1p(-u1)); 1 - u1 is in (0, 1], so the log is finite.
+        _to_uniform(z1, r)
+        np.negative(r, out=r)
+        np.log1p(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        _to_uniform(z2, theta)
+        theta *= 2.0 * np.pi
+        cos = out[start:stop]
+        np.cos(theta, out=cos)
+        cos *= r
+        np.sin(theta, out=theta)
+        theta *= r
+        sin = out[m + start : m + stop]
+        sin[...] = theta[: sin.shape[0]]
+    return out
 
 
 def permutation(seed: int, n: int) -> np.ndarray:

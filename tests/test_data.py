@@ -38,6 +38,16 @@ class TestLoadIdx:
         assert np.array_equal(back.inputs, ds.inputs)
         assert np.array_equal(back.labels, ds.labels)
 
+    def test_scaling_bits_equal_out_of_place_division(self, tmp_path):
+        """The in-place /= 255.0 gives the bits of `pixels.astype(float) / 255.0`."""
+        pixels = np.arange(3 * 256) % 256
+        ds = Dataset(pixels.reshape(3, 256) / 255.0, [0, 1, 2])
+        images, labels = tmp_path / "img.idx", tmp_path / "lab.idx"
+        write_idx(ds, images, labels, rows=16, cols=16)
+        back = load_idx(images, labels)
+        expected = pixels.reshape(3, 256).astype(np.uint8).astype(np.float64) / 255.0
+        assert back.inputs.tobytes() == expected.tobytes()
+
     def test_pixel_255_maps_to_one(self, tmp_path):
         images, labels = tmp_path / "i.idx", tmp_path / "l.idx"
         with open(images, "wb") as f:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,21 @@ class TestRunIterative:
         blowup = TrainConfig(epochs=3, learning_rate=1e200, train_batch_size=16, seed=0)
         with pytest.raises(NumericalError):
             run_iterative(cfg_iterative(train=blowup, final_train=blowup), *datasets)
+
+    def test_training_set_is_not_copied(self):
+        """The round loop reaches the training rows through an index: a 1-round run
+        allocates, at its peak, under half the bytes of the training inputs."""
+        train_data = gen_synthetic(10, 200, 400, seed=5, noise=0.2)  # 4000 x 200
+        test_data = gen_synthetic(10, 200, 20, seed=77, noise=0.2)
+        cfg = cfg_iterative(arch=(200, 30, 10), rounds=1, train=FAST, final_train=FAST)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            run_iterative(cfg, train_data, test_data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < train_data.inputs.nbytes / 2
 
     def test_wrong_mode_rejected(self, datasets):
         one_shot = cfg_iterative(mode="one_shot", one_shot_targets=(0.5,))

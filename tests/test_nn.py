@@ -446,6 +446,32 @@ class TestIndexUpdate:
             assert not w[~m].view(np.uint64).any()
 
 
+class TestTrainThroughRows:
+    """`train(..., rows=r)` gives the bits of `train` on the copy `data.take(r)`."""
+
+    ARCH = (50, 20, 8, 3)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "layer-0-indexed"])
+    @pytest.mark.parametrize("repeats", [False, True], ids=["permutation", "subset-with-repeats"])
+    def test_bit_identical_to_training_on_the_copy(self, sparse, repeats):
+        net = init_network(self.ARCH, seed=3)
+        mask = full_mask(self.ARCH)
+        if sparse:
+            mask = random_mask(self.ARCH, seed=9, keep_prob=0.5)
+            mask.layers[0] = random_mask(self.ARCH, seed=10, keep_prob=0.05).layers[0]
+            assert np.count_nonzero(mask.layers[0]) < nn._INDEX_UPDATE_BELOW * mask.layers[0].size
+        data = gen_synthetic(3, self.ARCH[0], 20, seed=12, noise=0.2)
+        rows = rng.permutation(4, len(data))
+        if repeats:
+            rows = np.concatenate([rows[:45], rows[:7]])
+        cfg = TrainConfig(epochs=3, learning_rate=0.4, train_batch_size=16, seed=5)
+        trained, history = train(net, mask, data, cfg, rows=rows)
+        expected, expected_history = train(net, mask, data.take(rows), cfg)
+        assert array_bytes(trained.weights) == array_bytes(expected.weights)
+        assert array_bytes(trained.biases) == array_bytes(expected.biases)
+        assert history == expected_history
+
+
 class TestNonFiniteLearningRate:
     @pytest.mark.parametrize("lr", [np.inf, -np.inf, np.nan])
     def test_rejected(self, tiny_net, tiny_mask, lr):
