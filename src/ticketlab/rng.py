@@ -7,9 +7,10 @@ version.
 
 Scheme: output i of the stream with seed s is mix64(s + i * GAMMA), where
 mix64 is the splitmix64 finalizer and GAMMA its golden-ratio increment.
-Because output i depends only on (s, i) the streams vectorize, array
-outputs are generated block by block with the same bits, and substreams are derived by folding integer path components into the seed
-(see `derive`).
+Because output i depends only on (s, i) the streams vectorize, arrays
+of outputs are generated block by block with the same bits as in one
+piece, and substreams are derived by folding integer path components
+into the seed (see `derive`).
 """
 
 from __future__ import annotations
