@@ -12,7 +12,7 @@ trained network of `round_000.json`. `load_run_state` regenerates the
 one and reads the other, and it is the one place that decides which run
 a file belongs to. `load_checkpoint` reads one file as it is.
 
-Format version 7 is one line of UTF-8 JSON, the header, then the mask,
+Format version 8 is one line of UTF-8 JSON, the header, then the mask,
 then the kept weights, then the biases, then a 4-byte trailer. The
 header holds the fields above; every array's shape follows from `arch`.
 Each mask layer is packed by `np.packbits` (row-major, first entry in
@@ -34,11 +34,14 @@ discovery finds checkpoints by that name.
 
 Files are written to a temporary name beside the target and renamed into
 place, so a crash mid-write leaves the previous round's file the latest.
-This build reads and writes format version 7 only. It rejects other
-versions outright (version 6 stored every weight, pruned ones included),
-a file without a header line, a file that fails its CRC, a malformed
-header field, and a data section whose length differs from the one
-`arch` and the stored mask give.
+This build reads and writes format version 8 only. It rejects other
+versions outright: version 7 had this layout but was written by training
+that ran every layer on its whole matrix (see `nn._COMPACT_BELOW`), so
+resuming one would mix two arithmetics in one run, and version 6 stored
+every weight, pruned ones included. It also rejects a file without a
+header line, a file that fails its CRC, a malformed header field, and a
+data section whose length differs from the one `arch` and the stored
+mask give.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from .masks import PruneMask, full_mask
 from .nn import DenseNetwork, check_int, check_layer_sizes, init_network
 from .results import RoundRow, write_atomically
 
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 _FLOAT = np.dtype("<f8")
 _CRC_BYTES = 4
 

@@ -21,6 +21,19 @@ once per call, its dW is not ANDed, and each step updates only
 +0.0. Which path a layer takes depends only on its mask, and both give
 the same bits, so the threshold changes speed, never results.
 
+A layer whose weights sit in fewer than `_COMPACT_BELOW` (half) of its
+input columns multiplies only those live columns: `_live_columns` picks
+them from the mask, and `train`, `forward`/`evaluate` and
+`loss_and_grads` all run such a layer on the contiguous copy
+`w[:, cols]` and on its input's `cols` columns. A pruned column adds
+exact zeros, but a shorter inner dimension rounds differently in BLAS,
+so this rule is part of what the results are: changing it changes
+result bits, and needs a new checkpoint format version. A layer at or
+above the rule runs on its whole matrix. Every unit stays in place: one
+with no incoming weights emits relu(bias) and trains its bias, and one
+with no outgoing weights gets an exact +0.0 delta, so its bias comes
+back unchanged. Fisher scoring always runs on the whole matrices.
+
 No function modifies its arguments. `train` and `sgd_step` update
 private copies of the weights and biases in place and return them as a
 new network; everything else returns new values.
@@ -55,6 +68,14 @@ _SQ_GRAD_CHUNK_ROWS = 1024
 # fraction; index update 0.01 / 0.15 / 0.27 / 0.32 / 0.37 / 0.46 ms at
 # 0.4 / 5 / 10 / 15 / 20 / 30% kept.
 _INDEX_UPDATE_BELOW = 0.15
+
+# Fraction of a layer's input columns under which the layer runs on its live
+# columns only (see the module docstring). This changes result bits; the
+# checkpoint format version pins it.
+_COMPACT_BELOW = 0.5
+
+# Rows per block of `Dataset`'s finiteness check; bounds its bool intermediate.
+_FINITE_CHECK_ROWS = 1024
 
 
 def check_int(value, what: str, minimum: Optional[int] = None) -> int:
@@ -187,8 +208,9 @@ class Dataset:
             )
         if self.labels.size and self.labels.min() < 0:
             raise UsageError("labels must be non-negative class indices")
-        if not np.isfinite(self.inputs).all():
-            raise UsageError("inputs contain non-finite values")
+        for start in range(0, self.inputs.shape[0], _FINITE_CHECK_ROWS):
+            if not np.isfinite(self.inputs[start : start + _FINITE_CHECK_ROWS]).all():
+                raise UsageError("inputs contain non-finite values")
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -257,6 +279,49 @@ def masked_weights(
     return bits, [_zero_pruned(w, k) for w, k in zip(net.weights, bits)]
 
 
+def _live_columns(mask: "PruneMask") -> list[Optional[np.ndarray]]:
+    """Per layer, None if at least `_COMPACT_BELOW` of its input columns keep a weight,
+    else the ascending indices of the columns that do."""
+    live = [m.any(axis=0) for m in mask.layers]
+    return [
+        None if np.count_nonzero(k) >= _COMPACT_BELOW * k.size else np.flatnonzero(k)
+        for k in live
+    ]
+
+
+def _columns(a: np.ndarray, cols: Optional[np.ndarray]) -> np.ndarray:
+    """`a` itself if `cols` is None, else a C-contiguous copy of its columns `cols`."""
+    return a if cols is None else a.take(cols, axis=1)
+
+
+def _widen(a: np.ndarray, cols: Optional[np.ndarray], width: int) -> np.ndarray:
+    """`a` itself if `cols` is None, else `width` columns: `a`'s at `cols`, +0.0 elsewhere."""
+    if cols is None:
+        return a
+    out = np.zeros((a.shape[0], width))
+    out[:, cols] = a
+    return out
+
+
+def _compacted(
+    net: DenseNetwork, mask: Optional["PruneMask"]
+) -> tuple[list[Optional[np.ndarray]], list[Optional[np.ndarray]], list[np.ndarray]]:
+    """(live columns, keep words, masked weights) of `net` under `mask`.
+
+    A layer with live columns (see `_live_columns`) gets its weights and
+    keep words for those columns only; no mask keeps every column.
+    """
+    bits, weights = masked_weights(net, mask)
+    if mask is None:
+        return [None] * len(weights), bits, weights
+    cols = _live_columns(mask)
+    for l, c in enumerate(cols):
+        if c is not None:
+            weights[l] = _columns(weights[l], c)
+            bits[l] = _keep_bits([_columns(mask.layers[l], c)])[0]
+    return cols, bits, weights
+
+
 def _check_labelled_rows(
     net: DenseNetwork, inputs: np.ndarray, labels: np.ndarray, what: str
 ) -> None:
@@ -276,18 +341,28 @@ def _check_labelled_rows(
 
 
 def _forward_arrays(
-    weights: list[np.ndarray], biases: list[np.ndarray], inputs: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Forward pass keeping intermediates: returns (pre-activations, layer inputs)."""
-    pre, layer_in = [], []
+    weights: list[np.ndarray],
+    biases: list[np.ndarray],
+    inputs: np.ndarray,
+    cols: Optional[Sequence[Optional[np.ndarray]]] = None,
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Forward pass keeping each layer's input: returns (layer inputs, logits).
+
+    A layer given live columns in `cols` (see `_compacted`) holds weights
+    for those columns only and reads only those of its input; for layer 0
+    the caller passes `inputs` already restricted to them. None keeps
+    every column of every layer.
+    """
+    layer_in = []
     a = inputs
     last = len(weights) - 1
     for l, (w, b) in enumerate(zip(weights, biases)):
+        if l > 0 and cols is not None:
+            a = _columns(a, cols[l])
         layer_in.append(a)
         z = a @ w.T + b
-        pre.append(z)
         a = np.maximum(z, 0.0) if l < last else z
-    return pre, layer_in
+    return layer_in, z
 
 
 def _softmax_from_logits(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -309,9 +384,9 @@ def forward(net: DenseNetwork, mask: Optional["PruneMask"], inputs: np.ndarray) 
         raise ShapeError(
             f"inputs must be (N, {net.layer_sizes[0]}), got {inputs.shape}"
         )
-    _, weights = masked_weights(net, mask)
-    pre, _ = _forward_arrays(weights, net.biases, inputs)
-    probs, _ = _softmax_from_logits(pre[-1])
+    cols, _, weights = _compacted(net, mask)
+    _, logits = _forward_arrays(weights, net.biases, _columns(inputs, cols[0]), cols)
+    probs, _ = _softmax_from_logits(logits)
     return probs
 
 
@@ -321,17 +396,21 @@ def _loss_and_grads_arrays(
     bits: list[Optional[np.ndarray]],
     inputs: np.ndarray,
     labels: np.ndarray,
+    cols: Optional[Sequence[Optional[np.ndarray]]] = None,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Mean cross-entropy and its exact gradients, +0.0 at pruned positions.
 
     Weights must already be masked; `bits` are their keep words. A layer
-    given None keep words gets its dW unmasked.
+    given None keep words gets its dW unmasked. Weights, inputs and `cols`
+    are as `_forward_arrays` takes them, and a layer with live columns
+    gets its dW for those columns only. Backpropagation through such a
+    layer gives the units that feed no live column an exact +0.0 delta.
     """
     n = inputs.shape[0]
-    pre, layer_in = _forward_arrays(weights, biases, inputs)
-    probs, lse = _softmax_from_logits(pre[-1])
+    layer_in, logits = _forward_arrays(weights, biases, inputs, cols)
+    probs, lse = _softmax_from_logits(logits)
     rows = np.arange(n)
-    loss = float(np.mean(lse[:, 0] - pre[-1][rows, labels]))
+    loss = float(np.mean(lse[:, 0] - logits[rows, labels]))
 
     delta = probs
     delta[rows, labels] -= 1.0
@@ -343,7 +422,9 @@ def _loss_and_grads_arrays(
         grad_w.append(_zero_pruned(g, bits[l], out=g))
         grad_b.append(delta.sum(axis=0))
         if l > 0:
-            delta = (delta @ weights[l]) * (pre[l - 1] > 0.0)
+            delta = (delta @ weights[l]) * (layer_in[l] > 0.0)
+            if cols is not None:
+                delta = _widen(delta, cols[l], biases[l - 1].shape[0])
     grad_w.reverse()
     grad_b.reverse()
     return loss, grad_w, grad_b
@@ -366,14 +447,14 @@ def _per_sample_sq_grad_sums(
     sums = [np.zeros_like(w) for w in weights]
     for start in range(0, inputs.shape[0], _SQ_GRAD_CHUNK_ROWS):
         x = inputs[start : start + _SQ_GRAD_CHUNK_ROWS]
-        pre, layer_in = _forward_arrays(weights, biases, x)
-        delta, _ = _softmax_from_logits(pre[-1])
+        layer_in, logits = _forward_arrays(weights, biases, x)
+        delta, _ = _softmax_from_logits(logits)
         delta[np.arange(x.shape[0]), labels[start : start + _SQ_GRAD_CHUNK_ROWS]] -= 1.0
         for l in range(len(weights) - 1, -1, -1):
             a = layer_in[l]
             sums[l] += (delta * delta).T @ (a * a)
             if l > 0:
-                delta = (delta @ weights[l]) * (pre[l - 1] > 0.0)
+                delta = (delta @ weights[l]) * (a > 0.0)
     return sums
 
 
@@ -386,11 +467,12 @@ def loss_and_grads(
     empty batch or out-of-range labels.
     """
     _check_labelled_rows(net, batch.inputs, batch.labels, "batch")
-    bits, weights = masked_weights(net, mask)
+    cols, bits, weights = _compacted(net, mask)
     loss, grad_w, grad_b = _loss_and_grads_arrays(
-        weights, net.biases, bits, batch.inputs, batch.labels
+        weights, net.biases, bits, _columns(batch.inputs, cols[0]), batch.labels, cols
     )
-    return loss, GradientSet(grad_w, grad_b)
+    widths = net.layer_sizes[:-1]
+    return loss, GradientSet([_widen(g, c, n) for g, c, n in zip(grad_w, cols, widths)], grad_b)
 
 
 def _sgd_update(
@@ -460,6 +542,11 @@ def train(
     every batch is gathered from `data` itself. The network and history
     are those of `train(net, mask, data.take(rows), cfg, eval_data)` in
     every bit.
+
+    A layer with few live input columns (see `_live_columns`) trains on
+    the copy of those columns, and layer 0 gathers only those columns of
+    each batch; the weights are written back before each evaluation. The
+    result equals repeated `loss_and_grads` and `sgd_step` in every bit.
     """
     labels = data.labels if rows is None else data.labels[rows]
     _check_labelled_rows(net, data.inputs, labels, "training data")
@@ -468,15 +555,21 @@ def train(
     else:
         measure = data if rows is None else data.take(rows)
 
-    bits, weights = masked_weights(net, mask)
+    cols, bits, weights = _compacted(net, mask)
     # Sparse layers get a kept index, and no keep words: their dW is not ANDed.
-    kept: list[Optional[np.ndarray]] = [None] * len(bits)
-    if mask is not None:
-        for l, (b, m) in enumerate(zip(bits, mask.layers)):
-            if b is not None and np.count_nonzero(m) < _INDEX_UPDATE_BELOW * m.size:
-                kept[l] = np.flatnonzero(m)
+    # Keep words are nonzero exactly where the (compacted) mask keeps.
+    kept = [
+        None if b is None or np.count_nonzero(b) >= _INDEX_UPDATE_BELOW * b.size
+        else np.flatnonzero(b)
+        for b in bits
+    ]
     step_bits = [b if k is None else None for b, k in zip(bits, kept)]
     biases = [b.copy() for b in net.biases]
+    widths = net.layer_sizes[:-1]
+
+    def trained() -> DenseNetwork:
+        return DenseNetwork([_widen(w, c, k) for w, c, k in zip(weights, cols, widths)], biases)
+
     n = labels.shape[0]
     bs = cfg.train_batch_size
     lr = cfg.learning_rate
@@ -489,13 +582,14 @@ def train(
         loss_sum = 0.0
         for start in range(0, n, bs):
             idx = order[start : start + bs]
+            x = data.inputs[idx] if cols[0] is None else data.inputs[idx[:, None], cols[0]]
             loss, grad_w, grad_b = _loss_and_grads_arrays(
-                weights, biases, step_bits, data.inputs[idx], data.labels[idx]
+                weights, biases, step_bits, x, data.labels[idx], cols
             )
             loss_sum += loss * idx.shape[0]
             _sgd_update(weights, biases, grad_w, grad_b, lr, kept)
-        history.append((loss_sum / n, evaluate(DenseNetwork(weights, biases), mask, measure)))
-    return DenseNetwork(weights, biases), history
+        history.append((loss_sum / n, evaluate(trained(), mask, measure)))
+    return trained(), history
 
 
 def evaluate(net: DenseNetwork, mask: Optional["PruneMask"], data: Dataset) -> float:

@@ -182,6 +182,12 @@ def as_v4(path):
     Path(path).write_bytes(json.dumps(header).encode("utf-8") + b"\n" + b"".join(data))
 
 
+def as_v7(path):
+    """Rewrite checkpoint `path` in format v7, the v8 layout written by training that
+    ran every layer on its whole matrix: only the version differs."""
+    edit_header(path, lambda h: h.__setitem__("format_version", 7))
+
+
 def as_v6(path):
     """Rewrite checkpoint `path` in format v6: the same header, then every weight
     (pruned ones as +0.0) and bias as `<f8`, then the mask bits."""

@@ -41,6 +41,7 @@ from conftest import (
     as_v4,
     as_v5,
     as_v6,
+    as_v7,
     decode_checkpoint,
     edit_checkpoint,
     edit_header,
@@ -241,18 +242,19 @@ class TestSaveLoad:
     def test_v2_and_v3_checkpoints_rejected(self, tmp_path):
         """Versions 2 and 3 were one JSON document with base64 arrays, version 4 a header
         line of shape lists before the raw arrays, version 5 up to three networks a
-        file, version 6 every weight of one network, pruned ones included; no reader
+        file, version 6 every weight of one network, pruned ones included, version 7
+        the current layout from training that never compacted a layer; no reader
         is kept for any of them."""
         path = tmp_path / "ckpt.json"
-        for version in (2, 3, 4, 5, 6):
+        for version in (2, 3, 4, 5, 6, 7):
             save_checkpoint(make_state(), path)
             if version >= 4:
-                {4: as_v4, 5: as_v5, 6: as_v6}[version](path)
+                {4: as_v4, 5: as_v5, 6: as_v6, 7: as_v7}[version](path)
             else:
                 as_old_version(path, version, lambda a: {
                     "shape": list(a.shape), "data": base64.b64encode(a.tobytes()).decode("ascii")
                 })
-            with pytest.raises(DataFormatError, match=f"format version {version}, .* version 7"):
+            with pytest.raises(DataFormatError, match=f"format version {version}, .* version 8"):
                 load_checkpoint(path)
 
     @pytest.mark.parametrize(
@@ -351,6 +353,11 @@ def test_file_layout_is_pinned(tmp_path):
     path = tmp_path / "ckpt.json"
     save_checkpoint(make_state(), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "8feb61f73d64153ae802c141809dc27310e972e7ca7c3ede4c85e31687800bb4"
+    )
+    # Version 8 kept version 7's layout: with the old version number it is the v7 pin.
+    as_v7(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "81c0b35669fafaf65e70ff36800f096d586816bfe81818dab6683f259147f923"
     )
 
@@ -406,7 +413,7 @@ class TestResumeEquivalence:
             for r in range(5):
                 path = directory / f"round_{r:03d}.json"
                 header, data = read_checkpoint(path)
-                assert (header["format_version"], header["initial_sha256"]) == (7, digest)
+                assert (header["format_version"], header["initial_sha256"]) == (8, digest)
                 kept = load_checkpoint(path).mask.kept_count()
                 assert len(data) == 6 + 3 + 8 * (kept + 8 + 3), (name, r)
 

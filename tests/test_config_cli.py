@@ -20,6 +20,7 @@ from conftest import (
     as_v4,
     as_v5,
     as_v6,
+    as_v7,
     edit_checkpoint,
     edit_header,
     flip_last_data_byte,
@@ -348,19 +349,34 @@ class TestCli:
         assert f"{newest} belongs to another run" in err
         assert (out / "unit.csv").read_bytes() == first
 
-    def test_resume_over_v6_directory_exit_2(self, tmp_path, capsys):
-        """This build reads format version 7 only: a directory of version-6 files
-        written before it has nothing to continue from."""
+    @staticmethod
+    def resume_over_old_directory(tmp_path, capsys, rewrite, version):
+        """Rewrite every file of a finished run's checkpoint directory to format
+        `version`; `--resume` and `verify` must exit 2 naming that version, and
+        leave the CSV."""
         spec, directory = checkpointed_run(tmp_path, seeds=[1])
         first = (tmp_path / "out" / "unit.csv").read_bytes()
         for path in directory.iterdir():
-            as_v6(path)
+            rewrite(path)
         capsys.readouterr()
         assert main(["lottery", "--config", str(spec), "--resume"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"data error: no checkpoint in {directory} loads: ")
-        assert err.count("has format version 6, this build reads version 7") == 3
+        assert err.count(f"has format version {version}, this build reads version 8") == 3
+        assert main(["verify", "--config", str(spec)]) == 2
+        assert f"has format version {version}, this build reads version 8" in (
+            capsys.readouterr().err)
         assert (tmp_path / "out" / "unit.csv").read_bytes() == first
+
+    def test_resume_over_v6_directory_exit_2(self, tmp_path, capsys):
+        """This build reads format version 8 only: a directory of version-6 files
+        written before it has nothing to continue from."""
+        self.resume_over_old_directory(tmp_path, capsys, as_v6, 6)
+
+    def test_resume_over_v7_directory_exit_2(self, tmp_path, capsys):
+        """Version 7 had the version-8 layout, but its weights came from training that
+        never compacted a layer, so resuming it would mix two arithmetics in one run."""
+        self.resume_over_old_directory(tmp_path, capsys, as_v7, 7)
 
     def test_one_shot_checkpoint_and_resume(self, tmp_path):
         out = tmp_path / "out"
@@ -538,6 +554,10 @@ class TestCli:
             pytest.param(
                 lambda tmp: ["inspect", write_corrupt_checkpoint(tmp, as_v6)],
                 id="inspect-v6-checkpoint",
+            ),
+            pytest.param(
+                lambda tmp: ["inspect", write_corrupt_checkpoint(tmp, as_v7)],
+                id="inspect-v7-checkpoint",
             ),
             pytest.param(
                 lambda tmp: ["inspect", write_corrupt_checkpoint(

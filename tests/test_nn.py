@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -337,6 +339,14 @@ class TestInputsUnchanged:
         assert array_bytes(arrays) == before
 
 
+def live_in_columns(mask, layer, columns):
+    """`mask` with layer `layer` pruned outside its input `columns`."""
+    dead = np.ones(mask.layers[layer].shape[1], dtype=bool)
+    dead[columns] = False
+    mask.layers[layer][:, dead] = False
+    return mask
+
+
 def reference_train(net, mask, data, cfg):
     """`train` rebuilt from the public loss_and_grads and sgd_step."""
     history = []
@@ -360,8 +370,9 @@ class TestTrainMatchesPublicApi:
             lambda net, arch: random_mask(arch, seed=5, keep_prob=0.1),
             # Pruning exactly the negative weights: a multiplicative zeroing would leave -0.0.
             lambda net, arch: PruneMask([w > 0 for w in net.weights]),
+            lambda net, arch: live_in_columns(random_mask(arch, seed=6, keep_prob=0.7), 0, [1, 4]),
         ],
-        ids=["50%", "10%", "negative-weights-pruned"],
+        ids=["50%", "10%", "negative-weights-pruned", "layer-0-two-of-six-columns-live"],
     )
     def test_bit_identical_to_reference_loop(self, blob_data, make_mask):
         arch = (6, 5, 3)
@@ -378,14 +389,22 @@ class TestTrainMatchesPublicApi:
             assert not np.signbit(w[~m]).any()
 
 
+PATH_PARAMS = pytest.mark.parametrize(
+    "kept_count, layer1_pruned",
+    [(0, False), (4, False), (50, False), (500, False), (1000, False), (50, True)],
+    ids=["0%", "0.4%", "5%", "50%", "100%", "5%-layer-1-all-pruned"],
+)
+
+
 class TestIndexUpdate:
     """`train`'s index update of sparse layers gives the same bits as the AND + dense update."""
 
     ARCH = (50, 20, 8, 3)
 
     @staticmethod
-    def train_through(monkeypatch, below, *args):
-        """`train(*args)` with `_INDEX_UPDATE_BELOW` at `below`, and which layers it indexed."""
+    def train_through(monkeypatch, below, *args, compact_below=0.0):
+        """`train(*args)` with `_INDEX_UPDATE_BELOW` at `below` and `_COMPACT_BELOW` at
+        `compact_below` (by default no layer is compacted), and which layers it indexed."""
         indexed = []
         update = nn._sgd_update
 
@@ -395,16 +414,12 @@ class TestIndexUpdate:
 
         with monkeypatch.context() as patch:
             patch.setattr(nn, "_INDEX_UPDATE_BELOW", below)
+            patch.setattr(nn, "_COMPACT_BELOW", compact_below)
             patch.setattr(nn, "_sgd_update", spy)
             trained, history = train(*args)
         return trained, history, indexed[0]
 
-    @pytest.mark.parametrize(
-        "kept_count, layer1_pruned",
-        [(0, False), (4, False), (50, False), (500, False), (1000, False), (50, True)],
-        ids=["0%", "0.4%", "5%", "50%", "100%", "5%-layer-1-all-pruned"],
-    )
-    def test_paths_bit_identical(self, monkeypatch, kept_count, layer1_pruned):
+    def check_paths(self, monkeypatch, kept_count, layer1_pruned, compact_below):
         net = init_network(self.ARCH, seed=31)
         mask = random_mask(self.ARCH, seed=8, keep_prob=0.3)
         kept = np.zeros(net.weights[0].size, dtype=bool)
@@ -418,15 +433,39 @@ class TestIndexUpdate:
         data = gen_synthetic(3, self.ARCH[0], 20, seed=12, noise=0.2)
         cfg = TrainConfig(epochs=3, learning_rate=0.4, train_batch_size=16, seed=5)
         args = (net, mask, data, cfg)
-        dense, dense_history, dense_indexed = self.train_through(monkeypatch, 0.0, *args)
-        index, index_history, index_indexed = self.train_through(monkeypatch, 1.01, *args)
+        dense, dense_history, dense_indexed = self.train_through(
+            monkeypatch, 0.0, *args, compact_below=compact_below
+        )
+        index, index_history, index_indexed = self.train_through(
+            monkeypatch, 1.01, *args, compact_below=compact_below
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(nn, "_COMPACT_BELOW", compact_below)
+            cols = nn._live_columns(mask)
         assert dense_indexed == [False, False, False]
-        assert index_indexed == [not m.all() for m in mask.layers]
+        # A compacted layer is indexed unless it keeps every weight of its live columns.
+        assert index_indexed == [not nn._columns(m, c).all() for m, c in zip(mask.layers, cols)]
         assert array_bytes(index.weights) == array_bytes(dense.weights)
         assert array_bytes(index.biases) == array_bytes(dense.biases)
         assert index_history == dense_history
         for w, m in zip(index.weights, mask.layers):
             assert not w[~m].view(np.uint64).any()  # +0.0: zero with the sign bit clear
+        return cols
+
+    @PATH_PARAMS
+    def test_paths_bit_identical(self, monkeypatch, kept_count, layer1_pruned):
+        cols = self.check_paths(monkeypatch, kept_count, layer1_pruned, compact_below=0.0)
+        assert cols == [None, None, None]
+
+    @PATH_PARAMS
+    def test_paths_bit_identical_compacted(self, monkeypatch, kept_count, layer1_pruned):
+        """The same with the shipped column rule. Layer 0 keeps weights in 0 and 4 of
+        its 50 columns at 0% and 0.4%, and in more than 25 from 5% on; an all-pruned
+        layer 1 has no live column."""
+        cols = self.check_paths(
+            monkeypatch, kept_count, layer1_pruned, compact_below=nn._COMPACT_BELOW
+        )
+        assert [c is not None for c in cols] == [kept_count <= 4, layer1_pruned, False]
 
     def test_index_and_dense_layers_in_one_call(self, monkeypatch):
         """At the shipped threshold, one call updates a sparse layer by index and a
@@ -444,6 +483,111 @@ class TestIndexUpdate:
         assert indexed == [True, False]
         for w, m in zip(trained.weights, mask.layers):
             assert not w[~m].view(np.uint64).any()
+
+
+class TestLiveColumns:
+    """Layers with weights in under half their input columns run on those columns only."""
+
+    def test_rule_is_half_the_input_columns(self):
+        mask = full_mask((4, 3, 2))
+        live_in_columns(mask, 0, [0, 2])  # 2 of 4: at the rule, not under it
+        live_in_columns(mask, 1, [1])  # 1 of 3
+        cols = nn._live_columns(mask)
+        assert cols[0] is None and cols[1].tolist() == [1]
+        mask.layers[0][:, 2] = False
+        assert nn._live_columns(mask)[0].tolist() == [0]
+        mask.layers[0][:] = False
+        assert nn._live_columns(mask)[0].tolist() == []
+
+    def test_agrees_with_uncompacted_arithmetic(self, monkeypatch):
+        """Layers 0 (10 of 50 columns live) and 1 (5 of 20) compacted, against neither."""
+        arch = (50, 20, 8, 3)
+        net = init_network(arch, seed=17)
+        mask = random_mask(arch, seed=18, keep_prob=0.6)
+        live_in_columns(mask, 0, np.arange(0, 50, 5))
+        live_in_columns(mask, 1, [2, 3, 7, 11, 19])
+        assert [c is not None for c in nn._live_columns(mask)] == [True, True, False]
+        data = gen_synthetic(3, arch[0], 20, seed=19, noise=0.2)
+        cfg = TrainConfig(epochs=3, learning_rate=0.4, train_batch_size=16, seed=20)
+        compact, compact_history = train(net, mask, data, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(nn, "_COMPACT_BELOW", 0.0)
+            assert nn._live_columns(mask) == [None, None, None]
+            dense, dense_history = train(net, mask, data, cfg)
+        for a, b, m in zip(compact.weights, dense.weights, mask.layers):
+            assert np.all(np.abs(a[m] - b[m]) <= 1e-12 * np.abs(b[m]))
+            assert not a[~m].view(np.uint64).any() and not b[~m].view(np.uint64).any()
+        for a, b in zip(compact.biases, dense.biases):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+        assert [acc for _, acc in compact_history] == [acc for _, acc in dense_history]
+
+    def test_fully_pruned_layer_trains_its_biases(self, blob_data):
+        arch = (6, 5, 3)
+        net = init_network(arch, seed=21)
+        net.biases[0][:] = [0.3, -0.2, 0.1, 0.4, 0.0]
+        mask = full_mask(arch)
+        mask.layers[0][:] = False
+        assert nn._live_columns(mask)[0].size == 0
+        cfg = TrainConfig(epochs=2, learning_rate=0.3, train_batch_size=16, seed=7)
+        trained, _ = train(net, mask, blob_data, cfg)
+        assert not trained.weights[0].view(np.uint64).any()
+        # Units with a positive bias emit it and pass a gradient back to it.
+        moved = trained.biases[0] != net.biases[0]
+        assert moved.tolist() == [True, False, True, True, False]
+        expected, _ = reference_train(net, mask, blob_data, cfg)
+        assert array_bytes(trained.weights) == array_bytes(expected.weights)
+        assert array_bytes(trained.biases) == array_bytes(expected.biases)
+
+    def test_units_without_outgoing_weights_keep_their_bias_bits(self, blob_data):
+        arch = (6, 5, 3)
+        net = init_network(arch, seed=22)
+        net.biases[0][:] = [0.25, -0.0, 0.5, -0.125, 0.75]
+        mask = live_in_columns(full_mask(arch), 1, [0, 2])
+        cfg = TrainConfig(epochs=3, learning_rate=0.3, train_batch_size=16, seed=8)
+        trained, _ = train(net, mask, blob_data, cfg)
+        dead = [1, 3, 4]
+        assert trained.biases[0][dead].tobytes() == net.biases[0][dead].tobytes()
+        assert not np.array_equal(trained.biases[0][[0, 2]], net.biases[0][[0, 2]])
+
+    def test_no_layer_under_the_rule_keeps_the_uncompacted_bits(self):
+        """Pinned before column compaction existed: train, loss_and_grads and forward
+        with a mask whose layers all keep weights in at least half their columns
+        (layer 0 in 12 of 20, on the index update)."""
+        arch = (20, 10, 4)
+        net = init_network(arch, seed=41)
+        mask = random_mask(arch, seed=42, keep_prob=0.3)
+        mask.layers[0] = random_mask(arch, seed=43, keep_prob=0.1).layers[0]
+        assert nn._live_columns(mask) == [None, None]
+        data = gen_synthetic(4, 20, 15, seed=44, noise=0.3)
+        cfg = TrainConfig(epochs=3, learning_rate=0.3, train_batch_size=8, seed=45)
+        trained, history = train(net, mask, data, cfg)
+        loss, grads = loss_and_grads(trained, mask, data)
+        digest = hashlib.sha256()
+        for a in [*trained.weights, *trained.biases, *grads.weights, *grads.biases,
+                  forward(trained, mask, data.inputs)]:
+            digest.update(a.tobytes())
+        digest.update(repr((history, loss)).encode())
+        assert digest.hexdigest() == (
+            "c6048ff05a956f39a17a9519a29db3b715819779f3e3b072c03d69986f4e3af2"
+        )
+
+
+class TestDatasetFiniteness:
+    """`Dataset` refuses non-finite inputs, checked by blocks of rows."""
+
+    ROWS = 2 * nn._FINITE_CHECK_ROWS + 3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize(
+        "row, col",
+        [(0, 0), (nn._FINITE_CHECK_ROWS - 1, 2), (nn._FINITE_CHECK_ROWS, 0), (ROWS - 1, 2)],
+        ids=["first-row", "last-row-of-block-0", "first-row-of-block-1", "last-element"],
+    )
+    def test_non_finite_value_rejected(self, bad, row, col):
+        inputs = np.zeros((self.ROWS, 3))
+        inputs[row, col] = bad
+        with pytest.raises(UsageError, match="inputs contain non-finite values"):
+            Dataset(inputs, np.zeros(self.ROWS, dtype=int))
 
 
 class TestTrainThroughRows:
