@@ -65,6 +65,14 @@ CHECKPOINT_VERSION = 8
 _FLOAT = np.dtype("<f8")
 _CRC_BYTES = 4
 
+# Kept fraction under which a layer's kept weights are gathered and scattered
+# through their flat index rather than the bool mask. Same bytes either way.
+# LeNet layer 0, random masks, 2-core Haswell guest, at 20 / 51 / 80 / 100% kept:
+# gather by mask 0.94 / 1.42 / 0.92 / 0.32 ms, by index 0.25 / 0.30 / 0.38 /
+# 0.60 ms; scatter from a file's (unaligned) bytes by mask 0.97 / 1.46 / 1.17 /
+# 0.40 ms, by index 0.46 / 0.91 / 1.43 / 1.56 ms.
+_INDEX_BELOW = 0.75
+
 
 @dataclass(eq=False)
 class CheckpointState:
@@ -105,6 +113,13 @@ def _weight_shapes(arch) -> list[tuple[int, int]]:
     return [(fan_out, fan_in) for fan_in, fan_out in zip(arch, arch[1:])]
 
 
+def _kept_positions(m: np.ndarray, kept: int) -> np.ndarray:
+    """An index of the `kept` entries that bool mask `m` keeps in its flattened layer, in
+    row-major order: the flat mask itself, or under `_INDEX_BELOW` kept, their positions."""
+    flat = m.reshape(-1)
+    return np.flatnonzero(flat) if kept < _INDEX_BELOW * flat.size else flat
+
+
 def save_checkpoint(state: CheckpointState, path) -> None:
     """Write a checkpoint file atomically: a synced temporary file, then a rename.
 
@@ -141,7 +156,10 @@ def save_checkpoint(state: CheckpointState, path) -> None:
     }
     chunks = [json.dumps(header).encode("utf-8") + b"\n"]
     chunks += [np.packbits(m) for m in state.mask.layers]
-    chunks += [w[m] for m, w in zip(state.mask.layers, weights)] + biases
+    chunks += [
+        w.reshape(-1)[_kept_positions(m, np.count_nonzero(m))]
+        for m, w in zip(state.mask.layers, weights)
+    ] + biases
     crc = 0
     for chunk in chunks:
         crc = zlib.crc32(chunk, crc)
@@ -209,7 +227,7 @@ def load_checkpoint(path) -> CheckpointState:
         # Fresh, writable, native-order arrays, +0.0 at every pruned position.
         weights = [np.zeros(m.shape) for m in mask.layers]
         for w, m, k in zip(weights, mask.layers, kept):
-            w[m] = take(k, _FLOAT)
+            w.reshape(-1)[_kept_positions(m, k)] = take(k, _FLOAT)
         trained = DenseNetwork(weights, [take(o, _FLOAT).astype(np.float64) for o, _ in shapes])
         return CheckpointState(
             arch=arch,

@@ -206,13 +206,17 @@ def _run_rounds(
             if one_shot:
                 # Every target prunes the dense round's network, scored once as round 1.
                 trained, mask = baseline, full_mask(cfg.arch)
-            if scores is None or not one_shot:
+            if scores is None:
                 scores, passes = _compute_scores(
                     cfg, trained, mask, fisher_set, 1 if one_shot else r
                 )
             fraction = cfg.one_shot_targets[r - 1] if one_shot else cfg.per_round_fraction
             mask = _prune_step(mask, scores, fraction)
             start_net = rewind(trained, initial, mask)
+            # Nothing after this reads them, so they are not held while the round trains.
+            trained = None
+            if not one_shot:
+                scores = None
         schedule = cfg.final_train if r == last or (one_shot and r > 0) else cfg.train
         trained, history = train(
             start_net, mask, train_data, schedule, eval_data=test_data, rows=order

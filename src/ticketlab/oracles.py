@@ -43,6 +43,18 @@ def per_sample_fisher(net: DenseNetwork, mask, data: Dataset, sample_count: int)
     return [w * w * a / (2 * sample_count) for w, a in zip(net.weights, acc)]
 
 
+def whole_set_accuracy(net: DenseNetwork, mask, data: Dataset) -> float:
+    """Argmax accuracy from one pass over all rows at once, with pruned weights set
+    by `np.where` and every layer on its whole matrix; ties pick the lowest class."""
+    a = data.inputs
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        if mask is not None:
+            w = np.where(mask.layers[l], w, 0.0)
+        logits = a @ w.T + b
+        a = np.maximum(logits, 0.0)
+    return float(np.mean(logits.argmax(axis=1) == data.labels))
+
+
 def movement_element_loop(baseline: DenseNetwork, current: DenseNetwork, mask) -> tuple:
     """(sum of |baseline - current| over kept weights, kept count), layer then row-major."""
     acc = 0.0

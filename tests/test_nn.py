@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from ticketlab import (
 )
 from ticketlab import GradientSet, PruneMask, apply_mask, nn, rewind, rng
 from ticketlab.nn import DenseNetwork, _keep_bits, _zero_pruned, masked_weights
-from ticketlab.oracles import finite_difference, worst_relative_error
+from ticketlab.oracles import finite_difference, whole_set_accuracy, worst_relative_error
 
 from conftest import networks_equal
 from test_masks import random_mask
@@ -314,10 +315,11 @@ def operation_inputs(operation, mask_kind):
         "sgd_step": lambda: sgd_step(net, grads, mask, lr=0.5),
         "loss_and_grads": lambda: loss_and_grads(net, mask, data),
         "forward": lambda: forward(net, mask, data.inputs),
+        "evaluate": lambda: evaluate(net, mask, data),
         "apply_mask": lambda: apply_mask(net, mask),
         "rewind": lambda: rewind(other, net, mask),
     }
-    arrays = [*net.weights, *net.biases, *other.weights, *other.biases]
+    arrays = [*net.weights, *net.biases, *other.weights, *other.biases, data.inputs, data.labels]
     arrays += [*grads.weights, *grads.biases, *(mask.layers if mask else [])]
     return calls[operation], arrays
 
@@ -327,7 +329,9 @@ class TestInputsUnchanged:
         "operation, mask_kind",
         [
             (op, kind)
-            for op in ["train", "sgd_step", "loss_and_grads", "forward", "apply_mask", "rewind"]
+            for op in [
+                "train", "sgd_step", "loss_and_grads", "forward", "evaluate", "apply_mask", "rewind"
+            ]
             for kind in ["none", "full", "partial"]
             if not (kind == "none" and op in ("apply_mask", "rewind"))
         ],
@@ -347,8 +351,8 @@ def live_in_columns(mask, layer, columns):
     return mask
 
 
-def reference_train(net, mask, data, cfg):
-    """`train` rebuilt from the public loss_and_grads and sgd_step."""
+def reference_train(net, mask, data, cfg, eval_data=None):
+    """`train` rebuilt from the public loss_and_grads, sgd_step and evaluate."""
     history = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(rng.derive(cfg.seed, 2, epoch), len(data))
@@ -358,7 +362,8 @@ def reference_train(net, mask, data, cfg):
             loss, grads = loss_and_grads(net, mask, data.take(idx))
             loss_sum += loss * idx.shape[0]
             net = sgd_step(net, grads, mask, cfg.learning_rate)
-        history.append((loss_sum / len(data), evaluate(net, mask, data)))
+        measure = data if eval_data is None else eval_data
+        history.append((loss_sum / len(data), evaluate(net, mask, measure)))
     return net, history
 
 
@@ -387,6 +392,65 @@ class TestTrainMatchesPublicApi:
         for w, m in zip(trained.weights, mask.layers):
             assert np.all(w[~m] == 0.0)
             assert not np.signbit(w[~m]).any()
+
+    def test_bit_identical_with_eval_data_of_several_blocks(self, blob_data):
+        """Layer 0 compacted and an eval set of more than two blocks."""
+        arch = (6, 5, 3)
+        net = init_network(arch, seed=23)
+        mask = live_in_columns(random_mask(arch, seed=6, keep_prob=0.7), 0, [1, 4])
+        assert nn._live_columns(mask)[0] is not None
+        eval_data = gen_synthetic(3, 6, nn._FORWARD_BLOCK_ROWS, seed=24, noise=0.4)
+        assert len(eval_data) > 2 * nn._FORWARD_BLOCK_ROWS
+        cfg = TrainConfig(epochs=3, learning_rate=0.3, train_batch_size=16, seed=9)
+        trained, history = train(net, mask, blob_data, cfg, eval_data=eval_data)
+        expected, expected_history = reference_train(net, mask, blob_data, cfg, eval_data)
+        assert array_bytes(trained.weights) == array_bytes(expected.weights)
+        assert array_bytes(trained.biases) == array_bytes(expected.biases)
+        assert history == expected_history
+
+
+class TestBlockedEvaluation:
+    """`forward` and `evaluate` run blocks of `_FORWARD_BLOCK_ROWS` rows."""
+
+    ARCH = (40, 300, 4)
+
+    def network(self, compacted):
+        net = init_network(self.ARCH, seed=51)
+        mask = random_mask(self.ARCH, seed=52, keep_prob=0.6)
+        if compacted:
+            live_in_columns(mask, 0, np.arange(0, 40, 3))
+        assert (nn._live_columns(mask)[0] is not None) == compacted
+        data = gen_synthetic(4, 40, 50, seed=53, noise=0.5)
+        net, _ = train(net, mask, data, TrainConfig(epochs=2, learning_rate=0.2, seed=54))
+        return net, mask
+
+    @pytest.mark.parametrize("blocks", [0.5, 1, 2.5])
+    @pytest.mark.parametrize("compacted", [False, True], ids=["whole", "layer-0-compacted"])
+    def test_accuracy_equals_whole_set_reference(self, blocks, compacted):
+        net, mask = self.network(compacted)
+        per_class = int(blocks * nn._FORWARD_BLOCK_ROWS) // 4
+        data = gen_synthetic(4, 40, per_class, seed=55, noise=0.5)
+        assert len(data) == blocks * nn._FORWARD_BLOCK_ROWS
+        accuracy = evaluate(net, mask, data)
+        assert 0.3 < accuracy < 1.0
+        assert accuracy == whole_set_accuracy(net, mask, data)
+        probs = forward(net, mask, data.inputs)
+        assert probs.shape == (len(data), 4)
+        assert accuracy == np.mean(probs.argmax(axis=1) == data.labels)
+
+    def test_memory_does_not_grow_with_rows(self):
+        net, mask = self.network(compacted=False)
+
+        def peak(blocks):
+            data = gen_synthetic(4, 40, blocks * nn._FORWARD_BLOCK_ROWS // 4, seed=56)
+            tracemalloc.start()
+            try:
+                evaluate(net, mask, data)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8) < 1.5 * peak(1)
 
 
 PATH_PARAMS = pytest.mark.parametrize(
@@ -559,6 +623,7 @@ class TestLiveColumns:
         mask.layers[0] = random_mask(arch, seed=43, keep_prob=0.1).layers[0]
         assert nn._live_columns(mask) == [None, None]
         data = gen_synthetic(4, 20, 15, seed=44, noise=0.3)
+        assert len(data) < nn._FORWARD_BLOCK_ROWS  # one block: forward's bits are unblocked ones
         cfg = TrainConfig(epochs=3, learning_rate=0.3, train_batch_size=8, seed=45)
         trained, history = train(net, mask, data, cfg)
         loss, grads = loss_and_grads(trained, mask, data)
