@@ -360,6 +360,15 @@ def test_file_layout_is_pinned(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "81c0b35669fafaf65e70ff36800f096d586816bfe81818dab6683f259147f923"
     )
+    # A sparse layer 0 (5 of 20 kept) stores its kept weights in the same row-major order.
+    state = make_state()
+    state.mask.layers[0][:] = np.arange(20).reshape(5, 4) % 4 == 1
+    state.trained = apply_mask(state.trained, state.mask)
+    save_checkpoint(state, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "923f9555ffae78440c651cdc7ee3a9eb4073c3c6bb5ef341617bc4f35c1945fa"
+    )
+    assert networks_equal(load_checkpoint(path).trained, state.trained)
 
 
 def test_latest_round_path_orders_by_integer_index(tmp_path):
