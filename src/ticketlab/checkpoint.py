@@ -17,12 +17,13 @@ then the kept weights, then the biases, then a 4-byte trailer. The
 header holds the fields above; every array's shape follows from `arch`.
 Each mask layer is packed by `np.packbits` (row-major, first entry in
 the high bit, zero-padded to a whole byte). The weights that follow are
-the kept ones only, layer by layer in mask order (`w[m]`, row-major),
-and the biases come whole; both are little-endian float64 (`<f8`). A
-pruned weight is not stored: it reads back as `+0.0`, which `nn` keeps
-at every pruned position, and `save_checkpoint` refuses a network with
-any other bits there. `initial_sha256` is the sha256 of the iteration-0
-network's weights then biases, all of them, as `<f8`. The trailer is the
+the kept ones only, layer by layer in mask order (row-major: a save
+gathers `w[m]`, a load scatters `w[m] = ...` into zeros), and the biases
+come whole; both are little-endian float64 (`<f8`). A pruned weight is
+not stored: it reads back as `+0.0`, which `nn` keeps at every pruned
+position, and `save_checkpoint` refuses a network with any other bits
+there. `initial_sha256` is the sha256 of the iteration-0 network's
+weights then biases, all of them, as `<f8`. The trailer is the
 little-endian `zlib.crc32` of every byte before it, header included.
 Raw bytes in a fixed byte order make the round trip bit-exact on any
 host (-0.0 and subnormals included), which is what makes resuming
@@ -65,14 +66,6 @@ CHECKPOINT_VERSION = 8
 _FLOAT = np.dtype("<f8")
 _CRC_BYTES = 4
 
-# Kept fraction under which a layer's kept weights are gathered and scattered
-# through their flat index rather than the bool mask. Same bytes either way.
-# LeNet layer 0, random masks, 2-core Haswell guest, at 20 / 51 / 80 / 100% kept:
-# gather by mask 0.94 / 1.42 / 0.92 / 0.32 ms, by index 0.25 / 0.30 / 0.38 /
-# 0.60 ms; scatter from a file's (unaligned) bytes by mask 0.97 / 1.46 / 1.17 /
-# 0.40 ms, by index 0.46 / 0.91 / 1.43 / 1.56 ms.
-_INDEX_BELOW = 0.75
-
 
 @dataclass(eq=False)
 class CheckpointState:
@@ -113,13 +106,6 @@ def _weight_shapes(arch) -> list[tuple[int, int]]:
     return [(fan_out, fan_in) for fan_in, fan_out in zip(arch, arch[1:])]
 
 
-def _kept_positions(m: np.ndarray, kept: int) -> np.ndarray:
-    """An index of the `kept` entries that bool mask `m` keeps in its flattened layer, in
-    row-major order: the flat mask itself, or under `_INDEX_BELOW` kept, their positions."""
-    flat = m.reshape(-1)
-    return np.flatnonzero(flat) if kept < _INDEX_BELOW * flat.size else flat
-
-
 def save_checkpoint(state: CheckpointState, path) -> None:
     """Write a checkpoint file atomically: a synced temporary file, then a rename.
 
@@ -156,10 +142,7 @@ def save_checkpoint(state: CheckpointState, path) -> None:
     }
     chunks = [json.dumps(header).encode("utf-8") + b"\n"]
     chunks += [np.packbits(m) for m in state.mask.layers]
-    chunks += [
-        w.reshape(-1)[_kept_positions(m, np.count_nonzero(m))]
-        for m, w in zip(state.mask.layers, weights)
-    ] + biases
+    chunks += [w[m] for m, w in zip(state.mask.layers, weights)] + biases
     crc = 0
     for chunk in chunks:
         crc = zlib.crc32(chunk, crc)
@@ -227,7 +210,7 @@ def load_checkpoint(path) -> CheckpointState:
         # Fresh, writable, native-order arrays, +0.0 at every pruned position.
         weights = [np.zeros(m.shape) for m in mask.layers]
         for w, m, k in zip(weights, mask.layers, kept):
-            w.reshape(-1)[_kept_positions(m, k)] = take(k, _FLOAT)
+            w[m] = take(k, _FLOAT)
         trained = DenseNetwork(weights, [take(o, _FLOAT).astype(np.float64) for o, _ in shapes])
         return CheckpointState(
             arch=arch,

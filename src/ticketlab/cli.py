@@ -65,6 +65,9 @@ def _parse_synthetic(text: str):
 
 def _cmd_train(args) -> int:
     arch = check_layer_sizes([parse_int(s, "--arch layer size") for s in args.arch.split(",")])
+    if bool(args.test_images) != bool(args.test_labels):
+        missing = "--test-labels" if args.test_images else "--test-images"
+        raise UsageError(f"need --test-images and --test-labels together; {missing} is missing")
     if args.synthetic is not None:
         if args.images or args.labels:
             raise UsageError("give either --synthetic or --images/--labels, not both")
@@ -74,7 +77,7 @@ def _cmd_train(args) -> int:
             raise UsageError("need --images and --labels (or --synthetic)")
         dataset = load_idx(args.images, args.labels)
     eval_data = None
-    if args.test_images and args.test_labels:
+    if args.test_images:
         eval_data = load_idx(args.test_images, args.test_labels)
 
     cfg = TrainConfig(

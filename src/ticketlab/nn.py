@@ -13,26 +13,28 @@ float64 array's bits with them equals `np.where(kept, a, 0.0)` in every
 bit, at a cost that does not depend on how the kept positions are
 scattered.
 
-`train` skips that step where it pays: a partly pruned layer keeping
-fewer than `_INDEX_UPDATE_BELOW` of its weights gets its flat kept index
-once per call, its dW is not ANDed, and each step updates only
-`w.flat[kept] -= lr * g.flat[kept]`. Kept positions compute the same
-`w - g*lr` either way, and pruned ones are never written, so they stay
-+0.0. Which path a layer takes depends only on its mask, and both give
-the same bits, so the threshold changes speed, never results.
+`train`, `forward`, `evaluate` and `loss_and_grads` each run under one
+plan per call, which `_plan` works out from the mask alone. Per layer,
+it holds the live input columns, the keep words of the matrix the layer
+runs on, and that matrix's flat kept index. A layer whose kept weights
+sit in fewer than `_COMPACT_BELOW` (half) of its input columns runs on
+those columns only: on the contiguous copy `w[:, cols]` and on its
+input's `cols` columns, gathered for layer 0 by (row, column) pairs of
+each batch. Its keep words and kept index are then those of `w[:,
+cols]`. A layer that keeps every weight of its matrix has neither. One
+that keeps fewer than `_INDEX_UPDATE_BELOW` of them has a kept index:
+`train` does not AND its dW, and each step updates only
+`w.flat[kept] -= lr * g.flat[kept]`, never writing a pruned position.
 
-A layer whose weights sit in fewer than `_COMPACT_BELOW` (half) of its
-input columns multiplies only those live columns: `_live_columns` picks
-them from the mask, and `train`, `forward`/`evaluate` and
-`loss_and_grads` all run such a layer on the contiguous copy
-`w[:, cols]` and on its input's `cols` columns. A pruned column adds
-exact zeros, but a shorter inner dimension rounds differently in BLAS,
-so this rule is part of what the results are: changing it changes
-result bits, and needs a new checkpoint format version. A layer at or
-above the rule runs on its whole matrix. Every unit stays in place: one
-with no incoming weights emits relu(bias) and trains its bias, and one
-with no outgoing weights gets an exact +0.0 delta, so its bias comes
-back unchanged. Fisher scoring always runs on the whole matrices.
+Only `_COMPACT_BELOW` changes result bits. A pruned column adds exact
+zeros, but a shorter inner dimension rounds differently in BLAS, so
+changing that rule needs a new checkpoint format version. The index
+update computes the same `w - g*lr` at kept positions as the AND and
+dense update, and leaves pruned ones +0.0, so its threshold changes
+speed only. Every unit stays in place: one with no incoming weights
+emits relu(bias) and trains its bias, and one with no outgoing weights
+gets an exact +0.0 delta, so its bias comes back unchanged. Fisher
+scoring always runs on the whole matrices.
 
 Training steps, Fisher scoring, `forward` and `evaluate` share one
 forward pass, `_forward_arrays`, and run it on bounded blocks of rows (a
@@ -54,7 +56,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -72,16 +74,16 @@ _SHUFFLE_STREAM = 2
 # (1024 rows of a 784-300-100-10 network hold ~6 MB in layer 0).
 _SQ_GRAD_CHUNK_ROWS = 1024
 
-# Kept fraction under which `train` updates a partly pruned layer by its
-# flat kept index (see the module docstring). LeNet-300-100 layer 0, random
-# masks, 2-core Haswell guest: AND + dense update 0.37-0.40 ms at any
+# Kept fraction under which `_plan` gives a layer the flat kept index that
+# `train` updates it by (see the module docstring). LeNet-300-100 layer 0,
+# random masks, 2-core Haswell guest: AND + dense update 0.37-0.40 ms at any
 # fraction; index update 0.01 / 0.15 / 0.27 / 0.32 / 0.37 / 0.46 ms at
 # 0.4 / 5 / 10 / 15 / 20 / 30% kept.
 _INDEX_UPDATE_BELOW = 0.15
 
-# Fraction of a layer's input columns under which the layer runs on its live
-# columns only (see the module docstring). This changes result bits; the
-# checkpoint format version pins it.
+# Fraction of a layer's input columns under which `_plan` runs the layer on
+# its live columns only (see the module docstring). This changes result bits;
+# the checkpoint format version pins it.
 _COMPACT_BELOW = 0.5
 
 # Rows per block of `Dataset`'s finiteness check; bounds its bool intermediate.
@@ -89,13 +91,6 @@ _FINITE_CHECK_ROWS = 1024
 
 # Rows per block of `forward` and `evaluate` (~0.8 MB of LeNet activations).
 _FORWARD_BLOCK_ROWS = 256
-
-# Fraction of the input width under which `train` gathers a compacted layer 0's
-# batch by (row, column) pairs rather than as whole rows, then columns. Same
-# values either way. 128 of 10k x 784 rows, 2-core Haswell guest: pairs
-# 8 / 31 / 65 / 161 us, rows then columns 39 / 52 / 50 / 73 us at
-# 10 / 50 / 100 / 370 columns.
-_GATHER_PAIRS_BELOW = 0.125
 
 
 def check_int(value, what: str, minimum: Optional[int] = None) -> int:
@@ -299,16 +294,6 @@ def masked_weights(
     return bits, [_zero_pruned(w, k) for w, k in zip(net.weights, bits)]
 
 
-def _live_columns(mask: "PruneMask") -> list[Optional[np.ndarray]]:
-    """Per layer, None if at least `_COMPACT_BELOW` of its input columns keep a weight,
-    else the ascending indices of the columns that do."""
-    live = [m.any(axis=0) for m in mask.layers]
-    return [
-        None if np.count_nonzero(k) >= _COMPACT_BELOW * k.size else np.flatnonzero(k)
-        for k in live
-    ]
-
-
 def _columns(a: np.ndarray, cols: Optional[np.ndarray]) -> np.ndarray:
     """`a` itself if `cols` is None, else a C-contiguous copy of its columns `cols`."""
     return a if cols is None else a.take(cols, axis=1)
@@ -323,23 +308,44 @@ def _widen(a: np.ndarray, cols: Optional[np.ndarray], width: int) -> np.ndarray:
     return out
 
 
-def _compacted(
-    net: DenseNetwork, mask: Optional["PruneMask"]
-) -> tuple[list[Optional[np.ndarray]], list[Optional[np.ndarray]], list[np.ndarray]]:
-    """(live columns, keep words, masked weights) of `net` under `mask`.
+class _Plan(NamedTuple):
+    """How each layer of a network runs under one mask (see `_plan`), one entry per layer."""
 
-    A layer with live columns (see `_live_columns`) gets its weights and
-    keep words for those columns only; no mask keeps every column.
+    cols: list[Optional[np.ndarray]]  # live input columns; None runs the whole matrix
+    bits: list[Optional[np.ndarray]]  # keep words of the matrix run; None if it keeps all
+    kept: list[Optional[np.ndarray]]  # flat kept index into that matrix, under the rule
+
+    def weights(self, net: DenseNetwork) -> list[np.ndarray]:
+        """New arrays: each layer's weights on its columns, +0.0 where the mask prunes."""
+        return [
+            _zero_pruned(_columns(w, c), b) for w, c, b in zip(net.weights, self.cols, self.bits)
+        ]
+
+
+def _plan(net: DenseNetwork, mask: Optional["PruneMask"]) -> _Plan:
+    """The plan of `net` under `mask`, which must pair with its weights (see the module
+    docstring); no mask runs every layer on its whole matrix.
+
+    A layer runs on its live columns when they are fewer than `_COMPACT_BELOW` of its
+    inputs, and gets a kept index when the matrix it runs on keeps fewer than
+    `_INDEX_UPDATE_BELOW` of its weights. Both rules are read at call time.
     """
-    bits, weights = masked_weights(net, mask)
+    layers = len(net.weights)
     if mask is None:
-        return [None] * len(weights), bits, weights
-    cols = _live_columns(mask)
-    for l, c in enumerate(cols):
-        if c is not None:
-            weights[l] = _columns(weights[l], c)
-            bits[l] = _keep_bits([_columns(mask.layers[l], c)])[0]
-    return cols, bits, weights
+        return _Plan([None] * layers, [None] * layers, [None] * layers)
+    mask.check_pairing(net.weights)
+    plan = _Plan([], [], [])
+    for m in mask.layers:
+        live = m.any(axis=0)
+        compact = np.count_nonzero(live) < _COMPACT_BELOW * live.size
+        cols = np.flatnonzero(live) if compact else None
+        m = _columns(m, cols)
+        bits = _keep_bits([m])[0]
+        sparse = bits is not None and np.count_nonzero(m) < _INDEX_UPDATE_BELOW * m.size
+        plan.cols.append(cols)
+        plan.bits.append(bits)
+        plan.kept.append(np.flatnonzero(m) if sparse else None)
+    return plan
 
 
 def _check_labelled_rows(
@@ -368,7 +374,7 @@ def _forward_arrays(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Forward pass keeping each layer's input: returns (layer inputs, logits).
 
-    A layer given live columns in `cols` (see `_compacted`) holds weights
+    A layer given live columns in `cols` (see `_plan`) holds weights
     for those columns only and reads only those of its input; for layer 0
     the caller passes `inputs` already restricted to them. None keeps
     every column of every layer.
@@ -395,16 +401,18 @@ def _softmax_from_logits(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e / s, (m + np.log(s))
 
 
-def _probabilities(
-    weights: list[np.ndarray],
-    biases: list[np.ndarray],
-    cols: Sequence[Optional[np.ndarray]],
-    inputs: np.ndarray,
-) -> np.ndarray:
-    """Class probabilities of `inputs`, one block of rows with every column; weights and
-    `cols` are as `_forward_arrays` takes them."""
-    _, logits = _forward_arrays(weights, biases, _columns(inputs, cols[0]), cols)
-    return _softmax_from_logits(logits)[0]
+def _probability_blocks(
+    net: DenseNetwork, mask: Optional["PruneMask"], inputs: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """(rows, their class probabilities) of `inputs` under `mask`, by blocks of
+    `_FORWARD_BLOCK_ROWS` rows, so that no array grows with the number of rows."""
+    plan = _plan(net, mask)
+    cols, weights = plan.cols, plan.weights(net)
+    for start in range(0, inputs.shape[0], _FORWARD_BLOCK_ROWS):
+        block = slice(start, start + _FORWARD_BLOCK_ROWS)
+        # No layer input may outlive its block: the loop pauses at `yield`.
+        logits = _forward_arrays(weights, net.biases, _columns(inputs[block], cols[0]), cols)[1]
+        yield block, _softmax_from_logits(logits)[0]
 
 
 def forward(net: DenseNetwork, mask: Optional["PruneMask"], inputs: np.ndarray) -> np.ndarray:
@@ -418,11 +426,9 @@ def forward(net: DenseNetwork, mask: Optional["PruneMask"], inputs: np.ndarray) 
         raise ShapeError(
             f"inputs must be (N, {net.layer_sizes[0]}), got {inputs.shape}"
         )
-    cols, _, weights = _compacted(net, mask)
     probs = np.empty((inputs.shape[0], net.num_classes))
-    for start in range(0, inputs.shape[0], _FORWARD_BLOCK_ROWS):
-        block = slice(start, start + _FORWARD_BLOCK_ROWS)
-        probs[block] = _probabilities(weights, net.biases, cols, inputs[block])
+    for block, p in _probability_blocks(net, mask, inputs):
+        probs[block] = p
     return probs
 
 
@@ -503,9 +509,11 @@ def loss_and_grads(
     empty batch or out-of-range labels.
     """
     _check_labelled_rows(net, batch.inputs, batch.labels, "batch")
-    cols, bits, weights = _compacted(net, mask)
+    plan = _plan(net, mask)
+    cols = plan.cols
     loss, grad_w, grad_b = _loss_and_grads_arrays(
-        weights, net.biases, bits, _columns(batch.inputs, cols[0]), batch.labels, cols
+        plan.weights(net), net.biases, plan.bits, _columns(batch.inputs, cols[0]), batch.labels,
+        cols,
     )
     widths = net.layer_sizes[:-1]
     return loss, GradientSet([_widen(g, c, n) for g, c, n in zip(grad_w, cols, widths)], grad_b)
@@ -568,45 +576,38 @@ def train(
     History holds one (train_loss, test_accuracy) pair per epoch:
     train_loss is the sample-weighted mean of the minibatch losses seen
     during the epoch, accuracy is measured on `eval_data` (falling back to
-    the training rows). Shuffling uses the substream derive(cfg.seed, 2,
-    epoch), so identical (net, mask, data, cfg) reproduce bit-identical
-    results. Masked weights are zeroed before the first step and stay 0
-    throughout.
+    `data`). Shuffling uses the substream derive(cfg.seed, 2, epoch), so
+    identical (net, mask, data, cfg) reproduce bit-identical results.
+    Masked weights are zeroed before the first step and stay 0 throughout.
 
     `rows`, an integer index array, trains on `data.take(rows)` without
     making that copy: each epoch's shuffle is composed with `rows`, and
-    every batch is gathered from `data` itself. The network and history
-    are those of `train(net, mask, data.take(rows), cfg, eval_data)` in
-    every bit.
+    every batch is gathered from `data` itself. It needs `eval_data`
+    (UsageError otherwise), since measuring the selected rows would copy
+    them. The network and history are those of
+    `train(net, mask, data.take(rows), cfg, eval_data)` in every bit.
 
-    A layer with few live input columns (see `_live_columns`) trains on
-    the copy of those columns, and layer 0 gathers only those columns of
-    each batch; the weights are written back before each evaluation. The
-    result equals repeated `loss_and_grads` and `sgd_step` in every bit.
+    The layers run as `_plan` lays out, on copies of their weights that
+    are written back before each evaluation. The result equals repeated
+    `loss_and_grads` and `sgd_step` in every bit.
     """
+    if rows is not None and eval_data is None:
+        raise UsageError("training through `rows` needs `eval_data` to measure accuracy on")
     labels = data.labels if rows is None else data.labels[rows]
     _check_labelled_rows(net, data.inputs, labels, "training data")
-    if eval_data is not None:
-        measure = eval_data
-    else:
-        measure = data if rows is None else data.take(rows)
+    measure = data if eval_data is None else eval_data
 
-    cols, bits, weights = _compacted(net, mask)
-    # Sparse layers get a kept index, and no keep words: their dW is not ANDed.
-    # Keep words are nonzero exactly where the (compacted) mask keeps.
-    kept = [
-        None if b is None or np.count_nonzero(b) >= _INDEX_UPDATE_BELOW * b.size
-        else np.flatnonzero(b)
-        for b in bits
-    ]
-    step_bits = [b if k is None else None for b, k in zip(bits, kept)]
+    plan = _plan(net, mask)
+    cols = plan.cols
+    weights = plan.weights(net)
+    # A layer updated through its kept index needs no AND of its dW.
+    step_bits = [b if k is None else None for b, k in zip(plan.bits, plan.kept)]
     biases = [b.copy() for b in net.biases]
     widths = net.layer_sizes[:-1]
 
     def trained() -> DenseNetwork:
         return DenseNetwork([_widen(w, c, k) for w, c, k in zip(weights, cols, widths)], biases)
 
-    gather_pairs = cols[0] is not None and cols[0].size < _GATHER_PAIRS_BELOW * data.dim
     n = labels.shape[0]
     bs = cfg.train_batch_size
     lr = cfg.learning_rate
@@ -619,15 +620,12 @@ def train(
         loss_sum = 0.0
         for start in range(0, n, bs):
             idx = order[start : start + bs]
-            if gather_pairs:
-                x = data.inputs[idx[:, None], cols[0]]
-            else:
-                x = _columns(data.inputs[idx], cols[0])
+            x = data.inputs[idx] if cols[0] is None else data.inputs[idx[:, None], cols[0]]
             loss, grad_w, grad_b = _loss_and_grads_arrays(
                 weights, biases, step_bits, x, data.labels[idx], cols
             )
             loss_sum += loss * idx.shape[0]
-            _sgd_update(weights, biases, grad_w, grad_b, lr, kept)
+            _sgd_update(weights, biases, grad_w, grad_b, lr, plan.kept)
         history.append((loss_sum / n, evaluate(trained(), mask, measure)))
     return trained(), history
 
@@ -641,10 +639,7 @@ def evaluate(net: DenseNetwork, mask: Optional["PruneMask"], data: Dataset) -> f
         raise UsageError("cannot evaluate on an empty dataset")
     if data.dim != net.layer_sizes[0]:
         raise ShapeError(f"inputs must be (N, {net.layer_sizes[0]}), got {data.inputs.shape}")
-    cols, _, weights = _compacted(net, mask)
     correct = 0
-    for start in range(0, len(data), _FORWARD_BLOCK_ROWS):
-        block = slice(start, start + _FORWARD_BLOCK_ROWS)
-        predicted = _probabilities(weights, net.biases, cols, data.inputs[block]).argmax(axis=1)
-        correct += int(np.count_nonzero(predicted == data.labels[block]))
+    for block, probs in _probability_blocks(net, mask, data.inputs):
+        correct += int(np.count_nonzero(probs.argmax(axis=1) == data.labels[block]))
     return correct / len(data)

@@ -431,6 +431,19 @@ class TestCli:
         assert main(["train", "--arch", "6,8"]) == 1  # no dataset source
         assert main(["report", "--figure", "bogus", "--out", "x", "y"]) == 1
 
+    @pytest.mark.parametrize(
+        "given, missing",
+        [("--test-images", "--test-labels"), ("--test-labels", "--test-images")],
+    )
+    def test_lone_eval_flag_exit_1(self, tmp_path, capsys, given, missing):
+        """An eval flag without its pair is refused, not dropped in favour of training accuracy."""
+        argv = ["train", "--arch", "6,5,3", "--synthetic", "3,6,10", given,
+                str(tmp_path / "missing.idx")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: need --test-images and --test-labels together; {missing} is missing\n"
+        )
+
     def test_data_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.idx"
         bad.write_bytes(b"\x00\x00\x08\x01\x00\x00\x00\x01\x05")

@@ -398,7 +398,7 @@ class TestTrainMatchesPublicApi:
         arch = (6, 5, 3)
         net = init_network(arch, seed=23)
         mask = live_in_columns(random_mask(arch, seed=6, keep_prob=0.7), 0, [1, 4])
-        assert nn._live_columns(mask)[0] is not None
+        assert nn._plan(net, mask).cols[0] is not None
         eval_data = gen_synthetic(3, 6, nn._FORWARD_BLOCK_ROWS, seed=24, noise=0.4)
         assert len(eval_data) > 2 * nn._FORWARD_BLOCK_ROWS
         cfg = TrainConfig(epochs=3, learning_rate=0.3, train_batch_size=16, seed=9)
@@ -419,7 +419,7 @@ class TestBlockedEvaluation:
         mask = random_mask(self.ARCH, seed=52, keep_prob=0.6)
         if compacted:
             live_in_columns(mask, 0, np.arange(0, 40, 3))
-        assert (nn._live_columns(mask)[0] is not None) == compacted
+        assert (nn._plan(net, mask).cols[0] is not None) == compacted
         data = gen_synthetic(4, 40, 50, seed=53, noise=0.5)
         net, _ = train(net, mask, data, TrainConfig(epochs=2, learning_rate=0.2, seed=54))
         return net, mask
@@ -451,6 +451,38 @@ class TestBlockedEvaluation:
                 tracemalloc.stop()
 
         assert peak(8) < 1.5 * peak(1)
+
+
+@pytest.mark.parametrize(
+    "kept, cols, has_bits, index",
+    [
+        ([(r, c) for r in range(5) for c in (0, 2)], None, True, None),
+        ([(0, 1), (2, 1)], [1], True, None),
+        ([], [], False, None),
+        ([(0, 0), (1, 1), (2, 2)], None, True, None),
+        ([(0, 0), (1, 1)], None, True, [0, 5]),
+        ([(r, c) for r in range(5) for c in range(4)], None, False, None),
+        (None, None, False, None),
+    ],
+    ids=["2-of-4-columns-whole", "1-of-4-columns-compacts", "0-columns-empty-layer",
+         "15%-kept", "one-weight-under-15%", "all-kept", "no-mask"],
+)
+def test_plan_edges(kept, cols, has_bits, index):
+    """`_plan` of a 4-in, 5-out layer keeping the (row, column) positions `kept`; None is
+    no mask. Live columns compact under half the inputs, and a kept index comes under 15%
+    of the weights of the matrix the layer runs on."""
+    net = init_network((4, 5), seed=0)
+    mask = None
+    if kept is not None:
+        layer = np.zeros((5, 4), dtype=bool)
+        layer[tuple(np.array(kept, dtype=int).reshape(-1, 2).T)] = True
+        mask = PruneMask([layer])
+    plan = nn._plan(net, mask)
+    assert [None if c is None else c.tolist() for c in plan.cols] == [cols]
+    assert [b is not None for b in plan.bits] == [has_bits]
+    if has_bits:
+        assert np.array_equal(plan.bits[0] != 0, nn._columns(mask.layers[0], plan.cols[0]))
+    assert [None if k is None else k.tolist() for k in plan.kept] == [index]
 
 
 PATH_PARAMS = pytest.mark.parametrize(
@@ -505,7 +537,7 @@ class TestIndexUpdate:
         )
         with monkeypatch.context() as patch:
             patch.setattr(nn, "_COMPACT_BELOW", compact_below)
-            cols = nn._live_columns(mask)
+            cols = nn._plan(net, mask).cols
         assert dense_indexed == [False, False, False]
         # A compacted layer is indexed unless it keeps every weight of its live columns.
         assert index_indexed == [not nn._columns(m, c).all() for m, c in zip(mask.layers, cols)]
@@ -553,15 +585,16 @@ class TestLiveColumns:
     """Layers with weights in under half their input columns run on those columns only."""
 
     def test_rule_is_half_the_input_columns(self):
+        net = init_network((4, 3, 2), seed=0)
         mask = full_mask((4, 3, 2))
         live_in_columns(mask, 0, [0, 2])  # 2 of 4: at the rule, not under it
         live_in_columns(mask, 1, [1])  # 1 of 3
-        cols = nn._live_columns(mask)
+        cols = nn._plan(net, mask).cols
         assert cols[0] is None and cols[1].tolist() == [1]
         mask.layers[0][:, 2] = False
-        assert nn._live_columns(mask)[0].tolist() == [0]
+        assert nn._plan(net, mask).cols[0].tolist() == [0]
         mask.layers[0][:] = False
-        assert nn._live_columns(mask)[0].tolist() == []
+        assert nn._plan(net, mask).cols[0].tolist() == []
 
     def test_agrees_with_uncompacted_arithmetic(self, monkeypatch):
         """Layers 0 (10 of 50 columns live) and 1 (5 of 20) compacted, against neither."""
@@ -570,13 +603,13 @@ class TestLiveColumns:
         mask = random_mask(arch, seed=18, keep_prob=0.6)
         live_in_columns(mask, 0, np.arange(0, 50, 5))
         live_in_columns(mask, 1, [2, 3, 7, 11, 19])
-        assert [c is not None for c in nn._live_columns(mask)] == [True, True, False]
+        assert [c is not None for c in nn._plan(net, mask).cols] == [True, True, False]
         data = gen_synthetic(3, arch[0], 20, seed=19, noise=0.2)
         cfg = TrainConfig(epochs=3, learning_rate=0.4, train_batch_size=16, seed=20)
         compact, compact_history = train(net, mask, data, cfg)
         with monkeypatch.context() as patch:
             patch.setattr(nn, "_COMPACT_BELOW", 0.0)
-            assert nn._live_columns(mask) == [None, None, None]
+            assert nn._plan(net, mask).cols == [None, None, None]
             dense, dense_history = train(net, mask, data, cfg)
         for a, b, m in zip(compact.weights, dense.weights, mask.layers):
             assert np.all(np.abs(a[m] - b[m]) <= 1e-12 * np.abs(b[m]))
@@ -591,7 +624,7 @@ class TestLiveColumns:
         net.biases[0][:] = [0.3, -0.2, 0.1, 0.4, 0.0]
         mask = full_mask(arch)
         mask.layers[0][:] = False
-        assert nn._live_columns(mask)[0].size == 0
+        assert nn._plan(net, mask).cols[0].size == 0
         cfg = TrainConfig(epochs=2, learning_rate=0.3, train_batch_size=16, seed=7)
         trained, _ = train(net, mask, blob_data, cfg)
         assert not trained.weights[0].view(np.uint64).any()
@@ -621,7 +654,7 @@ class TestLiveColumns:
         net = init_network(arch, seed=41)
         mask = random_mask(arch, seed=42, keep_prob=0.3)
         mask.layers[0] = random_mask(arch, seed=43, keep_prob=0.1).layers[0]
-        assert nn._live_columns(mask) == [None, None]
+        assert nn._plan(net, mask).cols == [None, None]
         data = gen_synthetic(4, 20, 15, seed=44, noise=0.3)
         assert len(data) < nn._FORWARD_BLOCK_ROWS  # one block: forward's bits are unblocked ones
         cfg = TrainConfig(epochs=3, learning_rate=0.3, train_batch_size=8, seed=45)
@@ -673,12 +706,20 @@ class TestTrainThroughRows:
         rows = rng.permutation(4, len(data))
         if repeats:
             rows = np.concatenate([rows[:45], rows[:7]])
+        eval_data = gen_synthetic(3, self.ARCH[0], 10, seed=13, noise=0.2)
         cfg = TrainConfig(epochs=3, learning_rate=0.4, train_batch_size=16, seed=5)
-        trained, history = train(net, mask, data, cfg, rows=rows)
-        expected, expected_history = train(net, mask, data.take(rows), cfg)
+        trained, history = train(net, mask, data, cfg, eval_data, rows=rows)
+        expected, expected_history = train(net, mask, data.take(rows), cfg, eval_data)
         assert array_bytes(trained.weights) == array_bytes(expected.weights)
         assert array_bytes(trained.biases) == array_bytes(expected.biases)
         assert history == expected_history
+
+    def test_rows_without_eval_data_refused(self):
+        """Measuring the selected rows would copy them."""
+        data = gen_synthetic(3, self.ARCH[0], 20, seed=12, noise=0.2)
+        with pytest.raises(UsageError, match="eval_data"):
+            train(init_network(self.ARCH, seed=3), full_mask(self.ARCH), data,
+                  TrainConfig(epochs=1), rows=np.arange(len(data)))
 
 
 class TestNonFiniteLearningRate:
