@@ -56,7 +56,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -308,12 +308,16 @@ def _widen(a: np.ndarray, cols: Optional[np.ndarray], width: int) -> np.ndarray:
     return out
 
 
-class _Plan(NamedTuple):
-    """How each layer of a network runs under one mask (see `_plan`), one entry per layer."""
+class _Plan:
+    """How each layer of a network runs under one mask (see `_plan`), one entry per layer.
 
-    cols: list[Optional[np.ndarray]]  # live input columns; None runs the whole matrix
-    bits: list[Optional[np.ndarray]]  # keep words of the matrix run; None if it keeps all
-    kept: list[Optional[np.ndarray]]  # flat kept index into that matrix, under the rule
+    `cols`: live input columns, None to run the whole matrix. `bits`: keep words of
+    the matrix run, None if it keeps every weight. `kept`: flat kept index into that
+    matrix, None unless it keeps fewer than `_INDEX_UPDATE_BELOW` of its weights.
+    """
+
+    def __init__(self, cols: list, bits: list, kept: list) -> None:
+        self.cols, self.bits, self.kept = cols, bits, kept
 
     def weights(self, net: DenseNetwork) -> list[np.ndarray]:
         """New arrays: each layer's weights on its columns, +0.0 where the mask prunes."""
