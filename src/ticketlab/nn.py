@@ -20,10 +20,10 @@ runs on, and that matrix's flat kept index. A layer whose kept weights
 sit in fewer than `_COMPACT_BELOW` (half) of its input columns runs on
 those columns only: on the contiguous copy `w[:, cols]` and on its
 input's `cols` columns, gathered for layer 0 by (row, column) pairs of
-each batch. Its keep words and kept index are then those of `w[:,
-cols]`. A layer that keeps every weight of its matrix has neither. One
-that keeps fewer than `_INDEX_UPDATE_BELOW` of them has a kept index:
-`train` does not AND its dW, and each step updates only
+each batch. Its keep words and kept index are then those of
+`w[:, cols]`. A layer that keeps every weight of its matrix has neither.
+One that keeps fewer than `_INDEX_UPDATE_BELOW` of them has a kept
+index: `train` does not AND its dW, and each step updates only
 `w.flat[kept] -= lr * g.flat[kept]`, never writing a pruned position.
 
 Only `_COMPACT_BELOW` changes result bits. A pruned column adds exact
@@ -516,8 +516,8 @@ def loss_and_grads(
     plan = _plan(net, mask)
     cols = plan.cols
     loss, grad_w, grad_b = _loss_and_grads_arrays(
-        plan.weights(net), net.biases, plan.bits, _columns(batch.inputs, cols[0]), batch.labels,
-        cols,
+        plan.weights(net), net.biases, plan.bits, _columns(batch.inputs, cols[0]),
+        batch.labels, cols,
     )
     widths = net.layer_sizes[:-1]
     return loss, GradientSet([_widen(g, c, n) for g, c, n in zip(grad_w, cols, widths)], grad_b)
