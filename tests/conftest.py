@@ -31,9 +31,11 @@ def blob_data():
 
 
 def networks_equal(a, b):
-    """Bitwise equality of two DenseNetworks."""
-    return all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights)) and all(
-        np.array_equal(x, y) for x, y in zip(a.biases, b.biases)
+    """Bitwise equality of two DenseNetworks: the same shapes and the same bytes,
+    so `-0.0` differs from `+0.0` and a NaN equals itself."""
+    arrays_a, arrays_b = a.weights + a.biases, b.weights + b.biases
+    return len(arrays_a) == len(arrays_b) and all(
+        x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(arrays_a, arrays_b)
     )
 
 

@@ -39,6 +39,13 @@ class TestInitNetwork:
     def test_same_seed_bitwise_equal(self):
         assert networks_equal(init_network([2, 2], seed=7), init_network([2, 2], seed=7))
 
+    def test_networks_equal_sees_the_sign_of_zero(self):
+        net = DenseNetwork([np.zeros((2, 3))], [np.zeros(2)])
+        signed = net.copy()
+        signed.weights[0][1, 2] = -0.0
+        assert networks_equal(net, net.copy())
+        assert not networks_equal(net, signed)
+
     def test_biases_zero_and_weights_bounded(self):
         net = init_network([9, 4, 3], seed=1)
         assert all(np.all(b == 0.0) for b in net.biases)
