@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -95,7 +95,10 @@ class LotteryConfig:
             object.__setattr__(self, "experiment_id", f"{self.strategy}-{self.mode}")
 
 
-RoundHook = Callable[[int, PruneMask, DenseNetwork, DenseNetwork], None]
+if TYPE_CHECKING:
+    # Not made at run time: typing caches the subscription, and with it these
+    # classes and every module they reach, across re-imports of the package.
+    RoundHook = Callable[[int, PruneMask, DenseNetwork, DenseNetwork], None]
 
 
 def _ensure_finite(net: DenseNetwork, context: str) -> None:
