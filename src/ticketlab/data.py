@@ -7,11 +7,14 @@ Pixels are scaled to [0, 1] by /255 and images flattened row-major.
 
 The synthetic generator exists so that property tests and demos run in
 well under a second: seeded Gaussian blobs with one unit-separated center
-per class.
+per class. It draws the noise with `rng.normals` and shifts it onto the
+centers in blocks of rows; like the rng blocks, these may run on several
+threads (`rng._blockwise`), and the bits do not depend on the split.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -19,16 +22,13 @@ import numpy as np
 
 from .errors import DataFormatError, UsageError
 from . import rng
-from .nn import Dataset, check_int
+from .nn import Dataset, check_int, is_number
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 
 # Stream tag for blob noise (see rng.derive).
 _BLOB_STREAM = 4
-
-# Elements per block of rows that gen_synthetic shifts onto the class centers.
-_BLOCK_ELEMENTS = 1 << 16
 
 
 def _read_exact(f, n: int, path, what: str) -> bytes:
@@ -113,25 +113,30 @@ def gen_synthetic(
 
     Row i carries label i % classes, so any prefix of the dataset stays
     (nearly) class-balanced. Identical seeds give identical datasets.
+    Raises UsageError unless `noise` is a finite real number >= 0.
     """
     classes = check_int(classes, "classes", 2)
     dim = check_int(dim, "dim", 1)
     per_class = check_int(per_class, "per_class", 1)
     seed = check_int(seed, "seed")
-    if noise < 0:
-        raise UsageError(f"noise must be >= 0, got {noise}")
+    if not (is_number(noise) and 0 <= noise < math.inf):
+        raise UsageError(f"noise must be a finite number >= 0, got {noise!r}")
     n = classes * per_class
     labels = np.arange(n, dtype=np.int64) % classes
     centers = np.stack([_blob_center(c, dim) for c in range(classes)])
     # center + noise * offset, computed in place over the offsets by blocks
-    # of rows, so that no temporary is the size of the dataset.
+    # of rows, so that no temporary is the size of the dataset. Row i's
+    # center is centers[i % classes], so a block that starts at row s reads
+    # its centers from `cycle`, starting at row s % classes.
     inputs = rng.normals(rng.derive(seed, _BLOB_STREAM), n * dim).reshape(n, dim)
-    rows = max(1, _BLOCK_ELEMENTS // dim)
-    row_centers = np.empty((min(rows, n), dim))
-    for start in range(0, n, rows):
-        block = inputs[start : start + rows]
-        block_centers = row_centers[: block.shape[0]]
-        np.take(centers, labels[start : start + rows], axis=0, out=block_centers)
-        block *= noise
-        block += block_centers
+    rows = max(1, rng._BLOCK // dim)
+    cycle = centers[np.arange(min(rows, n) + classes - 1) % classes]
+
+    def shift(start: int, stop: int) -> None:
+        for s in range(start, stop, rows):
+            block = inputs[s : min(s + rows, stop)]
+            block *= noise
+            block += cycle[s % classes : s % classes + block.shape[0]]
+
+    rng._blockwise(n, rows, shift)
     return Dataset(inputs, labels)

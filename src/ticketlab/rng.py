@@ -10,10 +10,17 @@ mix64 is the splitmix64 finalizer and GAMMA its golden-ratio increment.
 Because output i depends only on (s, i) the streams vectorize, arrays
 of outputs are generated block by block with the same bits as in one
 piece, and substreams are derived by folding integer path components
-into the seed (see `derive`).
+into the seed (see `derive`). The blocks of one call may run on several
+threads, each taking a contiguous range of whole blocks (`_blockwise`).
+A block is made by the same numpy calls on the same elements wherever it
+runs, so the bits do not depend on the thread count or the split.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from typing import Callable
 
 import numpy as np
 
@@ -50,30 +57,76 @@ def derive(seed: int, *path: int) -> int:
 
 
 # Elements per block of the array generators, which write their output
-# through a few block-sized buffers made once per call, never through a
-# temporary the size of the output. A multiple of 8, so that the elements
-# a SIMD loop leaves to its tail are the ones it leaves in one call over
-# the whole array.
+# through a few block-sized buffers per thread, never through a temporary
+# the size of the output. A multiple of 8, so that the elements a SIMD loop
+# leaves to its tail are the ones it leaves in one call over the whole array.
 _BLOCK = 1 << 16
 
 
-def _raw64_blocks(seed: int, n: int):
-    """Yield (start, stop, z) per block: z holds outputs start+1 .. stop as uint64,
-    in a buffer that the next block reuses."""
-    steps = np.arange(min(n, _BLOCK), dtype=np.uint64) * _GAMMA_U64
-    buf, tmp = np.empty_like(steps), np.empty_like(steps)
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        k = stop - start
-        z = buf[:k]
-        np.add(steps[:k], np.uint64((seed + (start + 1) * _GAMMA) & _M64), out=z)
-        t = tmp[:k]
-        for shift, factor in ((30, _MIX_A_U64), (27, _MIX_B_U64), (31, None)):
-            np.right_shift(z, np.uint64(shift), out=t)
-            z ^= t
-            if factor is not None:
-                z *= factor
-        yield start, stop, z
+def _usable_cpus() -> int:
+    """CPUs this process may run on; `_blockwise` runs at most this many threads."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blockwise(n: int, block: int, fill: Callable, scratch: Callable[[], tuple] = tuple) -> None:
+    """Call `fill(start, stop, *scratch())` over contiguous ranges of whole blocks
+    of `block` items, which together cover range(n).
+
+    There are min(`_usable_cpus()`, blocks) ranges: the calling thread fills
+    the first and a helper thread each of the others, all joined before this
+    returns or raises. The first exception a helper raised is raised here, so
+    a caller never returns an output that a range left unwritten. Every
+    scratch buffer is made here, on the calling thread: memory freed on a
+    helper stays in that thread's malloc arena. `fill` calls numpy and private
+    functions only, never a public function, which a caller may have wrapped
+    in something that is not thread-safe.
+    """
+    blocks = -(-n // block)
+    if blocks == 0:
+        return
+    workers = min(_usable_cpus(), blocks)
+    cuts = [min(n, block * (blocks * w // workers)) for w in range(workers + 1)]
+    buffers = [scratch() for _ in range(workers)]
+    errors = []
+
+    def run(w: int) -> None:
+        try:
+            fill(cuts[w], cuts[w + 1], *buffers[w])
+        except BaseException as exc:  # raised again on the calling thread
+            errors.append(exc)
+
+    helpers = []
+    try:
+        for w in range(1, workers):
+            helper = threading.Thread(target=run, args=(w,), name=f"ticketlab-rng-{w}")
+            helper.start()
+            helpers.append(helper)
+        fill(cuts[0], cuts[1], *buffers[0])
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
+
+
+def _steps(n: int) -> np.ndarray:
+    """i * GAMMA for i < min(n, _BLOCK): the offsets of a block's outputs from its first."""
+    return np.arange(min(n, _BLOCK), dtype=np.uint64) * _GAMMA_U64
+
+
+def _mix_block(seed: int, start: int, steps: np.ndarray, z: np.ndarray, tmp: np.ndarray) -> None:
+    """Write outputs start+1 .. start+len(z) of the stream into `z` (at most one
+    block), using `tmp` (at least as long) as scratch."""
+    k = z.shape[0]
+    np.add(steps[:k], np.uint64((seed + (start + 1) * _GAMMA) & _M64), out=z)
+    t = tmp[:k]
+    for shift, factor in ((30, _MIX_A_U64), (27, _MIX_B_U64), (31, None)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        if factor is not None:
+            z *= factor
 
 
 def _to_uniform(z: np.ndarray, out: np.ndarray) -> None:
@@ -85,16 +138,29 @@ def _to_uniform(z: np.ndarray, out: np.ndarray) -> None:
 def raw64(seed: int, n: int) -> np.ndarray:
     """First `n` outputs of the stream, as uint64."""
     out = np.empty(n, dtype=np.uint64)
-    for start, stop, z in _raw64_blocks(seed, n):
-        out[start:stop] = z
+    steps = _steps(n)
+
+    def fill(start: int, stop: int, tmp: np.ndarray) -> None:
+        for s in range(start, stop, _BLOCK):
+            _mix_block(seed, s, steps, out[s : min(s + _BLOCK, stop)], tmp)
+
+    _blockwise(n, _BLOCK, fill, lambda: (np.empty_like(steps),))
     return out
 
 
 def uniforms(seed: int, n: int) -> np.ndarray:
     """`n` i.i.d. uniforms in [0, 1) with 53-bit resolution."""
     out = np.empty(n)
-    for start, stop, z in _raw64_blocks(seed, n):
-        _to_uniform(z, out[start:stop])
+    steps = _steps(n)
+
+    def fill(start: int, stop: int, z_buf: np.ndarray, tmp: np.ndarray) -> None:
+        for s in range(start, stop, _BLOCK):
+            e = min(s + _BLOCK, stop)
+            z = z_buf[: e - s]
+            _mix_block(seed, s, steps, z, tmp)
+            _to_uniform(z, out[s:e])
+
+    _blockwise(n, _BLOCK, fill, lambda: (np.empty_like(steps), np.empty_like(steps)))
     return out
 
 
@@ -107,26 +173,35 @@ def normals(seed: int, n: int) -> np.ndarray:
     """
     m = (n + 1) // 2
     out = np.empty(n)
-    r_buf = np.empty(min(m, _BLOCK))
-    theta_buf = np.empty_like(r_buf)
-    pairs = zip(_raw64_blocks(derive(seed, 0), m), _raw64_blocks(derive(seed, 1), m))
-    for (start, stop, z1), (_, _, z2) in pairs:
-        r, theta = r_buf[: stop - start], theta_buf[: stop - start]
-        # r = sqrt(-2 log1p(-u1)); 1 - u1 is in (0, 1], so the log is finite.
-        _to_uniform(z1, r)
-        np.negative(r, out=r)
-        np.log1p(r, out=r)
-        r *= -2.0
-        np.sqrt(r, out=r)
-        _to_uniform(z2, theta)
-        theta *= 2.0 * np.pi
-        cos = out[start:stop]
-        np.cos(theta, out=cos)
-        cos *= r
-        np.sin(theta, out=theta)
-        theta *= r
-        sin = out[m + start : m + stop]
-        sin[...] = theta[: sin.shape[0]]
+    steps = _steps(m)
+    seed1, seed2 = derive(seed, 0), derive(seed, 1)
+
+    def fill(start: int, stop: int, z_buf: np.ndarray, tmp_buf: np.ndarray) -> None:
+        for s in range(start, stop, _BLOCK):
+            e = min(s + _BLOCK, stop)
+            z, tmp = z_buf[: e - s], tmp_buf[: e - s]
+            # r = sqrt(-2 log1p(-u1)), made in the slots of the cosine terms;
+            # 1 - u1 is in (0, 1], so the log is finite.
+            r = out[s:e]
+            _mix_block(seed1, s, steps, z, tmp)
+            _to_uniform(z, r)
+            np.negative(r, out=r)
+            np.log1p(r, out=r)
+            r *= -2.0
+            np.sqrt(r, out=r)
+            # theta and cos(theta) take the memory of the raw outputs once read.
+            _mix_block(seed2, s, steps, z, tmp)
+            theta, cos = tmp.view(np.float64), z.view(np.float64)
+            _to_uniform(z, theta)
+            theta *= 2.0 * np.pi
+            np.cos(theta, out=cos)
+            np.sin(theta, out=theta)
+            theta *= r
+            sin = out[m + s : m + e]
+            sin[...] = theta[: sin.shape[0]]
+            r *= cos
+
+    _blockwise(m, _BLOCK, fill, lambda: (np.empty_like(steps), np.empty_like(steps)))
     return out
 
 

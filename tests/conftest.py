@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ticketlab import full_mask, gen_synthetic, init_network
+from ticketlab import full_mask, gen_synthetic, init_network, rng
 from ticketlab.checkpoint import _FLOAT, _weight_shapes
 
 
@@ -28,6 +28,13 @@ def tiny_mask(tiny_arch):
 @pytest.fixture
 def blob_data():
     return gen_synthetic(3, 6, 60, seed=5, noise=0.15)
+
+
+@pytest.fixture(params=(1, 2, 3))
+def rng_workers(request, monkeypatch):
+    """Run rng's block loops on up to `request.param` threads, whatever the machine has."""
+    monkeypatch.setattr(rng, "_usable_cpus", lambda: request.param)
+    return request.param
 
 
 def networks_equal(a, b):

@@ -125,15 +125,34 @@ class TestGenSynthetic:
 
     def test_acceptance_corpus_golden_digests(self):
         """The acceptance tests' train and test sets keep their exact bits."""
-        train_set = gen_synthetic(10, 784, 1000, seed=101, noise=0.3)
-        test_set = gen_synthetic(10, 784, 200, seed=rng.derive(101, 5), noise=0.3)
-        digests = [sha256_le(a) for ds in (train_set, test_set) for a in (ds.inputs, ds.labels)]
-        assert digests == [
-            "66da31f6380a05dd6235c79b2d03db705acfa54d8134fff90d783b8d8458bab2",
-            "f4b723a53c892154ccfe38d838fb0fbc8d2b1a67b5aec4d24175524651c4eeb8",
-            "a033c2e7937297ee751b243c5845c240f5259d242c0c4baf8e702eebce9aa4a0",
-            "c24692bd6ac163e5f035af5e97377ad65e46f5718ee25149c44641edc94957de",
-        ]
+        assert acceptance_corpus_digests() == ACCEPTANCE_CORPUS_DIGESTS
+
+    def test_acceptance_corpus_digests_for_any_worker_count(self, rng_workers):
+        assert acceptance_corpus_digests() == ACCEPTANCE_CORPUS_DIGESTS
+
+    @pytest.mark.parametrize("noise", [0, 0.0, 2, np.float64(0.3)])
+    def test_finite_noise_accepted(self, noise):
+        assert len(gen_synthetic(2, 3, 4, seed=0, noise=noise)) == 8
+
+    @pytest.mark.parametrize("noise", ["x", None, True, -0.1, np.nan, np.inf, -np.inf])
+    def test_bad_noise_rejected(self, noise):
+        with pytest.raises(UsageError, match="noise"):
+            gen_synthetic(2, 3, 4, seed=0, noise=noise)
+
+
+# sha256 of the acceptance tests' train inputs and labels, then test inputs and labels.
+ACCEPTANCE_CORPUS_DIGESTS = [
+    "66da31f6380a05dd6235c79b2d03db705acfa54d8134fff90d783b8d8458bab2",
+    "f4b723a53c892154ccfe38d838fb0fbc8d2b1a67b5aec4d24175524651c4eeb8",
+    "a033c2e7937297ee751b243c5845c240f5259d242c0c4baf8e702eebce9aa4a0",
+    "c24692bd6ac163e5f035af5e97377ad65e46f5718ee25149c44641edc94957de",
+]
+
+
+def acceptance_corpus_digests():
+    train_set = gen_synthetic(10, 784, 1000, seed=101, noise=0.3)
+    test_set = gen_synthetic(10, 784, 200, seed=rng.derive(101, 5), noise=0.3)
+    return [sha256_le(a) for ds in (train_set, test_set) for a in (ds.inputs, ds.labels)]
 
 
 class TestWriteIdx:

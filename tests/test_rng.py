@@ -1,4 +1,6 @@
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -123,3 +125,101 @@ def test_golden_digest(name, n):
     out = getattr(rng, name)(PIN_SEED, n)
     assert out.shape == (n,)
     assert sha256_le(out) == PINS[name][PIN_COUNTS.index(n)]
+
+
+def golden_mismatches():
+    """(name, n) of every pinned call whose digest differs from its pin; also
+    checks that no call leaves a thread behind."""
+    threads = threading.active_count()
+    wrong = []
+    for name, pins in sorted(PINS.items()):
+        for n, pin in zip(PIN_COUNTS, pins):
+            if sha256_le(getattr(rng, name)(PIN_SEED, n)) != pin:
+                wrong.append((name, n))
+            assert threading.active_count() == threads, f"{name}({n}) left a thread running"
+    return wrong
+
+
+def test_golden_digests_for_any_worker_count(rng_workers):
+    """The bits do not depend on how many threads share the blocks, including
+    calls with fewer blocks than threads (every count up to 2 * B + 1)."""
+    assert golden_mismatches() == []
+
+
+def test_golden_digests_with_more_workers_than_cores_and_fast_switching(monkeypatch):
+    monkeypatch.setattr(rng, "_usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert golden_mismatches() == []
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize(
+    "n, block, cpus, ranges",
+    [
+        (10, 3, 3, [(0, 3), (3, 6), (6, 10)]),
+        (10, 3, 8, [(0, 3), (3, 6), (6, 9), (9, 10)]),  # one range per block
+        (9, 3, 2, [(0, 3), (3, 9)]),
+        (4, 8, 3, [(0, 4)]),
+        (0, 8, 3, []),
+    ],
+)
+def test_blockwise_splits_whole_blocks(monkeypatch, n, block, cpus, ranges):
+    """min(CPUs, blocks) contiguous ranges of whole blocks; the calling thread takes the first."""
+    monkeypatch.setattr(rng, "_usable_cpus", lambda: cpus)
+    caller, calls, lock = threading.current_thread(), [], threading.Lock()
+    threads = threading.active_count()
+
+    def fill(start, stop):
+        with lock:
+            calls.append((start, stop, threading.current_thread() is caller))
+
+    rng._blockwise(n, block, fill)
+    assert sorted(calls) == [(start, stop, start == 0) for start, stop in ranges]
+    assert threading.active_count() == threads
+
+
+def test_blockwise_makes_scratch_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(rng, "_usable_cpus", lambda: 3)
+    caller, made, used = threading.current_thread(), [], []
+
+    def scratch():
+        made.append(threading.current_thread() is caller)
+        return (len(made),)
+
+    rng._blockwise(9, 3, lambda start, stop, tag: used.append((start, tag)), scratch)
+    assert made == [True] * 3
+    assert sorted(used) == [(0, 1), (3, 2), (6, 3)]
+
+
+def test_helper_exception_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(rng, "_usable_cpus", lambda: 3)
+    threads = threading.active_count()
+
+    def fill(start, stop):
+        if start > 0:
+            raise ValueError(f"range {start}")
+
+    with pytest.raises(ValueError, match="range"):
+        rng._blockwise(9, 3, fill)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("name", ["raw64", "uniforms", "normals"])
+def test_generator_raises_what_a_block_raises(monkeypatch, rng_workers, name):
+    """A failure in any block, on whichever thread, fails the call: no output
+    with unwritten elements is returned."""
+    mix_block = rng._mix_block
+
+    def failing(seed, start, *args):
+        if start == 2 * B:
+            raise FloatingPointError(f"block at {start}")
+        mix_block(seed, start, *args)
+
+    monkeypatch.setattr(rng, "_mix_block", failing)
+    threads = threading.active_count()
+    with pytest.raises(FloatingPointError, match="block at"):
+        getattr(rng, name)(PIN_SEED, 6 * B)
+    assert threading.active_count() == threads
