@@ -10,8 +10,8 @@ mix64 is the splitmix64 finalizer and GAMMA its golden-ratio increment.
 Because output i depends only on (s, i) the streams vectorize, arrays
 of outputs are generated block by block with the same bits as in one
 piece, and substreams are derived by folding integer path components
-into the seed (see `derive`). The blocks of one call may run on several
-threads, each taking a contiguous range of whole blocks (`_blockwise`).
+into the seed (see `derive`). The blocks of a large call may run on
+several threads, each taking a contiguous range of whole blocks (`_blockwise`).
 A block is made by the same numpy calls on the same elements wherever it
 runs, so the bits do not depend on the thread count or the split.
 """
@@ -63,6 +63,15 @@ def derive(seed: int, *path: int) -> int:
 _BLOCK = 1 << 16
 
 
+# Blocks each thread must get before `_blockwise` starts a helper. A helper
+# pays for itself only while the other CPUs are idle, as when data is built:
+# right after a BLAS call, OpenBLAS's worker threads still spin on them, and
+# a helper started then makes the call no faster and its time uneven. The
+# draws of a LeNet training run (a layer's init, random scores, shuffles)
+# have at most 4 blocks, so they stay on the calling thread.
+_THREAD_BLOCKS = 3
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on; `_blockwise` runs at most this many threads."""
     if hasattr(os, "sched_getaffinity"):
@@ -70,11 +79,17 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _workers(blocks: int) -> int:
+    """Threads for a call of `blocks` blocks: one per usable CPU while each gets
+    at least `_THREAD_BLOCKS` blocks, and never fewer than one."""
+    return max(1, min(_usable_cpus(), blocks // _THREAD_BLOCKS))
+
+
 def _blockwise(n: int, block: int, fill: Callable, scratch: Callable[[], tuple] = tuple) -> None:
     """Call `fill(start, stop, *scratch())` over contiguous ranges of whole blocks
     of `block` items, which together cover range(n).
 
-    There are min(`_usable_cpus()`, blocks) ranges: the calling thread fills
+    There are `_workers(blocks)` ranges: the calling thread fills
     the first and a helper thread each of the others, all joined before this
     returns or raises. The first exception a helper raised is raised here, so
     a caller never returns an output that a range left unwritten. Every
@@ -86,7 +101,7 @@ def _blockwise(n: int, block: int, fill: Callable, scratch: Callable[[], tuple] 
     blocks = -(-n // block)
     if blocks == 0:
         return
-    workers = min(_usable_cpus(), blocks)
+    workers = _workers(blocks)
     cuts = [min(n, block * (blocks * w // workers)) for w in range(workers + 1)]
     buffers = [scratch() for _ in range(workers)]
     errors = []

@@ -30,10 +30,17 @@ def blob_data():
     return gen_synthetic(3, 6, 60, seed=5, noise=0.15)
 
 
+def allow_rng_threads(monkeypatch, cpus):
+    """Run rng's block loops on up to `cpus` threads, whatever the machine has,
+    with one block per thread enough to start one."""
+    monkeypatch.setattr(rng, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(rng, "_THREAD_BLOCKS", 1)
+
+
 @pytest.fixture(params=(1, 2, 3))
 def rng_workers(request, monkeypatch):
     """Run rng's block loops on up to `request.param` threads, whatever the machine has."""
-    monkeypatch.setattr(rng, "_usable_cpus", lambda: request.param)
+    allow_rng_threads(monkeypatch, request.param)
     return request.param
 
 

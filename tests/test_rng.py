@@ -5,7 +5,8 @@ import threading
 import numpy as np
 import pytest
 
-from ticketlab import rng
+from conftest import allow_rng_threads
+from ticketlab import init_network, rng
 
 
 def test_streams_are_deterministic():
@@ -147,7 +148,7 @@ def test_golden_digests_for_any_worker_count(rng_workers):
 
 
 def test_golden_digests_with_more_workers_than_cores_and_fast_switching(monkeypatch):
-    monkeypatch.setattr(rng, "_usable_cpus", lambda: 8)
+    allow_rng_threads(monkeypatch, 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -168,7 +169,7 @@ def test_golden_digests_with_more_workers_than_cores_and_fast_switching(monkeypa
 )
 def test_blockwise_splits_whole_blocks(monkeypatch, n, block, cpus, ranges):
     """min(CPUs, blocks) contiguous ranges of whole blocks; the calling thread takes the first."""
-    monkeypatch.setattr(rng, "_usable_cpus", lambda: cpus)
+    allow_rng_threads(monkeypatch, cpus)
     caller, calls, lock = threading.current_thread(), [], threading.Lock()
     threads = threading.active_count()
 
@@ -181,8 +182,39 @@ def test_blockwise_splits_whole_blocks(monkeypatch, n, block, cpus, ranges):
     assert threading.active_count() == threads
 
 
+# Blocks each thread must get before rng starts a helper thread.
+T = rng._THREAD_BLOCKS
+
+
+@pytest.mark.parametrize(
+    "blocks, cpus, workers",
+    [(1, 2, 1), (2 * T - 1, 2, 1), (2 * T, 2, 2), (2 * T, 3, 2), (3 * T, 3, 3), (100 * T, 2, 2),
+     (100 * T, 1, 1)],
+)
+def test_each_thread_gets_at_least_thread_blocks(monkeypatch, blocks, cpus, workers):
+    monkeypatch.setattr(rng, "_usable_cpus", lambda: cpus)
+    assert rng._workers(blocks) == workers
+
+
+def test_training_draws_start_no_thread(monkeypatch):
+    """A LeNet-300-100's init is too small for helpers, so a training run, whose
+    BLAS threads keep the other CPUs busy, starts none; data-sized draws do."""
+    monkeypatch.setattr(rng, "_usable_cpus", lambda: 8)
+    started, thread = [], threading.Thread
+
+    def spy(*args, **kwargs):
+        started.append(kwargs["name"])
+        return thread(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Thread", spy)
+    init_network((784, 300, 100, 10), seed=0)
+    assert started == []
+    rng.normals(PIN_SEED, 4 * T * B)
+    assert started == ["ticketlab-rng-1"]
+
+
 def test_blockwise_makes_scratch_on_the_calling_thread(monkeypatch):
-    monkeypatch.setattr(rng, "_usable_cpus", lambda: 3)
+    allow_rng_threads(monkeypatch, 3)
     caller, made, used = threading.current_thread(), [], []
 
     def scratch():
@@ -195,7 +227,7 @@ def test_blockwise_makes_scratch_on_the_calling_thread(monkeypatch):
 
 
 def test_helper_exception_reaches_the_caller(monkeypatch):
-    monkeypatch.setattr(rng, "_usable_cpus", lambda: 3)
+    allow_rng_threads(monkeypatch, 3)
     threads = threading.active_count()
 
     def fill(start, stop):
