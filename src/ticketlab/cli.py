@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Commands: `train` (fit a dense classifier), `lottery` (run an experiment
-spec), `report` (assemble figure data from record CSVs), `inspect`
-(sparsity and connectivity of a checkpoint), `verify` (replay each
-seed's newest checkpointed round and compare its bits). Exit codes: 0
+spec, writing one round file per round and seed, which `--resume`
+continues from), `report` (assemble figure data from record CSVs),
+`inspect` (sparsity and connectivity of a checkpoint), `verify` (replay
+each seed's newest round file and compare its bits). Exit codes: 0
 success, 1 usage error, 2 data/format error or a file that cannot be
 read or written (any OSError), 3 numerical failure or, for `verify`, a
 replayed round that differs from its checkpoint.
@@ -147,15 +148,15 @@ def _checkpoint_dirs(spec, configs, make: bool) -> list[Path]:
 
 def _cmd_lottery(args) -> int:
     spec = load_spec(args.config)
-    if args.resume and not spec.checkpoint:
-        raise UsageError("--resume needs a spec with \"checkpoint\": true")
     train_data, test_data = build_datasets(spec)
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     configs = seed_configs(spec)
-    checkpoint_dirs = [None] * len(configs)
-    if spec.checkpoint:
-        checkpoint_dirs = _checkpoint_dirs(spec, configs, make=True)
+    checkpoint_dirs = _checkpoint_dirs(spec, configs, make=True)
+    if not args.resume:
+        # A fresh run starts over: an earlier, longer run's later rounds must not outlive it.
+        for path in [p for directory in checkpoint_dirs for p in directory.glob("round_*.json")]:
+            path.unlink()
 
     records = []
     for cfg, checkpoint_dir in zip(configs, checkpoint_dirs):
@@ -216,8 +217,6 @@ def _cmd_inspect(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = load_spec(args.config)
-    if not spec.checkpoint:
-        raise UsageError("verify needs a spec with \"checkpoint\": true")
     configs = seed_configs(spec)
     checkpoint_dirs = _checkpoint_dirs(spec, configs, make=False)
     train_data, test_data = build_datasets(spec)
@@ -273,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--resume",
         action="store_true",
-        help="continue runs from their latest checkpoint (needs checkpoint: true)",
+        help="continue each seed from its newest round file that loads",
     )
     p.set_defaults(func=_cmd_lottery)
 
@@ -289,9 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_inspect)
 
     p = sub.add_parser(
-        "verify", help="replay each seed's newest checkpointed round and compare its bits"
+        "verify", help="replay each seed's newest round file and compare its bits"
     )
-    p.add_argument("--config", required=True, help="JSON experiment spec (needs checkpoint: true)")
+    p.add_argument("--config", required=True, help="JSON experiment spec of a `lottery` run")
     p.set_defaults(func=_cmd_verify)
     return parser
 

@@ -26,6 +26,7 @@ from .strategies import FisherConfig
 _TEST_SPLIT_STREAM = 5
 
 _LOTTERY_KEYS = {f.name for f in fields(LotteryConfig)}
+# "checkpoint" is accepted as `true` only, for specs written when round files were optional.
 _TOP_KEYS = _LOTTERY_KEYS | {"dataset", "output_dir", "seeds", "checkpoint"}
 # Spec sections that `_section` parses into the config class of that LotteryConfig field.
 _SECTIONS = {"train": TrainConfig, "final_train": TrainConfig, "fisher": FisherConfig}
@@ -66,7 +67,6 @@ class ExperimentSpec:
     dataset: IdxSource | SyntheticSource
     output_dir: str
     seeds: Optional[tuple[int, ...]] = None
-    checkpoint: bool = False
 
 
 def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
@@ -145,16 +145,16 @@ def parse_spec(obj: dict, base_dir: Optional[Path] = None) -> ExperimentSpec:
         seeds = tuple(check_int(s, "seed") for s in seeds)
         if len(set(seeds)) != len(seeds):
             raise UsageError(f"seeds must not repeat, got {list(seeds)}")
-    checkpoint = obj.get("checkpoint", False)
-    if not isinstance(checkpoint, bool):
-        raise UsageError(f"checkpoint must be true or false, got {checkpoint!r}")
+    if obj.get("checkpoint", True) is not True:
+        raise UsageError(
+            f"checkpoint can only be true, got {obj['checkpoint']!r}: every run writes round files"
+        )
 
     return ExperimentSpec(
         lottery=LotteryConfig(**lottery_kwargs),
         dataset=dataset,
         output_dir=obj.get("output_dir", "results"),
         seeds=seeds,
-        checkpoint=checkpoint,
     )
 
 

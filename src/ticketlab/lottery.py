@@ -241,7 +241,7 @@ def _run_rounds(
         mode=cfg.mode,
         seed=cfg.init_seed,
         arch=cfg.arch,
-        fisher_batch_size=cfg.fisher.fisher_batch_size if cfg.fisher else None,
+        fisher_batch_size=cfg.fisher.fisher_batch_size if cfg.strategy == "fisher" else None,
         rows=rows,
     )
 

@@ -53,21 +53,23 @@ def spec_dict(**overrides):
 
 
 def write_spec(tmp_path, **overrides):
+    """spec_dict(**overrides) as `tmp_path / "spec.json"`; its `output_dir` defaults to
+    `tmp_path / "out"`, so that no run writes into the working directory."""
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec_dict(**overrides)))
+    path.write_text(json.dumps(spec_dict(**{"output_dir": str(tmp_path / "out"), **overrides})))
     return path
 
 
 def lottery_with(**overrides):
-    """argv for `lottery` on spec_dict(**overrides), written under the given directory."""
+    """argv for `lottery` on write_spec(tmp, **overrides), for the given directory `tmp`."""
     return lambda tmp: ["lottery", "--config", str(write_spec(tmp, **overrides))]
 
 
 def resume_after(edit_round_0):
-    """argv for `lottery --resume` after a checkpointed run whose round 0 `edit_round_0` changed."""
+    """argv for `lottery --resume` after a run whose round 0 `edit_round_0` changed."""
 
     def argv(tmp):
-        lottery = lottery_with(output_dir=str(tmp / "out"), checkpoint=True, seeds=[1])(tmp)
+        lottery = lottery_with(seeds=[1])(tmp)
         assert main(lottery) == 0
         edit_round_0(tmp / "out" / "checkpoints-unit-seed1" / "round_000.json")
         return lottery + ["--resume"]
@@ -115,9 +117,9 @@ def blocked_by_file(path):
 
 
 def checkpoint_dir_blocked(tmp):
-    """argv for a checkpointed `lottery` whose seed-1 checkpoint directory is a file."""
+    """argv for a `lottery` whose seed-1 checkpoint directory is a file."""
     blocked_by_file(tmp / "out" / "checkpoints-unit-seed1")
-    return lottery_with(output_dir=str(tmp / "out"), checkpoint=True, seeds=[1])(tmp)
+    return lottery_with(seeds=[1])(tmp)
 
 
 def untrainable(*args, **kwargs):
@@ -125,9 +127,9 @@ def untrainable(*args, **kwargs):
 
 
 def checkpointed_run(tmp_path, **overrides):
-    """Run a checkpointed spec_dict(**overrides) into `tmp_path / "out"`; returns the
-    spec's path and the seed-1 checkpoint directory."""
-    spec = write_spec(tmp_path, output_dir=str(tmp_path / "out"), checkpoint=True, **overrides)
+    """Run spec_dict(**overrides) into `tmp_path / "out"`; returns the spec's path and
+    the seed-1 checkpoint directory."""
+    spec = write_spec(tmp_path, **overrides)
     assert main(["lottery", "--config", str(spec)]) == 0
     return spec, tmp_path / "out" / "checkpoints-unit-seed1"
 
@@ -165,6 +167,13 @@ class TestSpecParsing:
         assert cfg.one_shot_targets == (0.2, 0.5)
         assert (cfg.fisher.sample_count, cfg.fisher.fisher_batch_size) == (30, 10)
         assert (cfg.train.epochs, cfg.final_train.epochs, cfg.final_train.seed) == (2, 3, 4)
+
+    def test_checkpoint_key_accepts_true_only(self, tmp_path):
+        """Every run writes round files: `true` changes nothing, and `false` is refused
+        rather than ignored."""
+        assert load_spec(write_spec(tmp_path, checkpoint=True)) == load_spec(write_spec(tmp_path))
+        with pytest.raises(UsageError, match="^checkpoint .* every run writes round files$"):
+            load_spec(write_spec(tmp_path, checkpoint=False))
 
     def test_unknown_top_level_key(self, tmp_path):
         with pytest.raises(UsageError, match="unknown key.*learning_rat"):
@@ -224,7 +233,7 @@ class TestCli:
         assert "sparsity" in out and "incoming connections" in out
 
     def test_lottery_then_report(self, tmp_path, capsys):
-        spec = write_spec(tmp_path, output_dir=str(tmp_path / "out"))
+        spec = write_spec(tmp_path)
         assert main(["lottery", "--config", str(spec)]) == 0
         records_csv = tmp_path / "out" / "unit.csv"
         assert records_csv.exists()
@@ -239,7 +248,7 @@ class TestCli:
 
     def test_lottery_checkpoint_and_resume(self, tmp_path, capsys):
         out = tmp_path / "out"
-        spec = write_spec(tmp_path, output_dir=str(out), checkpoint=True, seeds=[1])
+        spec = write_spec(tmp_path, seeds=[1])
         assert main(["lottery", "--config", str(spec)]) == 0
         first = (out / "unit.csv").read_bytes()
         ckpt_dir = out / "checkpoints-unit-seed1"
@@ -265,7 +274,7 @@ class TestCli:
 
     def test_resume_skips_newest_checkpoint_that_fails_to_load(self, tmp_path, capsys):
         out = tmp_path / "out"
-        spec = write_spec(tmp_path, output_dir=str(out), checkpoint=True, seeds=[1, 2])
+        spec = write_spec(tmp_path, seeds=[1, 2])
         assert main(["lottery", "--config", str(spec)]) == 0
         first = (out / "unit.csv").read_bytes()
         newest = out / "checkpoints-unit-seed2" / "round_002.json"
@@ -283,7 +292,7 @@ class TestCli:
     def test_resume_skips_newest_checkpoint_that_cannot_be_read(self, tmp_path, capsys):
         """An OSError on reading a round file skips it as a damaged file is skipped."""
         out = tmp_path / "out"
-        spec = write_spec(tmp_path, output_dir=str(out), checkpoint=True, seeds=[1])
+        spec = write_spec(tmp_path, seeds=[1])
         assert main(["lottery", "--config", str(spec)]) == 0
         first = (out / "unit.csv").read_bytes()
         newest = out / "checkpoints-unit-seed1" / "round_002.json"
@@ -301,7 +310,7 @@ class TestCli:
     def test_default_experiment_id_is_shared_by_every_seed(self, tmp_path):
         """The seed column and the checkpoint directory name tell the seeds apart."""
         out = tmp_path / "out"
-        obj = spec_dict(output_dir=str(out), checkpoint=True, seeds=[1, 2])
+        obj = spec_dict(output_dir=str(out), seeds=[1, 2])
         del obj["experiment_id"]
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(obj))
@@ -319,7 +328,7 @@ class TestCli:
     def test_resume_skips_checkpoint_with_flipped_row_bit(self, tmp_path, capsys):
         """The CRC covers the header, so a changed recorded row does not reach the CSV."""
         out = tmp_path / "out"
-        spec = write_spec(tmp_path, output_dir=str(out), checkpoint=True, seeds=[1])
+        spec = write_spec(tmp_path, seeds=[1])
         assert main(["lottery", "--config", str(spec)]) == 0
         first = (out / "unit.csv").read_bytes()
         newest = out / "checkpoints-unit-seed1" / "round_002.json"
@@ -335,12 +344,12 @@ class TestCli:
         """Every round file belongs to the run of the spec as it was, so a resume
         under an edited spec has nothing to continue from."""
         out = tmp_path / "out"
-        spec = write_spec(tmp_path, output_dir=str(out), checkpoint=True, seeds=[1])
+        spec = write_spec(tmp_path, seeds=[1])
         assert main(["lottery", "--config", str(spec)]) == 0
         first = (out / "unit.csv").read_bytes()
         capsys.readouterr()
 
-        spec = write_spec(tmp_path, output_dir=str(out), checkpoint=True, seeds=[1],
+        spec = write_spec(tmp_path, seeds=[1],
                           per_round_fraction=0.25)
         assert main(["lottery", "--config", str(spec), "--resume"]) == 2
         err = capsys.readouterr().err
@@ -380,7 +389,7 @@ class TestCli:
 
     def test_one_shot_checkpoint_and_resume(self, tmp_path):
         out = tmp_path / "out"
-        spec = write_spec(tmp_path, output_dir=str(out), checkpoint=True, seeds=[1, 2],
+        spec = write_spec(tmp_path, seeds=[1, 2],
                           mode="one_shot", one_shot_targets=[0.2, 0.5, 0.8], strategy="random")
         assert main(["lottery", "--config", str(spec)]) == 0
         first = (out / "unit.csv").read_bytes()
@@ -394,20 +403,6 @@ class TestCli:
                 path.unlink()
         assert main(["lottery", "--config", str(spec), "--resume"]) == 0
         assert strip_seconds_column((out / "unit.csv").read_bytes()) == strip_seconds_column(first)
-
-    @pytest.mark.parametrize(
-        "argv, command",
-        [
-            pytest.param(["lottery", "--resume"], "--resume", id="checkpoint-off"),
-            pytest.param(["verify"], "verify", id="verify-checkpoint-off"),
-        ],
-    )
-    def test_resume_without_checkpoints_exit_1(self, tmp_path, capsys, argv, command):
-        spec = write_spec(tmp_path, output_dir=str(tmp_path / "out"))
-        assert main([argv[0], "--config", str(spec), *argv[1:]]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {command} needs") and '"checkpoint": true' in err
-        assert not (tmp_path / "out").exists()
 
     def test_round_file_that_is_no_regular_file_exit_2_before_training(
         self, tmp_path, capsys, monkeypatch
@@ -479,6 +474,7 @@ class TestCli:
             ),
             pytest.param(lottery_with(seeds=[1.7]), id="spec-seeds-non-integral"),
             pytest.param(lottery_with(checkpoint="no"), id="spec-checkpoint-not-boolean"),
+            pytest.param(lottery_with(checkpoint=False), id="spec-checkpoint-false"),
             pytest.param(
                 lottery_with(dataset={"synthetic": {
                     "classes": 3, "dim": 6, "per_class": 20, "test_per_class": 8, "noise": "x"}}),
@@ -636,7 +632,6 @@ class TestCli:
     def test_numerical_error_exit_3(self, tmp_path, capsys):
         spec = write_spec(
             tmp_path,
-            output_dir=str(tmp_path / "out"),
             seeds=[1],
             train={"epochs": 3, "learning_rate": 1e200, "train_batch_size": 16, "seed": 0},
         )
@@ -665,7 +660,6 @@ class TestCli:
         out = tmp_path / "out"
         spec = write_spec(
             tmp_path,
-            output_dir=str(out),
             mode="one_shot",
             one_shot_targets=[0.3, 0.6],
             seeds=[1],
@@ -679,7 +673,6 @@ class TestCli:
         out = tmp_path / "out"
         spec = write_spec(
             tmp_path,
-            output_dir=str(out),
             strategy="fisher",
             fisher={"sample_count": 30, "fisher_batch_size": 10},
         )
@@ -701,6 +694,18 @@ class TestCli:
 
         assert main(["report", "--figure", "batch_comparison", "--out", str(fig), records,
                      "--batch-sizes", "10"]) == 1
+
+    def test_fisher_section_of_another_strategy_records_no_batch_size(self, tmp_path, capsys):
+        """A `fisher` section that an L1 run never reads leaves the record's
+        fisher_batch_size empty, so batch_comparison refuses the record."""
+        spec = write_spec(tmp_path, fisher={"sample_count": 30, "fisher_batch_size": 10})
+        assert main(["lottery", "--config", str(spec)]) == 0
+        records = tmp_path / "out" / "unit.csv"
+        assert [r.fisher_batch_size for r in read_records_csv(records)] == [None, None]
+        capsys.readouterr()
+        assert main(["report", "--figure", "batch_comparison", "--out", str(tmp_path / "fig.csv"),
+                     str(records)]) == 1
+        assert "needs records produced by the fisher strategy" in capsys.readouterr().err
 
 
 class SimulatedKill(BaseException):
@@ -763,9 +768,10 @@ def kill_between_seeds(monkeypatch):
 class TestCrashMatrix:
     """A `lottery` run killed at any write point resumes to the uninterrupted record.
 
-    The spec writes six round files (rounds 0-2 of seed 1, then of seed 2),
-    then the CSV. A killed write leaves its temporary file behind, since no
-    cleanup runs; a resume must neither read it nor leave it.
+    The spec has no `checkpoint` key, since every run writes its round files:
+    six of them (rounds 0-2 of seed 1, then of seed 2), then the CSV. A
+    killed write leaves its temporary file behind, since no cleanup runs; a
+    resume must neither read it nor leave it.
     """
 
     @pytest.mark.parametrize(
@@ -784,7 +790,8 @@ class TestCrashMatrix:
         checkpointed_run(tmp_path / "clean")
         clean = tmp_path / "clean" / "out"
         out = tmp_path / "out"
-        spec = write_spec(tmp_path, output_dir=str(out), checkpoint=True)
+        spec = write_spec(tmp_path)
+        assert "checkpoint" not in json.loads(spec.read_text())
         real_unlink = Path.unlink
         with monkeypatch.context() as patch:
             install(patch)
@@ -855,12 +862,21 @@ class TestVerify:
             "seed 2 round 2: equal",
         ])
 
+    def test_fresh_run_drops_round_files_of_a_longer_earlier_run(self, tmp_path, capsys):
+        """A run without --resume starts over, so an earlier 4-round run's rounds 3
+        and 4 are not left for `verify` to take as the newest."""
+        checkpointed_run(tmp_path, rounds=4)
+        spec, directory = checkpointed_run(tmp_path)
+        assert sorted(p.name for p in directory.iterdir()) == [
+            f"round_{r:03d}.json" for r in range(3)
+        ]
+        assert verify_lines(capsys, spec) == (0, [f"seed {s} round 2: equal" for s in (1, 2)])
+
     def test_changed_dataset_exit_3(self, tmp_path, capsys):
         spec, _ = checkpointed_run(tmp_path, seeds=[1])
         data = spec_dict()["dataset"]
         data["synthetic"].update(noise=0.9, seed=4)
-        write_spec(tmp_path, output_dir=str(tmp_path / "out"), checkpoint=True, seeds=[1],
-                   dataset=data)
+        write_spec(tmp_path, seeds=[1], dataset=data)
         code, lines = verify_lines(capsys, spec)
         assert code == 3
         assert len(lines) == 1 and lines[0].startswith("seed 1 round 2: differs: first in layer ")
@@ -875,7 +891,7 @@ class TestVerify:
             train={"epochs": 2, "learning_rate": 0.1, "train_batch_size": 128, "seed": 0},
             dataset={"synthetic": {"classes": 10, "dim": 784, "per_class": 300,
                                    "test_per_class": 20, "noise": 0.3, "seed": 3}},
-            output_dir=str(tmp_path / "out"), checkpoint=True,
+            output_dir=str(tmp_path / "out"),
         )))
         run = ticketlab_process(["lottery", "--config", str(spec)], OPENBLAS_NUM_THREADS="2")
         assert run.returncode == 0, run.stderr
