@@ -3,7 +3,9 @@
 A spec is a single JSON document holding the full experiment config, the
 dataset source (IDX file paths or a synthetic recipe), the output
 directory, and an optional seed list. Unknown keys anywhere in the tree
-are hard errors: a silently ignored typo would corrupt an experiment.
+are hard errors: a silently ignored typo would corrupt an experiment. So
+are the sections that the spec's strategy or mode never reads: `fisher`
+outside the fisher strategy and `one_shot_targets` outside one-shot mode.
 """
 
 from __future__ import annotations
@@ -150,8 +152,18 @@ def parse_spec(obj: dict, base_dir: Optional[Path] = None) -> ExperimentSpec:
             f"checkpoint can only be true, got {obj['checkpoint']!r}: every run writes round files"
         )
 
+    lottery = LotteryConfig(**lottery_kwargs)
+    if "fisher" in obj and lottery.strategy != "fisher":
+        raise UsageError(
+            f"fisher is read only by the fisher strategy, and this spec's is {lottery.strategy!r}"
+        )
+    if "one_shot_targets" in obj and lottery.mode != "one_shot":
+        raise UsageError(
+            f"one_shot_targets is read only in one_shot mode, and this spec's is {lottery.mode!r}"
+        )
+
     return ExperimentSpec(
-        lottery=LotteryConfig(**lottery_kwargs),
+        lottery=lottery,
         dataset=dataset,
         output_dir=obj.get("output_dir", "results"),
         seeds=seeds,

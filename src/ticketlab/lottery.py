@@ -11,8 +11,8 @@ both write per-round checkpoints and resume from them.
 Before round 0 the training rows get one seeded presentation order (from
 `data_seed`). Every round trains through it as an index into the caller's
 dataset (`train(..., rows=order)`), so a run holds a single copy of its
-training set; the Fisher scorer's set is the first `sample_count` rows of
-that order, copied once per run and only for the `fisher` strategy.
+training set. The Fisher scorer reads its set, the first `sample_count`
+rows of that order, through the same index (`score_fisher(..., rows=order)`).
 
 Every round records sparsity, final-epoch and best-epoch test accuracy,
 train loss, movement relative to the round-0 trained baseline, Fisher
@@ -110,7 +110,8 @@ def _compute_scores(
     cfg: LotteryConfig,
     trained: DenseNetwork,
     mask: PruneMask,
-    fisher_set: Optional[Dataset],
+    train_data: Dataset,
+    order: np.ndarray,
     round_index: int,
 ) -> tuple[list[np.ndarray], int]:
     """Dispatch to the configured scorer; returns (scores, backward passes)."""
@@ -120,7 +121,7 @@ def _compute_scores(
     if cfg.strategy == "l1":
         return score_l1(trained, mask), 0
     assert cfg.fisher is not None
-    return score_fisher(trained, mask, fisher_set, cfg.fisher)
+    return score_fisher(trained, mask, train_data, cfg.fisher, rows=order)
 
 
 def _prune_step(mask: PruneMask, scores: list[np.ndarray], fraction: float) -> PruneMask:
@@ -176,9 +177,6 @@ def _run_rounds(
         )
     # The presentation order: every round trains through it, and its first rows are the Fisher set.
     order = rng.permutation(rng.derive(cfg.data_seed, _DATA_STREAM), len(train_data))
-    fisher_set = None
-    if cfg.strategy == "fisher":
-        fisher_set = train_data.take(order[: cfg.fisher.sample_count])
     one_shot = cfg.mode == "one_shot"
     last = len(cfg.one_shot_targets) if one_shot else cfg.rounds
 
@@ -211,7 +209,7 @@ def _run_rounds(
                 trained, mask = baseline, full_mask(cfg.arch)
             if scores is None:
                 scores, passes = _compute_scores(
-                    cfg, trained, mask, fisher_set, 1 if one_shot else r
+                    cfg, trained, mask, train_data, order, 1 if one_shot else r
                 )
             fraction = cfg.one_shot_targets[r - 1] if one_shot else cfg.per_round_fraction
             mask = _prune_step(mask, scores, fraction)

@@ -481,26 +481,37 @@ def _per_sample_sq_grad_sums(
     biases: list[np.ndarray],
     inputs: np.ndarray,
     labels: np.ndarray,
+    rows: np.ndarray,
 ) -> list[np.ndarray]:
-    """Per layer, the sum over rows n of (dL_n/dW)**2, L_n being row n's own loss.
+    """Per layer, the sum over the rows `rows` of `inputs` of (dL_n/dW)**2, L_n being
+    row n's own loss.
 
     Row n's weight gradient is the outer product of its output delta and
     its layer input, so the sum of squares is (delta**2).T @ (a**2)
-    (Goodfellow, arXiv:1510.01799). One pass per chunk of rows replaces one
-    backward pass per row. Weights must already be masked; sums at masked
+    (Goodfellow, arXiv:1510.01799). One pass per chunk of
+    `_SQ_GRAD_CHUNK_ROWS` rows replaces one backward pass per row. Each
+    chunk is gathered through `rows` as a private copy, so every layer
+    input is squared in place, and each is dropped once backpropagation
+    has passed it. Weights must already be masked; sums at masked
     positions are not zeroed.
     """
     sums = [np.zeros_like(w) for w in weights]
-    for start in range(0, inputs.shape[0], _SQ_GRAD_CHUNK_ROWS):
-        x = inputs[start : start + _SQ_GRAD_CHUNK_ROWS]
-        layer_in, logits = _forward_arrays(weights, biases, x)
-        delta, _ = _softmax_from_logits(logits)
-        delta[np.arange(x.shape[0]), labels[start : start + _SQ_GRAD_CHUNK_ROWS]] -= 1.0
+    for start in range(0, rows.shape[0], _SQ_GRAD_CHUNK_ROWS):
+        idx = rows[start : start + _SQ_GRAD_CHUNK_ROWS]
+        layer_in, logits = _forward_arrays(weights, biases, inputs[idx])
+        delta = _softmax_from_logits(logits)[0]
+        delta[np.arange(idx.shape[0]), labels[idx]] -= 1.0
         for l in range(len(weights) - 1, -1, -1):
-            a = layer_in[l]
-            sums[l] += (delta * delta).T @ (a * a)
+            a = layer_in.pop()
+            live = a > 0.0 if l > 0 else None
+            a *= a
+            # Layer 0's delta is not propagated further, so it is squared in place.
+            sq = np.multiply(delta, delta, out=delta if l == 0 else None)
+            sums[l] += sq.T @ a
+            del a, sq
             if l > 0:
-                delta = (delta @ weights[l]) * (a > 0.0)
+                delta = delta @ weights[l]
+                delta *= live
     return sums
 
 

@@ -14,7 +14,9 @@ sizes trade scoring fidelity for backward passes (exactly B of them).
 Batch size 1 is computed in one vectorised pass over chunks of rows: a
 row's weight gradient is an outer product, so its squared sum is
 (delta**2).T @ (a**2) per layer. The reported backward-pass count is the
-estimator's B, not the wall cost of computing it.
+estimator's B, not the wall cost of computing it. Given a row index, the
+scorer gathers each chunk or batch through it, so a caller's selection of
+rows is never copied whole.
 
 Scores are plain per-layer arrays shaped like the weights. Values at
 already-pruned positions are never read: `global_prune` removes the
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -89,37 +91,53 @@ def _fisher_combine(
 ) -> list[np.ndarray]:
     """Turn accumulated squared gradients into scores: w**2 * sum / (2B)."""
     scale = 1.0 / (2.0 * batch_count)
-    return [scale * w * w * s for w, s in zip(weights, squared_grad_sums)]
+    scores = []
+    for w, s in zip(weights, squared_grad_sums):
+        # `scale * w * w * s`, left to right, in one buffer.
+        score = scale * w
+        score *= w
+        score *= s
+        scores.append(score)
+    return scores
 
 
 def score_fisher(
-    net: DenseNetwork, mask: PruneMask, fisher_set: Dataset, cfg: FisherConfig
+    net: DenseNetwork,
+    mask: PruneMask,
+    data: Dataset,
+    cfg: FisherConfig,
+    rows: Optional[np.ndarray] = None,
 ) -> tuple[list[np.ndarray], int]:
     """Diagonal-Fisher relevance of each kept weight, plus the backward-pass count.
 
-    Uses the first cfg.sample_count rows of `fisher_set`, split into
+    Uses the first cfg.sample_count rows of `data`, split into
     batch_count consecutive batches; each batch contributes the squared
     gradient of its mean loss. Returns (scores, batch_count). Raises
     ShapeError for rows of the wrong width and UsageError for too few rows
     or labels beyond the network's classes.
+
+    `rows`, an integer index array, scores `data.take(rows)` without
+    making that copy: the scoring rows are `rows[:cfg.sample_count]`, and
+    every chunk or batch is gathered from `data` itself. The scores are
+    those of `score_fisher(net, mask, data.take(rows), cfg)` in every bit.
     """
-    if len(fisher_set) < cfg.sample_count:
-        raise UsageError(
-            f"fisher set has {len(fisher_set)} rows, need sample_count={cfg.sample_count}"
-        )
-    inputs = fisher_set.inputs[: cfg.sample_count]
-    labels = fisher_set.labels[: cfg.sample_count]
-    _check_labelled_rows(net, inputs, labels, "fisher set")
-    bits, weights = masked_weights(net, mask)
+    available = len(data) if rows is None else len(rows)
+    if available < cfg.sample_count:
+        raise UsageError(f"fisher set has {available} rows, need sample_count={cfg.sample_count}")
+    rows = np.arange(cfg.sample_count) if rows is None else rows[: cfg.sample_count]
+    _check_labelled_rows(net, data.inputs, data.labels[rows], "fisher set")
 
     bs = cfg.fisher_batch_size
     if bs == 1:
-        sq_sums = _per_sample_sq_grad_sums(weights, net.biases, inputs, labels)
+        weights = masked_weights(net, mask)[1]
+        sq_sums = _per_sample_sq_grad_sums(weights, net.biases, data.inputs, data.labels, rows)
     else:
+        bits, weights = masked_weights(net, mask)
         sq_sums = [np.zeros_like(w) for w in weights]
         for start in range(0, cfg.sample_count, bs):
+            idx = rows[start : start + bs]
             _, grad_w, _ = _loss_and_grads_arrays(
-                weights, net.biases, bits, inputs[start : start + bs], labels[start : start + bs]
+                weights, net.biases, bits, data.inputs[idx], data.labels[idx]
             )
             for l, g in enumerate(grad_w):
                 sq_sums[l] += g * g

@@ -3,12 +3,13 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ticketlab import UsageError, load_spec, lottery, read_records_csv, seed_configs
+from ticketlab import FisherConfig, UsageError, load_spec, lottery, read_records_csv, seed_configs
 from ticketlab import checkpoint, cli, results
 from ticketlab.checkpoint import load_checkpoint, load_run_state
 from ticketlab.cli import main
@@ -505,6 +506,13 @@ class TestCli:
             pytest.param({"train": {"learning_rate": None}}, "learning_rate",
                          id="learning-rate-null"),
             pytest.param({"fisher": None}, "fisher must be an object", id="fisher-null"),
+            pytest.param({"fisher": {"sample_count": 30}},
+                         "fisher is read only by the fisher strategy", id="fisher-on-l1"),
+            pytest.param({"strategy": "random", "fisher": {"sample_count": 30}},
+                         "fisher is read only by the fisher strategy", id="fisher-on-random"),
+            pytest.param({"one_shot_targets": [0.5]},
+                         "one_shot_targets is read only in one_shot mode",
+                         id="one-shot-targets-on-iterative"),
             pytest.param({"fisher": "ab"}, "fisher must be an object", id="fisher-string"),
             pytest.param({"dataset": {"synthetic": {"classes": 3, "per_class": 20,
                                                     "test_per_class": 8}}},
@@ -696,12 +704,16 @@ class TestCli:
                      "--batch-sizes", "10"]) == 1
 
     def test_fisher_section_of_another_strategy_records_no_batch_size(self, tmp_path, capsys):
-        """A `fisher` section that an L1 run never reads leaves the record's
-        fisher_batch_size empty, so batch_comparison refuses the record."""
-        spec = write_spec(tmp_path, fisher={"sample_count": 30, "fisher_batch_size": 10})
-        assert main(["lottery", "--config", str(spec)]) == 0
-        records = tmp_path / "out" / "unit.csv"
-        assert [r.fisher_batch_size for r in read_records_csv(records)] == [None, None]
+        """A FisherConfig that an L1 run never reads leaves the record's
+        fisher_batch_size empty, so batch_comparison refuses the record. (A spec
+        cannot say this: its `fisher` section exits 1 outside the fisher strategy.)"""
+        spec = load_spec(write_spec(tmp_path))
+        cfg = replace(spec.lottery, fisher=FisherConfig(30, 10))
+        records = tmp_path / "unit.csv"
+        results.emit_csv(
+            results.record_table([lottery.run_iterative(cfg, *build_datasets(spec))]), records
+        )
+        assert [r.fisher_batch_size for r in read_records_csv(records)] == [None]
         capsys.readouterr()
         assert main(["report", "--figure", "batch_comparison", "--out", str(tmp_path / "fig.csv"),
                      str(records)]) == 1

@@ -121,12 +121,22 @@ class TestRunIterative:
         with pytest.raises(NumericalError):
             run_iterative(cfg_iterative(train=blowup, final_train=blowup), *datasets)
 
-    def test_training_set_is_not_copied(self):
-        """The round loop reaches the training rows through an index: a 1-round run
-        allocates, at its peak, under half the bytes of the training inputs."""
+    @pytest.mark.parametrize(
+        "strategy, fisher",
+        [
+            pytest.param("l1", None, id="l1"),
+            pytest.param("fisher", FisherConfig(4000, 1), id="fisher-batch-1"),
+            pytest.param("fisher", FisherConfig(4000, 10), id="fisher-batch-10"),
+        ],
+    )
+    def test_training_set_is_not_copied(self, strategy, fisher):
+        """The round loop reaches the training rows through an index, for training and
+        for Fisher scoring of every row: a 1-round run allocates, at its peak, under
+        half the bytes of the training inputs."""
         train_data = gen_synthetic(10, 200, 400, seed=5, noise=0.2)  # 4000 x 200
         test_data = gen_synthetic(10, 200, 20, seed=77, noise=0.2)
-        cfg = cfg_iterative(arch=(200, 30, 10), rounds=1, train=FAST, final_train=FAST)
+        cfg = cfg_iterative(arch=(200, 30, 10), rounds=1, train=FAST, final_train=FAST,
+                            strategy=strategy, fisher=fisher)
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()

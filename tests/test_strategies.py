@@ -188,6 +188,44 @@ class TestScoreFisher:
         for s, r in zip(scores, rescored):
             assert np.array_equal(s, r)
 
+    @pytest.mark.parametrize(
+        "batch_size, sample_count",
+        [
+            pytest.param(1, nn._SQ_GRAD_CHUNK_ROWS + 37, id="batch-1-across-chunk-edge"),
+            pytest.param(7, 61, id="batch-7-ragged-last-batch"),
+        ],
+    )
+    def test_rows_score_the_selected_rows_in_every_bit(self, batch_size, sample_count):
+        """Scoring through `rows` equals scoring their copy, and leaves every input as it was."""
+        arch = (5, 6, 3)
+        net = init_network(arch, seed=3)
+        mask = full_mask(arch)
+        mask.layers[0][::2, 1::3] = False
+        mask.layers[1][:, 0] = False
+        from ticketlab import gen_synthetic
+
+        data = gen_synthetic(3, 5, 400, seed=5, noise=0.4)
+        rows = rng.permutation(8, len(data))[: sample_count + 9]
+        taken = data.take(rows)
+        cfg = FisherConfig(sample_count, batch_size)
+        arrays = (data.inputs, data.labels, rows, taken.inputs, taken.labels, *net.weights)
+        before = [a.tobytes() for a in arrays]
+        scores, passes = score_fisher(net, mask, data, cfg, rows=rows)
+        expected, expected_passes = score_fisher(net, mask, taken, cfg)
+        assert [a.tobytes() for a in arrays] == before
+        assert passes == expected_passes == cfg.batch_count
+        assert [s.tobytes() for s in scores] == [e.tobytes() for e in expected]
+
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    def test_rows_shorter_than_sample_count_rejected(self, batch_size):
+        net = init_network([2, 3], seed=1)
+        from ticketlab import gen_synthetic
+
+        data = gen_synthetic(3, 2, 10, seed=2)
+        with pytest.raises(UsageError, match="fisher set has 19 rows, need sample_count=20"):
+            score_fisher(net, full_mask([2, 3]), data, FisherConfig(20, batch_size),
+                         rows=np.arange(19))
+
     @pytest.mark.parametrize("batch_size", [1, 4])
     @pytest.mark.parametrize(
         "corrupt, error",
