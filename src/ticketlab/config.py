@@ -4,8 +4,9 @@ A spec is a single JSON document holding the full experiment config, the
 dataset source (IDX file paths or a synthetic recipe), the output
 directory, and an optional seed list. Unknown keys anywhere in the tree
 are hard errors: a silently ignored typo would corrupt an experiment. So
-are the sections that the spec's strategy or mode never reads: `fisher`
-outside the fisher strategy and `one_shot_targets` outside one-shot mode.
+are the sections that the spec's strategy or mode never reads, which
+`LotteryConfig` refuses, and `rounds` or `per_round_fraction` in a
+one-shot spec, which only a spec can tell from their defaults.
 """
 
 from __future__ import annotations
@@ -130,11 +131,6 @@ def parse_spec(obj: dict, base_dir: Optional[Path] = None) -> ExperimentSpec:
     for key, cls in _SECTIONS.items():
         if key in obj:
             lottery_kwargs[key] = _section(cls, obj[key], key)
-    if "one_shot_targets" in obj:
-        targets = obj["one_shot_targets"]
-        if not (isinstance(targets, list) and all(is_number(t) for t in targets)):
-            raise UsageError(f"one_shot_targets must be a list of numbers, got {targets!r}")
-        lottery_kwargs["one_shot_targets"] = tuple(targets)
 
     dataset = _dataset_source(obj["dataset"])
     if isinstance(dataset, IdxSource) and base_dir is not None:
@@ -153,14 +149,9 @@ def parse_spec(obj: dict, base_dir: Optional[Path] = None) -> ExperimentSpec:
         )
 
     lottery = LotteryConfig(**lottery_kwargs)
-    if "fisher" in obj and lottery.strategy != "fisher":
-        raise UsageError(
-            f"fisher is read only by the fisher strategy, and this spec's is {lottery.strategy!r}"
-        )
-    if "one_shot_targets" in obj and lottery.mode != "one_shot":
-        raise UsageError(
-            f"one_shot_targets is read only in one_shot mode, and this spec's is {lottery.mode!r}"
-        )
+    unread = sorted({"rounds", "per_round_fraction"} & set(obj))
+    if lottery.mode == "one_shot" and unread:
+        raise UsageError(f"one_shot mode never reads {' or '.join(unread)}, which the spec sets")
 
     return ExperimentSpec(
         lottery=lottery,

@@ -53,6 +53,10 @@ class LotteryConfig:
 
     An omitted `final_train` is `train`; an omitted `experiment_id` is
     `<strategy>-<mode>` (the record's seed column tells seeds apart).
+    A config holds only what its run reads: the fisher strategy requires
+    `fisher` and the others refuse it; one-shot mode requires
+    `one_shot_targets` (numbers in [0, 1], kept sorted), iterative mode
+    refuses it, and only iterative mode reads `rounds` and `per_round_fraction`.
     """
 
     arch: tuple[int, ...]
@@ -82,12 +86,17 @@ class LotteryConfig:
             raise UsageError(
                 f"per_round_fraction must be a number in (0, 1), got {self.per_round_fraction!r}"
             )
-        if self.strategy == "fisher" and self.fisher is None:
-            raise UsageError("strategy 'fisher' needs a FisherConfig")
-        if self.mode == "one_shot":
-            if not self.one_shot_targets:
-                raise UsageError("one_shot mode needs one_shot_targets")
-            targets = tuple(sorted(float(t) for t in self.one_shot_targets))
+        if (self.fisher is None) == (self.strategy == "fisher"):
+            raise UsageError("fisher is read only by the fisher strategy, which needs it; "
+                             f"got strategy {self.strategy!r} with fisher={self.fisher!r}")
+        targets = self.one_shot_targets
+        if (targets is None) == (self.mode == "one_shot"):
+            raise UsageError("one_shot_targets is read only in one_shot mode, which needs them; "
+                             f"got mode {self.mode!r} with one_shot_targets={targets!r}")
+        if targets is not None:
+            if not (isinstance(targets, list | tuple) and targets and all(map(is_number, targets))):
+                raise UsageError(f"one_shot_targets must be a list of numbers, got {targets!r}")
+            targets = tuple(sorted(float(t) for t in targets))
             if any(not 0.0 <= t <= 1.0 for t in targets):
                 raise UsageError(f"one_shot_targets must lie in [0, 1], got {targets}")
             object.__setattr__(self, "one_shot_targets", targets)
@@ -120,7 +129,6 @@ def _compute_scores(
         return score_random(mask, cfg.strategy_seed + round_index), 0
     if cfg.strategy == "l1":
         return score_l1(trained, mask), 0
-    assert cfg.fisher is not None
     return score_fisher(trained, mask, train_data, cfg.fisher, rows=order)
 
 
@@ -170,7 +178,7 @@ def _run_rounds(
     stop: Optional[int] = None,
 ) -> ExperimentRecord:
     """The round loop of both modes; round 0 trains the dense network; `stop` ends it early."""
-    if cfg.strategy == "fisher" and cfg.fisher.sample_count > len(train_data):
+    if cfg.fisher is not None and cfg.fisher.sample_count > len(train_data):
         raise UsageError(
             f"fisher sample_count {cfg.fisher.sample_count} exceeds the "
             f"{len(train_data)} available training rows"
@@ -239,7 +247,7 @@ def _run_rounds(
         mode=cfg.mode,
         seed=cfg.init_seed,
         arch=cfg.arch,
-        fisher_batch_size=cfg.fisher.fisher_batch_size if cfg.strategy == "fisher" else None,
+        fisher_batch_size=None if cfg.fisher is None else cfg.fisher.fisher_batch_size,
         rows=rows,
     )
 

@@ -3,13 +3,12 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ticketlab import FisherConfig, UsageError, load_spec, lottery, read_records_csv, seed_configs
+from ticketlab import UsageError, load_spec, lottery, read_records_csv, seed_configs
 from ticketlab import checkpoint, cli, results
 from ticketlab.checkpoint import load_checkpoint, load_run_state
 from ticketlab.cli import main
@@ -31,6 +30,8 @@ from conftest import (
 
 
 def spec_dict(**overrides):
+    """A 6-8-3 l1/iterative spec, updated by `overrides`. A one-shot spec leaves out
+    `rounds` and `per_round_fraction`, which one-shot mode never reads."""
     spec = {
         "experiment_id": "unit",
         "arch": [6, 8, 3],
@@ -49,6 +50,8 @@ def spec_dict(**overrides):
         "output_dir": "out",
         "seeds": [1, 2],
     }
+    if overrides.get("mode") == "one_shot":
+        del spec["rounds"], spec["per_round_fraction"]
     spec.update(overrides)
     return spec
 
@@ -156,18 +159,24 @@ class TestSpecParsing:
         assert spec.lottery.final_train == spec.lottery.train
 
     def test_lottery_fields_pass_through(self, tmp_path):
-        """Every LotteryConfig field is a spec key, with its sections parsed."""
-        spec = load_spec(write_spec(
+        """Every LotteryConfig field is a spec key, with its sections parsed: the
+        iterative fields in an iterative spec, the one-shot and Fisher ones in a
+        one-shot Fisher spec."""
+        cfg = load_spec(write_spec(
+            tmp_path,
+            final_train={"epochs": 3, "learning_rate": 0.1, "train_batch_size": 8, "seed": 4},
+        )).lottery
+        assert (cfg.experiment_id, cfg.per_round_fraction, cfg.rounds) == ("unit", 0.3, 2)
+        assert (cfg.init_seed, cfg.data_seed, cfg.strategy_seed) == (1, 2, 3)
+        assert (cfg.train.epochs, cfg.final_train.epochs, cfg.final_train.seed) == (2, 3, 4)
+
+        cfg = load_spec(write_spec(
             tmp_path, mode="one_shot", one_shot_targets=[0.5, 0.2], strategy="fisher",
             fisher={"sample_count": 30, "fisher_batch_size": 10},
-            final_train={"epochs": 3, "learning_rate": 0.1, "train_batch_size": 8, "seed": 4},
-        ))
-        cfg = spec.lottery
-        assert (cfg.experiment_id, cfg.per_round_fraction, cfg.rounds) == ("unit", 0.3, 2)
+        )).lottery
         assert (cfg.init_seed, cfg.data_seed, cfg.strategy_seed) == (1, 2, 3)
         assert cfg.one_shot_targets == (0.2, 0.5)
         assert (cfg.fisher.sample_count, cfg.fisher.fisher_batch_size) == (30, 10)
-        assert (cfg.train.epochs, cfg.final_train.epochs, cfg.final_train.seed) == (2, 3, 4)
 
     def test_checkpoint_key_accepts_true_only(self, tmp_path):
         """Every run writes round files: `true` changes nothing, and `false` is refused
@@ -513,6 +522,12 @@ class TestCli:
             pytest.param({"one_shot_targets": [0.5]},
                          "one_shot_targets is read only in one_shot mode",
                          id="one-shot-targets-on-iterative"),
+            pytest.param({"mode": "one_shot", "one_shot_targets": [0.5], "rounds": 2},
+                         "one_shot mode never reads rounds", id="rounds-on-one-shot"),
+            pytest.param({"mode": "one_shot", "one_shot_targets": [0.5],
+                          "per_round_fraction": 0.3},
+                         "one_shot mode never reads per_round_fraction",
+                         id="per-round-fraction-on-one-shot"),
             pytest.param({"fisher": "ab"}, "fisher must be an object", id="fisher-string"),
             pytest.param({"dataset": {"synthetic": {"classes": 3, "per_class": 20,
                                                     "test_per_class": 8}}},
@@ -664,6 +679,28 @@ class TestCli:
         assert main(["train", "--arch", "4,6,2", "--images", str(images),
                      "--labels", str(labels), "--epochs", "1"]) == 0
 
+    def test_report_labels_name_the_series_of_each_file(self, tmp_path, capsys):
+        """`--labels` gives each input CSV's records their own series, even where
+        method and mode are the same; it needs one label per file."""
+        inputs = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            inputs.append(write_records_csv(tmp_path / name))
+        fig = tmp_path / "fig.csv"
+        argv = ["report", "--figure", "accuracy_vs_sparsity", "--out", str(fig), *inputs]
+
+        assert main(argv) == 0
+        assert [line.split(",")[0] for line in fig.read_text().splitlines()] == [
+            "series", "fisher/iterative", "fisher/iterative"
+        ]
+        assert main(argv + ["--labels", "batch-1,batch-10"]) == 0
+        assert [line.split(",")[0] for line in fig.read_text().splitlines()] == [
+            "series", "batch-1", "batch-10"
+        ]
+        capsys.readouterr()
+        assert main(argv + ["--labels", "only-one"]) == 1
+        assert "--labels gives 1 labels for 2 input CSVs" in capsys.readouterr().err
+
     def test_one_shot_spec(self, tmp_path):
         out = tmp_path / "out"
         spec = write_spec(
@@ -703,16 +740,11 @@ class TestCli:
         assert main(["report", "--figure", "batch_comparison", "--out", str(fig), records,
                      "--batch-sizes", "10"]) == 1
 
-    def test_fisher_section_of_another_strategy_records_no_batch_size(self, tmp_path, capsys):
-        """A FisherConfig that an L1 run never reads leaves the record's
-        fisher_batch_size empty, so batch_comparison refuses the record. (A spec
-        cannot say this: its `fisher` section exits 1 outside the fisher strategy.)"""
-        spec = load_spec(write_spec(tmp_path))
-        cfg = replace(spec.lottery, fisher=FisherConfig(30, 10))
-        records = tmp_path / "unit.csv"
-        results.emit_csv(
-            results.record_table([lottery.run_iterative(cfg, *build_datasets(spec))]), records
-        )
+    def test_record_of_another_strategy_has_no_batch_size(self, tmp_path, capsys):
+        """An L1 run leaves the record's fisher_batch_size empty, so
+        batch_comparison refuses the record."""
+        checkpointed_run(tmp_path, seeds=[1])
+        records = tmp_path / "out" / "unit.csv"
         assert [r.fisher_batch_size for r in read_records_csv(records)] == [None]
         capsys.readouterr()
         assert main(["report", "--figure", "batch_comparison", "--out", str(tmp_path / "fig.csv"),

@@ -209,6 +209,23 @@ class TestConfigValidation:
         with pytest.raises(UsageError):
             cfg_iterative(strategy="fisher")
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            pytest.param(dict(fisher=FisherConfig(30, 10)), "fisher", id="fisher-on-l1"),
+            pytest.param(dict(strategy="random", fisher=FisherConfig(30, 10)), "fisher",
+                         id="fisher-on-random"),
+            pytest.param(dict(one_shot_targets=(0.5,)), "one_shot_targets",
+                         id="one-shot-targets-on-iterative"),
+            pytest.param(dict(mode="one_shot", one_shot_targets=("0.5",)), "one_shot_targets",
+                         id="one-shot-targets-string"),
+        ],
+    )
+    def test_unread_or_mistyped_section_rejected(self, overrides, field):
+        """A config holds only what its strategy and mode read, in the types they read."""
+        with pytest.raises(UsageError, match=field):
+            cfg_iterative(**overrides)
+
     def test_final_train_defaults_to_train(self):
         cfg = LotteryConfig(arch=ARCH, strategy="l1", mode="iterative", train=FAST)
         assert cfg.final_train == FAST
