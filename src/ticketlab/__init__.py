@@ -17,7 +17,6 @@ from .errors import (
 from .nn import (
     Dataset,
     DenseNetwork,
-    GradientSet,
     TrainConfig,
     check_layer_sizes,
     evaluate,
@@ -75,7 +74,6 @@ __all__ = [
     "ExperimentRecord",
     "ExperimentSpec",
     "FisherConfig",
-    "GradientSet",
     "LayerSparsity",
     "LotteryConfig",
     "MovementReport",

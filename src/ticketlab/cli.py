@@ -161,10 +161,10 @@ def _cmd_lottery(args) -> int:
     records = []
     for cfg, checkpoint_dir in zip(configs, checkpoint_dirs):
         print(f"running {cfg.experiment_id} (seed {cfg.init_seed}, {cfg.strategy}/{cfg.mode})")
-        resume_from = _newest_run_state(checkpoint_dir, cfg) if args.resume else None
         run = run_iterative if cfg.mode == "iterative" else run_one_shot
+        # No reference of our own: a seed's state is freed before the next seed's loads.
         record = run(cfg, train_data, test_data, checkpoint_dir=checkpoint_dir,
-                     resume_from=resume_from)
+                     resume_from=_newest_run_state(checkpoint_dir, cfg) if args.resume else None)
         for row in record.rows:
             print(
                 f"  round {row.round:3d}  pruned {row.fraction_pruned:7.4f}  "

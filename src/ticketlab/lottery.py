@@ -199,6 +199,8 @@ def _run_rounds(
         # load_run_state has checked these against cfg and the regenerated `initial`.
         run = dict(arch=state.arch, config_hash=state.config_hash,
                    initial_sha256=state.initial_sha256)
+        # Let go once unpacked: unless a caller holds it, its network and mask go at the prune.
+        state = resume_from = None
     else:
         initial = init_network(cfg.arch, cfg.init_seed)
         rows = []
@@ -221,11 +223,11 @@ def _run_rounds(
                 )
             fraction = cfg.one_shot_targets[r - 1] if one_shot else cfg.per_round_fraction
             mask = _prune_step(mask, scores, fraction)
-            start_net = rewind(trained, initial, mask)
-            # Nothing after this reads them, so they are not held while the round trains.
+            # Nothing after this reads them: they are not held while the round rewinds and trains.
             trained = None
             if not one_shot:
                 scores = None
+            start_net = rewind(initial, mask)
         schedule = cfg.final_train if r == last or (one_shot and r > 0) else cfg.train
         trained, history = train(
             start_net, mask, train_data, schedule, eval_data=test_data, rows=order

@@ -85,13 +85,10 @@ def apply_mask(net: DenseNetwork, mask: PruneMask) -> DenseNetwork:
     return DenseNetwork(weights, [b.copy() for b in net.biases])
 
 
-def rewind(trained: DenseNetwork, initial: DenseNetwork, mask: PruneMask) -> DenseNetwork:
-    """Reset kept weights (and all biases) to their values in `initial`.
-
-    Masked positions come out exactly 0 even where the initial value was
-    nonzero; `trained` only contributes its architecture.
-    """
-    mask.check_pairing(trained.weights)
+def rewind(initial: DenseNetwork, mask: PruneMask) -> DenseNetwork:
+    """`initial`, the iteration-0 network, with its masked weights set to exactly 0:
+    the network a pruning round retrains. Kept weights and all biases keep their
+    initial values. ShapeError if `mask` does not pair with `initial`."""
     return apply_mask(initial, mask)
 
 

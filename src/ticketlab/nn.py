@@ -75,10 +75,10 @@ _SHUFFLE_STREAM = 2
 _SQ_GRAD_CHUNK_ROWS = 1024
 
 # Kept fraction under which `_plan` gives a layer the flat kept index that
-# `train` updates it by (see the module docstring). LeNet-300-100 layer 0,
-# random masks, 2-core Haswell guest: AND + dense update 0.37-0.40 ms at any
-# fraction; index update 0.01 / 0.15 / 0.27 / 0.32 / 0.37 / 0.46 ms at
-# 0.4 / 5 / 10 / 15 / 20 / 30% kept.
+# `train` updates it by (see the module docstring). Without the index path, a
+# `train` call on `lenet-l1-sweep`'s data and masks (seed 1; 2-core KVM guest,
+# SkylakeX OpenBLAS kernels) was 5-13% slower at rounds 8-13 and 11-15% slower
+# at rounds 18-23 (medians of 5 alternating calls).
 _INDEX_UPDATE_BELOW = 0.15
 
 # Fraction of a layer's input columns under which `_plan` runs the layer on
@@ -181,14 +181,6 @@ class DenseNetwork:
         )
 
 
-@dataclass(eq=False)
-class GradientSet:
-    """Partial derivatives of a scalar loss, shaped like a DenseNetwork."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Minibatch SGD schedule. Defaults: 10 epochs, lr 0.1, batch 128."""
@@ -214,7 +206,11 @@ class Dataset:
 
     def __post_init__(self) -> None:
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        with np.errstate(invalid="ignore"):
+            self.labels = labels.astype(np.int64, copy=False)
+        if labels.dtype.kind == "f" and not np.array_equal(self.labels, labels):
+            raise UsageError("labels must be integral class indices")
         if self.inputs.ndim != 2 or self.labels.ndim != 1:
             raise ShapeError("inputs must be 2-D and labels 1-D")
         if self.inputs.shape[0] != self.labels.shape[0]:
@@ -492,8 +488,8 @@ def _per_sample_sq_grad_sums(
     `_SQ_GRAD_CHUNK_ROWS` rows replaces one backward pass per row. Each
     chunk is gathered through `rows` as a private copy, so every layer
     input is squared in place, and each is dropped once backpropagation
-    has passed it. Weights must already be masked; sums at masked
-    positions are not zeroed.
+    has passed it. Weights must already be masked. Sums at masked
+    positions are not zeroed: the scores' w**2 factor makes them +0.0.
     """
     sums = [np.zeros_like(w) for w in weights]
     for start in range(0, rows.shape[0], _SQ_GRAD_CHUNK_ROWS):
@@ -517,11 +513,12 @@ def _per_sample_sq_grad_sums(
 
 def loss_and_grads(
     net: DenseNetwork, mask: Optional["PruneMask"], batch: Dataset
-) -> tuple[float, GradientSet]:
+) -> tuple[float, DenseNetwork]:
     """Mean softmax cross-entropy over the batch and its analytic gradients.
 
-    Gradients at masked positions are exactly 0. Raises UsageError on an
-    empty batch or out-of-range labels.
+    The gradients come as a DenseNetwork: dL/dW in `weights`, exactly 0 at
+    masked positions, and dL/db in `biases`. Raises UsageError on an empty
+    batch or out-of-range labels.
     """
     _check_labelled_rows(net, batch.inputs, batch.labels, "batch")
     plan = _plan(net, mask)
@@ -531,7 +528,7 @@ def loss_and_grads(
         batch.labels, cols,
     )
     widths = net.layer_sizes[:-1]
-    return loss, GradientSet([_widen(g, c, n) for g, c, n in zip(grad_w, cols, widths)], grad_b)
+    return loss, DenseNetwork([_widen(g, c, n) for g, c, n in zip(grad_w, cols, widths)], grad_b)
 
 
 def _sgd_update(
@@ -562,11 +559,12 @@ def _sgd_update(
 
 
 def sgd_step(
-    net: DenseNetwork, grads: GradientSet, mask: Optional["PruneMask"], lr: float
+    net: DenseNetwork, grads: DenseNetwork, mask: Optional["PruneMask"], lr: float
 ) -> DenseNetwork:
     """One gradient-descent update: w <- w - lr*g at kept positions, masked stay 0.
 
-    Biases are always updated. Gradients at masked positions are ignored.
+    `grads` holds dL/dW and dL/db as `loss_and_grads` returns them. Biases
+    are always updated. Gradients at masked positions are ignored.
     Raises UsageError for a non-finite lr.
     """
     if not math.isfinite(lr):
@@ -611,6 +609,7 @@ def train(
     labels = data.labels if rows is None else data.labels[rows]
     _check_labelled_rows(net, data.inputs, labels, "training data")
     measure = data if eval_data is None else eval_data
+    _check_labelled_rows(net, measure.inputs, measure.labels, "evaluation data")
 
     plan = _plan(net, mask)
     cols = plan.cols
@@ -649,11 +648,10 @@ def evaluate(net: DenseNetwork, mask: Optional["PruneMask"], data: Dataset) -> f
     """Fraction of argmax-correct predictions; argmax ties pick the lowest class.
 
     Counted block by block, so that no array grows with the number of rows.
+    Raises UsageError on an empty dataset or a label past the class count,
+    and ShapeError on rows of the wrong width.
     """
-    if len(data) == 0:
-        raise UsageError("cannot evaluate on an empty dataset")
-    if data.dim != net.layer_sizes[0]:
-        raise ShapeError(f"inputs must be (N, {net.layer_sizes[0]}), got {data.inputs.shape}")
+    _check_labelled_rows(net, data.inputs, data.labels, "evaluation data")
     correct = 0
     for block, probs in _probability_blocks(net, mask, data.inputs):
         correct += int(np.count_nonzero(probs.argmax(axis=1) == data.labels[block]))

@@ -11,11 +11,11 @@ import math
 import numpy as np
 
 from .masks import PruneMask
-from .nn import Dataset, DenseNetwork, GradientSet, loss_and_grads
+from .nn import Dataset, DenseNetwork, loss_and_grads
 
 
-def finite_difference(net: DenseNetwork, mask, batch: Dataset, h: float = 1e-5) -> GradientSet:
-    """Central difference of the batch loss in every weight and bias coordinate."""
+def finite_difference(net: DenseNetwork, mask, batch: Dataset, h: float = 1e-5) -> DenseNetwork:
+    """Central difference of the batch loss in each weight and bias, as loss_and_grads gives."""
     bumped, diffs = net.copy(), net.copy()
     for params, out in ((bumped.weights, diffs.weights), (bumped.biases, diffs.biases)):
         for p, d in zip(params, out):
@@ -27,7 +27,7 @@ def finite_difference(net: DenseNetwork, mask, batch: Dataset, h: float = 1e-5) 
                 down, _ = loss_and_grads(bumped, mask, batch)
                 p[index] = saved
                 d[index] = (up - down) / (2 * h)
-    return GradientSet(diffs.weights, diffs.biases)
+    return diffs
 
 
 def per_sample_fisher(net: DenseNetwork, mask, data: Dataset, sample_count: int) -> list:
@@ -82,7 +82,7 @@ def global_prune_sorted(mask: PruneMask, scores, fraction: float) -> PruneMask:
     return PruneMask(layers)
 
 
-def worst_relative_error(a: GradientSet, b: GradientSet) -> float:
+def worst_relative_error(a: DenseNetwork, b: DenseNetwork) -> float:
     """Largest |a - b| / max(|a|, |b|, 1e-8) over every weight and bias entry."""
     return max(
         float(np.max(np.abs(x - y) / np.maximum(np.maximum(np.abs(x), np.abs(y)), 1e-8)))

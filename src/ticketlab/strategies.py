@@ -13,10 +13,11 @@ sizes trade scoring fidelity for backward passes (exactly B of them).
 
 Batch size 1 is computed in one vectorised pass over chunks of rows: a
 row's weight gradient is an outer product, so its squared sum is
-(delta**2).T @ (a**2) per layer. The reported backward-pass count is the
-estimator's B, not the wall cost of computing it. Given a row index, the
-scorer gathers each chunk or batch through it, so a caller's selection of
-rows is never copied whole.
+(delta**2).T @ (a**2) per layer. Neither path zeroes squared gradients at
+pruned positions: theta_k**2 is +0.0 there, and so is the score. The
+reported backward-pass count is the estimator's B, not the wall cost of
+computing it. Given a row index, the scorer gathers each chunk or batch
+through it, so a caller's selection of rows is never copied whole.
 
 Scores are plain per-layer arrays shaped like the weights. Values at
 already-pruned positions are never read: `global_prune` removes the
@@ -128,19 +129,20 @@ def score_fisher(
     _check_labelled_rows(net, data.inputs, data.labels[rows], "fisher set")
 
     bs = cfg.fisher_batch_size
+    weights = masked_weights(net, mask)[1]
     if bs == 1:
-        weights = masked_weights(net, mask)[1]
         sq_sums = _per_sample_sq_grad_sums(weights, net.biases, data.inputs, data.labels, rows)
     else:
-        bits, weights = masked_weights(net, mask)
+        no_bits = [None] * len(weights)
         sq_sums = [np.zeros_like(w) for w in weights]
         for start in range(0, cfg.sample_count, bs):
             idx = rows[start : start + bs]
             _, grad_w, _ = _loss_and_grads_arrays(
-                weights, net.biases, bits, data.inputs[idx], data.labels[idx]
+                weights, net.biases, no_bits, data.inputs[idx], data.labels[idx]
             )
-            for l, g in enumerate(grad_w):
-                sq_sums[l] += g * g
+            for s, g in zip(sq_sums, grad_w):
+                g *= g
+                s += g
     return _fisher_combine(weights, sq_sums, cfg.batch_count), cfg.batch_count
 
 

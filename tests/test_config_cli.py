@@ -679,6 +679,29 @@ class TestCli:
         assert main(["train", "--arch", "4,6,2", "--images", str(images),
                      "--labels", str(labels), "--epochs", "1"]) == 0
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_label_past_class_count_exit_1_at_round_0(self, tmp_path, capsys, split):
+        """A label past `arch[-1]` in either split stops the run before round 0 is written;
+        in the test split it would otherwise count as a wrong answer in every accuracy."""
+        from ticketlab import Dataset, write_idx
+        from ticketlab import rng
+
+        idx = {}
+        for name, seed in (("train", 3), ("test", 5)):
+            pixels = (rng.raw64(seed, 40 * 4) % np.uint64(256)).astype(np.float64) / 255.0
+            labels = (rng.raw64(seed + 1, 40) % np.uint64(2)).astype(np.int64)
+            if name == split:
+                labels[7] = 5
+            images_path, labels_path = tmp_path / f"{name}-i.idx", tmp_path / f"{name}-l.idx"
+            write_idx(Dataset(pixels.reshape(40, 4), labels), images_path, labels_path,
+                      rows=2, cols=2)
+            idx.update({f"{name}_images": str(images_path), f"{name}_labels": str(labels_path)})
+        argv = lottery_with(arch=[4, 6, 2], seeds=[1], dataset={"idx": idx})(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "label 5 out of range for 2 classes" in err
+        assert not list((tmp_path / "out").rglob("round_*.json"))
+
     def test_report_labels_name_the_series_of_each_file(self, tmp_path, capsys):
         """`--labels` gives each input CSV's records their own series, even where
         method and mode are the same; it needs one label per file."""

@@ -18,7 +18,7 @@ from ticketlab import (
     sgd_step,
     train,
 )
-from ticketlab import GradientSet, PruneMask, apply_mask, nn, rewind, rng
+from ticketlab import PruneMask, apply_mask, nn, rewind, rng
 from ticketlab.nn import DenseNetwork, _keep_bits, _zero_pruned, masked_weights
 from ticketlab.oracles import finite_difference, whole_set_accuracy, worst_relative_error
 
@@ -152,19 +152,15 @@ class TestSgdStep:
 
     def test_update_arithmetic(self):
         net = DenseNetwork([np.array([[1.0]])], [np.zeros(1)])
-        grads_net = DenseNetwork([np.array([[0.5]])], [np.zeros(1)])
-        from ticketlab import GradientSet
-
-        stepped = sgd_step(net, GradientSet(grads_net.weights, grads_net.biases), None, lr=0.1)
+        grads = DenseNetwork([np.array([[0.5]])], [np.zeros(1)])
+        stepped = sgd_step(net, grads, None, lr=0.1)
         assert stepped.weights[0][0, 0] == 0.95
 
     def test_masked_weight_stays_exactly_zero(self, tiny_net, tiny_arch):
         mask = full_mask(tiny_arch)
         mask.layers[0][0, 0] = 0
-        from ticketlab import GradientSet, apply_mask
-
         net = apply_mask(tiny_net, mask)
-        grads = GradientSet(
+        grads = DenseNetwork(
             [np.ones_like(w) for w in net.weights], [np.ones_like(b) for b in net.biases]
         )
         stepped = sgd_step(net, grads, mask, lr=0.5)
@@ -174,9 +170,7 @@ class TestSgdStep:
         mask = full_mask(tiny_arch)
         for m in mask.layers:
             m[:] = 0
-        from ticketlab import GradientSet
-
-        grads = GradientSet(
+        grads = DenseNetwork(
             [np.zeros_like(w) for w in tiny_net.weights],
             [np.ones_like(b) for b in tiny_net.biases],
         )
@@ -232,6 +226,17 @@ class TestTrain:
         _, history = train(net, full_mask([6, 5, 3]), blob_data, TrainConfig(epochs=4, seed=0))
         assert len(history) == 4
 
+    def test_eval_label_past_class_count_rejected_before_training(self, blob_data, monkeypatch):
+        """Counted as a wrong answer, such a label would lower every recorded accuracy."""
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran before the evaluation data was checked")
+
+        monkeypatch.setattr(nn, "_loss_and_grads_arrays", no_step)
+        eval_data = Dataset(blob_data.inputs[:3], np.array([0, 3, 1]))
+        with pytest.raises(UsageError, match="evaluation data label 3 out of range for 3 classes"):
+            train(init_network([6, 5, 3], seed=2), None, blob_data, TrainConfig(epochs=1),
+                  eval_data=eval_data)
+
 
 class TestEvaluate:
     def test_zero_network_on_balanced_ten_classes(self):
@@ -249,6 +254,13 @@ class TestEvaluate:
     def test_empty_dataset_rejected(self, tiny_net):
         with pytest.raises(UsageError):
             evaluate(tiny_net, None, Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int)))
+
+    def test_label_past_class_count_rejected(self):
+        """A 2-class network cannot answer 5, so the row is no wrong answer but a bad input."""
+        net = DenseNetwork([np.array([[1.0, 0.0], [0.0, 1.0]])], [np.zeros(2)])
+        data = Dataset(np.array([[5.0, 0.0], [0.0, 5.0], [5.0, 0.0]]), np.array([0, 1, 5]))
+        with pytest.raises(UsageError, match="label 5 out of range for 2 classes"):
+            evaluate(net, None, data)
 
 
 def array_bytes(arrays):
@@ -309,7 +321,6 @@ def operation_inputs(operation, mask_kind):
     """(call, arrays) for one operation: calling `call()` runs it on arrays it must not change."""
     arch = (6, 5, 3)
     net = init_network(arch, seed=13)
-    other = init_network(arch, seed=14)
     mask = {
         "none": None,
         "full": full_mask(arch),
@@ -324,9 +335,9 @@ def operation_inputs(operation, mask_kind):
         "forward": lambda: forward(net, mask, data.inputs),
         "evaluate": lambda: evaluate(net, mask, data),
         "apply_mask": lambda: apply_mask(net, mask),
-        "rewind": lambda: rewind(other, net, mask),
+        "rewind": lambda: rewind(net, mask),
     }
-    arrays = [*net.weights, *net.biases, *other.weights, *other.biases, data.inputs, data.labels]
+    arrays = [*net.weights, *net.biases, data.inputs, data.labels]
     arrays += [*grads.weights, *grads.biases, *(mask.layers if mask else [])]
     return calls[operation], arrays
 
@@ -677,6 +688,17 @@ class TestLiveColumns:
         )
 
 
+class TestDatasetLabels:
+    @pytest.mark.parametrize("labels", [[0.7, 1.0], [1.0, 1.9], [np.nan, 1.0], [1e300, 0.0]])
+    def test_non_integral_labels_rejected(self, labels):
+        with pytest.raises(UsageError, match="labels must be integral class indices"):
+            Dataset(np.zeros((2, 1)), labels)
+
+    def test_integral_float_labels_accepted(self):
+        labels = Dataset(np.zeros((3, 1)), [1.0, 0.0, -0.0]).labels
+        assert labels.dtype == np.int64 and labels.tolist() == [1, 0, 0]
+
+
 class TestDatasetFiniteness:
     """`Dataset` refuses non-finite inputs, checked by blocks of rows."""
 
@@ -732,7 +754,7 @@ class TestTrainThroughRows:
 class TestNonFiniteLearningRate:
     @pytest.mark.parametrize("lr", [np.inf, -np.inf, np.nan])
     def test_rejected(self, tiny_net, tiny_mask, lr):
-        grads = GradientSet(
+        grads = DenseNetwork(
             [np.ones_like(w) for w in tiny_net.weights], [np.ones_like(b) for b in tiny_net.biases]
         )
         with pytest.raises(UsageError):

@@ -188,6 +188,35 @@ class TestScoreFisher:
         for s, r in zip(scores, rescored):
             assert np.array_equal(s, r)
 
+    @pytest.mark.parametrize("batch_size", [7, 10])
+    def test_batched_scores_equal_the_masked_gradient_formula(self, monkeypatch, batch_size):
+        """w**2 * sum_b g_b**2 / (2B) with each g_b masked, in every bit and at every
+        position; pruned positions, a whole pruned unit's included, score +0.0."""
+        monkeypatch.setattr(nn, "_COMPACT_BELOW", 0.0)  # whole matrices, as the scorer runs
+        arch = (6, 7, 4)
+        net = init_network(arch, seed=3)
+        mask = full_mask(arch)
+        mask.layers[0][::2, 1::3] = False
+        mask.layers[0][-1, :] = False
+        mask.layers[1][:, 0] = False
+        from ticketlab import apply_mask, gen_synthetic, loss_and_grads
+
+        data = gen_synthetic(4, 6, 20, seed=5, noise=0.4)
+        data = data.take(rng.permutation(4, len(data)))
+        cfg = FisherConfig(67, batch_size)
+        sums = [np.zeros_like(w) for w in net.weights]
+        for start in range(0, cfg.sample_count, batch_size):
+            stop = min(start + batch_size, cfg.sample_count)
+            _, grads = loss_and_grads(net, mask, data.take(np.arange(start, stop)))
+            for s, g in zip(sums, grads.weights):
+                s += g * g
+        expected = _fisher_combine(apply_mask(net, mask).weights, sums, cfg.batch_count)
+        scores, passes = score_fisher(net, mask, data, cfg)
+        assert passes == cfg.batch_count
+        assert [s.tobytes() for s in scores] == [e.tobytes() for e in expected]
+        for s, m in zip(scores, mask.layers):
+            assert not s[~m].any() and not np.signbit(s[~m]).any()
+
     @pytest.mark.parametrize(
         "batch_size, sample_count",
         [
