@@ -193,13 +193,13 @@ def _run_rounds(
         if not isinstance(state, ckpt.RunState):
             state = ckpt.load_run_state(resume_from, cfg)
         initial, baseline = state.initial, state.baseline
-        mask, trained = state.mask, state.trained
+        # Taken out of the state, which the caller may still hold: they go at the first prune.
+        mask, trained, state.mask, state.trained = state.mask, state.trained, None, None
         rows = list(state.rows)
         first_round = state.round_index + 1
         # load_run_state has checked these against cfg and the regenerated `initial`.
         run = dict(arch=state.arch, config_hash=state.config_hash,
                    initial_sha256=state.initial_sha256)
-        # Let go once unpacked: unless a caller holds it, its network and mask go at the prune.
         state = resume_from = None
     else:
         initial = init_network(cfg.arch, cfg.init_seed)
@@ -242,6 +242,8 @@ def _run_rounds(
             on_round(r, mask, start_net, trained)
         if checkpoint_dir is not None:
             ckpt.save_round(checkpoint_dir, cfg, r, initial, baseline, mask, trained, rows, run)
+        # Read by the hook only: not held while the next round scores and prunes.
+        start_net = None
 
     return ExperimentRecord(
         experiment_id=cfg.experiment_id,
@@ -276,7 +278,10 @@ def run_iterative(
     network from `cfg`, takes the baseline from `round_000.json` beside
     the file, and raises DataFormatError when either file belongs to
     another run (another config hash, arch or iteration-0 network).
-    `resume_from` may also be the RunState it returned for `cfg`.
+    `resume_from` may also be the RunState it returned for `cfg`. The run
+    takes that state's `trained` and `mask` out of it (both become None),
+    so that they are freed at the first prune even while the caller holds
+    the state.
     """
     if cfg.mode != "iterative":
         raise UsageError(f"run_iterative needs mode='iterative', got {cfg.mode!r}")
@@ -311,7 +316,8 @@ def replay_round(
 ) -> tuple[RoundRow, PruneMask, DenseNetwork]:
     """The row, mask and trained network of the round after `previous` (the RunState
     of a round file of a run of `cfg`; round 0 without it), run again as a resume
-    from it would, writing no checkpoint."""
+    from it would, writing no checkpoint. Like a resume, it takes `previous`'s
+    `trained` and `mask` out of it."""
     replayed = []
     record = _run_rounds(cfg, train_data, test_data, None, previous,
                          lambda r, mask, start_net, trained: replayed.extend((mask, trained)),

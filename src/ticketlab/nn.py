@@ -7,29 +7,31 @@ along through every operation: masked weight positions contribute nothing
 to the forward pass, receive zero gradient, and stay exactly 0.0 through
 any number of update steps. Biases are never masked.
 
-Masking is one branchless step: each bool mask layer becomes uint64
-words (all ones where kept, 0 where pruned) once per call, and ANDing a
-float64 array's bits with them equals `np.where(kept, a, 0.0)` in every
-bit, at a cost that does not depend on how the kept positions are
-scattered.
+Masking is one branchless step: a float64 array's bits, viewed as
+uint64, are multiplied by the bool mask layer itself. Multiplying by 1
+keeps every bit and by 0 gives +0.0, so the result equals
+`np.where(kept, a, 0.0)` in every bit, NaN, infinities, -0.0 and
+subnormals included, at a cost that does not depend on how the kept
+positions are scattered. No other form of the mask is built.
 
 `train`, `forward`, `evaluate` and `loss_and_grads` each run under one
 plan per call, which `_plan` works out from the mask alone. Per layer,
-it holds the live input columns, the keep words of the matrix the layer
-runs on, and that matrix's flat kept index. A layer whose kept weights
-sit in fewer than `_COMPACT_BELOW` (half) of its input columns runs on
-those columns only: on the contiguous copy `w[:, cols]` and on its
-input's `cols` columns, gathered for layer 0 by (row, column) pairs of
-each batch. Its keep words and kept index are then those of
-`w[:, cols]`. A layer that keeps every weight of its matrix has neither.
-One that keeps fewer than `_INDEX_UPDATE_BELOW` of them has a kept
-index: `train` does not AND its dW, and each step updates only
-`w.flat[kept] -= lr * g.flat[kept]`, never writing a pruned position.
+it holds the live input columns, the keep layer of the matrix the layer
+runs on (the mask's own layer, or a copy of its live columns), and that
+matrix's flat kept index. A layer whose kept weights sit in fewer than
+`_COMPACT_BELOW` (half) of its input columns runs on those columns only:
+on the contiguous copy `w[:, cols]` and on its input's `cols` columns,
+gathered for layer 0 by (row, column) pairs of each batch. Its keep
+layer and kept index are then those of `w[:, cols]`. A layer that keeps
+every weight of its matrix has neither. One that keeps fewer than
+`_INDEX_UPDATE_BELOW` of them has a kept index: `train` does not mask
+its dW, and each step updates only `w.flat[kept] -= lr * g.flat[kept]`,
+never writing a pruned position.
 
 Only `_COMPACT_BELOW` changes result bits. A pruned column adds exact
 zeros, but a shorter inner dimension rounds differently in BLAS, so
 changing that rule needs a new checkpoint format version. The index
-update computes the same `w - g*lr` at kept positions as the AND and
+update computes the same `w - g*lr` at kept positions as the masked
 dense update, and leaves pruned ones +0.0, so its threshold changes
 speed only. Every unit stays in place: one with no incoming weights
 emits relu(bias) and trains its bias, and one with no outgoing weights
@@ -207,6 +209,9 @@ class Dataset:
     def __post_init__(self) -> None:
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
         labels = np.asarray(self.labels)
+        if labels.dtype.kind not in "iuf":
+            # As `check_int`: bools and text are not class indices.
+            raise UsageError(f"labels must be integral class indices, got {labels.dtype} values")
         with np.errstate(invalid="ignore"):
             self.labels = labels.astype(np.int64, copy=False)
         if labels.dtype.kind == "f" and not np.array_equal(self.labels, labels):
@@ -251,43 +256,44 @@ def init_network(arch: Sequence[int], seed: int) -> DenseNetwork:
     return DenseNetwork(weights, biases)
 
 
-def _keep_bits(kept: Sequence[np.ndarray]) -> list[Optional[np.ndarray]]:
-    """Per bool layer, uint64 words: all ones where kept, 0 where pruned; None if all kept."""
-    return [None if k.all() else np.negative(k, dtype=np.int64).view(np.uint64) for k in kept]
+def _keep(m: np.ndarray) -> Optional[np.ndarray]:
+    """The bool mask layer `m` itself, None if it keeps every weight."""
+    return None if m.all() else m
 
 
 def _zero_pruned(
-    a: np.ndarray, bits: Optional[np.ndarray], out: Optional[np.ndarray] = None
+    a: np.ndarray, keep: Optional[np.ndarray], out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """float64 `a` with +0.0 where `bits` is 0, written to `out` (a new array if None).
+    """float64 `a` with +0.0 where the bool `keep` is False, written to `out` (a new
+    array if None); None keeps everything.
 
-    Equals `np.where(kept, a, 0.0)` in every bit, NaN, infinities, -0.0
+    Equals `np.where(keep, a, 0.0)` in every bit, NaN, infinities, -0.0
     and subnormals included. `out` may be `a` itself.
     """
     a = np.asarray(a, dtype=np.float64)
     if out is None:
         out = np.empty(a.shape)
-    if bits is None:
+    if keep is None:
         if out is not a:
             np.copyto(out, a)
     else:
-        np.bitwise_and(a.view(np.uint64), bits, out=out.view(np.uint64))
+        np.multiply(a.view(np.uint64), keep, out=out.view(np.uint64))
     return out
 
 
 def masked_weights(
     net: DenseNetwork, mask: Optional["PruneMask"]
 ) -> tuple[list[Optional[np.ndarray]], list[np.ndarray]]:
-    """(keep words of `_keep_bits`, new weight arrays with +0.0 at masked positions).
+    """(per layer `_keep` of the mask, new weight arrays with +0.0 at masked positions).
 
     No mask keeps everything.
     """
     if mask is None:
-        bits = [None] * len(net.weights)
+        keep = [None] * len(net.weights)
     else:
         mask.check_pairing(net.weights)
-        bits = _keep_bits(mask.layers)
-    return bits, [_zero_pruned(w, k) for w, k in zip(net.weights, bits)]
+        keep = [_keep(m) for m in mask.layers]
+    return keep, [_zero_pruned(w, k) for w, k in zip(net.weights, keep)]
 
 
 def _columns(a: np.ndarray, cols: Optional[np.ndarray]) -> np.ndarray:
@@ -307,18 +313,19 @@ def _widen(a: np.ndarray, cols: Optional[np.ndarray], width: int) -> np.ndarray:
 class _Plan:
     """How each layer of a network runs under one mask (see `_plan`), one entry per layer.
 
-    `cols`: live input columns, None to run the whole matrix. `bits`: keep words of
-    the matrix run, None if it keeps every weight. `kept`: flat kept index into that
-    matrix, None unless it keeps fewer than `_INDEX_UPDATE_BELOW` of its weights.
+    `cols`: live input columns, None to run the whole matrix. `keep`: bool keep layer
+    of the matrix run (the mask's own layer unless `cols` is set), None if it keeps
+    every weight. `kept`: flat kept index into that matrix, None unless it keeps fewer
+    than `_INDEX_UPDATE_BELOW` of its weights.
     """
 
-    def __init__(self, cols: list, bits: list, kept: list) -> None:
-        self.cols, self.bits, self.kept = cols, bits, kept
+    def __init__(self, cols: list, keep: list, kept: list) -> None:
+        self.cols, self.keep, self.kept = cols, keep, kept
 
     def weights(self, net: DenseNetwork) -> list[np.ndarray]:
         """New arrays: each layer's weights on its columns, +0.0 where the mask prunes."""
         return [
-            _zero_pruned(_columns(w, c), b) for w, c, b in zip(net.weights, self.cols, self.bits)
+            _zero_pruned(_columns(w, c), k) for w, c, k in zip(net.weights, self.cols, self.keep)
         ]
 
 
@@ -339,12 +346,11 @@ def _plan(net: DenseNetwork, mask: Optional["PruneMask"]) -> _Plan:
         live = m.any(axis=0)
         compact = np.count_nonzero(live) < _COMPACT_BELOW * live.size
         cols = np.flatnonzero(live) if compact else None
-        m = _columns(m, cols)
-        bits = _keep_bits([m])[0]
-        sparse = bits is not None and np.count_nonzero(m) < _INDEX_UPDATE_BELOW * m.size
+        keep = _keep(_columns(m, cols))
+        sparse = keep is not None and np.count_nonzero(keep) < _INDEX_UPDATE_BELOW * keep.size
         plan.cols.append(cols)
-        plan.bits.append(bits)
-        plan.kept.append(np.flatnonzero(m) if sparse else None)
+        plan.keep.append(keep)
+        plan.kept.append(np.flatnonzero(keep) if sparse else None)
     return plan
 
 
@@ -435,15 +441,15 @@ def forward(net: DenseNetwork, mask: Optional["PruneMask"], inputs: np.ndarray) 
 def _loss_and_grads_arrays(
     weights: list[np.ndarray],
     biases: list[np.ndarray],
-    bits: list[Optional[np.ndarray]],
+    keep: list[Optional[np.ndarray]],
     inputs: np.ndarray,
     labels: np.ndarray,
     cols: Optional[Sequence[Optional[np.ndarray]]] = None,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Mean cross-entropy and its exact gradients, +0.0 at pruned positions.
 
-    Weights must already be masked; `bits` are their keep words. A layer
-    given None keep words gets its dW unmasked. Weights, inputs and `cols`
+    Weights must already be masked; `keep` holds their bool keep layers. A
+    layer given None gets its dW unmasked. Weights, inputs and `cols`
     are as `_forward_arrays` takes them, and a layer with live columns
     gets its dW for those columns only. Backpropagation through such a
     layer gives the units that feed no live column an exact +0.0 delta.
@@ -461,7 +467,7 @@ def _loss_and_grads_arrays(
     grad_b: list[np.ndarray] = []
     for l in range(len(weights) - 1, -1, -1):
         g = delta.T @ layer_in[l]
-        grad_w.append(_zero_pruned(g, bits[l], out=g))
+        grad_w.append(_zero_pruned(g, keep[l], out=g))
         grad_b.append(delta.sum(axis=0))
         if l > 0:
             delta = (delta @ weights[l]) * (layer_in[l] > 0.0)
@@ -488,10 +494,12 @@ def _per_sample_sq_grad_sums(
     `_SQ_GRAD_CHUNK_ROWS` rows replaces one backward pass per row. Each
     chunk is gathered through `rows` as a private copy, so every layer
     input is squared in place, and each is dropped once backpropagation
-    has passed it. Weights must already be masked. Sums at masked
-    positions are not zeroed: the scores' w**2 factor makes them +0.0.
+    has passed it. The first chunk's products are the sums (+0.0 plus a
+    sum of squares would give the same bits); later chunks add theirs.
+    Weights must already be masked. Sums at masked positions are not
+    zeroed: the scores' w**2 factor makes them +0.0.
     """
-    sums = [np.zeros_like(w) for w in weights]
+    sums: list = [None] * len(weights)
     for start in range(0, rows.shape[0], _SQ_GRAD_CHUNK_ROWS):
         idx = rows[start : start + _SQ_GRAD_CHUNK_ROWS]
         layer_in, logits = _forward_arrays(weights, biases, inputs[idx])
@@ -503,7 +511,10 @@ def _per_sample_sq_grad_sums(
             a *= a
             # Layer 0's delta is not propagated further, so it is squared in place.
             sq = np.multiply(delta, delta, out=delta if l == 0 else None)
-            sums[l] += sq.T @ a
+            if start == 0:
+                sums[l] = sq.T @ a
+            else:
+                sums[l] += sq.T @ a
             del a, sq
             if l > 0:
                 delta = delta @ weights[l]
@@ -524,7 +535,7 @@ def loss_and_grads(
     plan = _plan(net, mask)
     cols = plan.cols
     loss, grad_w, grad_b = _loss_and_grads_arrays(
-        plan.weights(net), net.biases, plan.bits, _columns(batch.inputs, cols[0]),
+        plan.weights(net), net.biases, plan.keep, _columns(batch.inputs, cols[0]),
         batch.labels, cols,
     )
     widths = net.layer_sizes[:-1]
@@ -569,8 +580,8 @@ def sgd_step(
     """
     if not math.isfinite(lr):
         raise UsageError(f"lr must be finite, got {lr}")
-    bits, weights = masked_weights(net, mask)
-    grad_w = [_zero_pruned(g, k) for g, k in zip(grads.weights, bits)]
+    keep, weights = masked_weights(net, mask)
+    grad_w = [_zero_pruned(g, k) for g, k in zip(grads.weights, keep)]
     biases = [b.copy() for b in net.biases]
     _sgd_update(weights, biases, grad_w, grads.biases, lr, [None] * len(weights))
     return DenseNetwork(weights, biases)
@@ -614,8 +625,8 @@ def train(
     plan = _plan(net, mask)
     cols = plan.cols
     weights = plan.weights(net)
-    # A layer updated through its kept index needs no AND of its dW.
-    step_bits = [b if k is None else None for b, k in zip(plan.bits, plan.kept)]
+    # A layer updated through its kept index needs no masking of its dW.
+    step_keep = [m if k is None else None for m, k in zip(plan.keep, plan.kept)]
     biases = [b.copy() for b in net.biases]
     widths = net.layer_sizes[:-1]
 
@@ -636,10 +647,12 @@ def train(
             idx = order[start : start + bs]
             x = data.inputs[idx] if cols[0] is None else data.inputs[idx[:, None], cols[0]]
             loss, grad_w, grad_b = _loss_and_grads_arrays(
-                weights, biases, step_bits, x, data.labels[idx], cols
+                weights, biases, step_keep, x, data.labels[idx], cols
             )
             loss_sum += loss * idx.shape[0]
             _sgd_update(weights, biases, grad_w, grad_b, lr, plan.kept)
+            # Let go before the next step gathers its batch, and before the epoch is measured.
+            x = grad_w = grad_b = None
         history.append((loss_sum / n, evaluate(trained(), mask, measure)))
     return trained(), history
 

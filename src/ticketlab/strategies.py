@@ -133,12 +133,12 @@ def score_fisher(
     if bs == 1:
         sq_sums = _per_sample_sq_grad_sums(weights, net.biases, data.inputs, data.labels, rows)
     else:
-        no_bits = [None] * len(weights)
+        keep_all = [None] * len(weights)
         sq_sums = [np.zeros_like(w) for w in weights]
         for start in range(0, cfg.sample_count, bs):
             idx = rows[start : start + bs]
             _, grad_w, _ = _loss_and_grads_arrays(
-                weights, net.biases, no_bits, data.inputs[idx], data.labels[idx]
+                weights, net.biases, keep_all, data.inputs[idx], data.labels[idx]
             )
             for s, g in zip(sq_sums, grad_w):
                 g *= g
@@ -165,23 +165,25 @@ def global_prune(mask: PruneMask, scores: Sequence[np.ndarray], fraction: float)
     Selection takes linear time: `np.partition` finds the threshold t,
     the remove-th smallest kept score; every kept score below t goes,
     then the first of those equal to t in concatenation order, which is
-    already ascending (layer, flat index). No full sort is made.
+    already ascending (layer, flat index). No full sort is made. The kept
+    scores are gathered into one array, layer after layer, and each
+    layer's verdicts are scattered back through its mask.
     """
     if not 0.0 <= fraction <= 1.0:
         raise UsageError(f"fraction must be in [0, 1], got {fraction}")
     scores = [np.asarray(s, dtype=np.float64) for s in scores]
     mask.check_pairing(scores, what="score")
 
-    kept_scores, flat_ids = [], []
-    for l, (m, s) in enumerate(zip(mask.layers, scores)):
-        flat = np.flatnonzero(m)
-        vals = s.ravel()[flat]
+    counts = [int(np.count_nonzero(m)) for m in mask.layers]
+    all_scores = np.empty(sum(counts))
+    start = 0
+    for l, (m, s, count) in enumerate(zip(mask.layers, scores, counts)):
+        vals = all_scores[start : start + count]
+        vals[...] = s[m]
         if not np.isfinite(vals).all():
             raise UsageError(f"layer {l} has non-finite scores at kept positions")
-        kept_scores.append(vals)
-        flat_ids.append(flat)
+        start += count
 
-    all_scores = np.concatenate(kept_scores) if kept_scores else np.empty(0)
     remove = removal_count(all_scores.shape[0], fraction)
     new_layers = [m.copy() for m in mask.layers]
     if remove == 0:
@@ -192,7 +194,7 @@ def global_prune(mask: PruneMask, scores: Sequence[np.ndarray], fraction: float)
     ties = np.flatnonzero(all_scores == threshold)
     victims[ties[: remove - np.count_nonzero(victims)]] = True
     start = 0
-    for m, flat in zip(new_layers, flat_ids):
-        m.ravel()[flat[victims[start : start + flat.size]]] = False
-        start += flat.size
+    for new, m, count in zip(new_layers, mask.layers, counts):
+        new[m] = ~victims[start : start + count]
+        start += count
     return PruneMask(new_layers)

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -42,6 +43,26 @@ def rng_workers(request, monkeypatch):
     """Run rng's block loops on up to `request.param` threads, whatever the machine has."""
     allow_rng_threads(monkeypatch, request.param)
     return request.param
+
+
+def traced_peak(call) -> int:
+    """Bytes that `call()` allocates at its peak above what was allocated when it began,
+    as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+# The shape of perfbench's `cli-checkpoint-resume` runs: LeNet-300-100 on 1,000 x 784 rows.
+LENET = (784, 300, 100, 10)
+
+
+def lenet_rows(per_class, seed):
+    return gen_synthetic(10, 784, per_class, seed=seed, noise=0.3)
 
 
 def networks_equal(a, b):

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -349,6 +350,40 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"skipped: corrupt checkpoint {newest}: ") and "CRC" in err
         assert strip_seconds_column((out / "unit.csv").read_bytes()) == strip_seconds_column(first)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"rounds": 3}, {"mode": "one_shot", "one_shot_targets": [0.2, 0.4, 0.6]}],
+        ids=["iterative", "one_shot"],
+    )
+    def test_resume_lets_go_of_the_loaded_state(self, tmp_path, monkeypatch, overrides):
+        """Nothing holds the state `--resume` loads through the rounds it resumes: the
+        trained network of round 1, which it resumes from, is freed by the second of them
+        (round 0's is the run's baseline, held to the end)."""
+        spec = write_spec(tmp_path, seeds=[1], **overrides)
+        assert main(["lottery", "--config", str(spec)]) == 0
+        for r in (2, 3):
+            (tmp_path / "out" / "checkpoints-unit-seed1" / f"round_{r:03d}.json").unlink()
+
+        loaded = []
+
+        def load(path, cfg):
+            state = load_run_state(path, cfg)
+            loaded.append(weakref.ref(state.trained))
+            return state
+
+        alive = {}
+        save_round = checkpoint.save_round
+
+        def save(directory, cfg, round_index, *args):
+            alive[round_index] = [ref() is not None for ref in loaded]
+            return save_round(directory, cfg, round_index, *args)
+
+        monkeypatch.setattr(cli, "load_run_state", load)
+        monkeypatch.setattr(checkpoint, "save_round", save)
+        assert main(["lottery", "--config", str(spec), "--resume"]) == 0
+        assert sorted(alive) == [2, 3]
+        assert alive[3] == [False]
 
     def test_resume_under_other_spec_exit_2(self, tmp_path, capsys):
         """Every round file belongs to the run of the spec as it was, so a resume

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -17,6 +15,8 @@ from ticketlab import (
     run_one_shot,
     score_random,
 )
+
+from conftest import LENET, lenet_rows, traced_peak
 
 ARCH = (6, 8, 3)
 FAST = TrainConfig(epochs=2, learning_rate=0.2, train_batch_size=16, seed=0)
@@ -137,14 +137,20 @@ class TestRunIterative:
         test_data = gen_synthetic(10, 200, 20, seed=77, noise=0.2)
         cfg = cfg_iterative(arch=(200, 30, 10), rounds=1, train=FAST, final_train=FAST,
                             strategy=strategy, fisher=fisher)
-        tracemalloc.start()
-        try:
-            start, _ = tracemalloc.get_traced_memory()
-            run_iterative(cfg, train_data, test_data)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - start < train_data.inputs.nbytes / 2
+        peak = traced_peak(lambda: run_iterative(cfg, train_data, test_data))
+        assert peak < train_data.inputs.nbytes / 2
+
+    def test_lenet_run_memory_budget(self):
+        """A 2-round LeNet-300-100 run on 1,000 rows allocates under 14 MB at its peak.
+        The networks it holds (initial, baseline, the rewound start and `train`'s
+        working copy) are 2.1 MB each; masking builds no other form of the mask,
+        `train` holds one step's gradients at a time, and `global_prune` gathers the
+        kept scores into one array."""
+        schedule = TrainConfig(epochs=1, learning_rate=0.3, train_batch_size=128, seed=1)
+        cfg = LotteryConfig(arch=LENET, strategy="l1", mode="iterative", rounds=2, init_seed=1,
+                            data_seed=1, strategy_seed=1, train=schedule)
+        train_data, test_data = lenet_rows(100, seed=1), lenet_rows(20, seed=2)
+        assert traced_peak(lambda: run_iterative(cfg, train_data, test_data)) < 14e6
 
     def test_wrong_mode_rejected(self, datasets):
         one_shot = cfg_iterative(mode="one_shot", one_shot_targets=(0.5,))

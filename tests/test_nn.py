@@ -19,7 +19,7 @@ from ticketlab import (
     train,
 )
 from ticketlab import PruneMask, apply_mask, nn, rewind, rng
-from ticketlab.nn import DenseNetwork, _keep_bits, _zero_pruned, masked_weights
+from ticketlab.nn import DenseNetwork, _keep, _zero_pruned, masked_weights
 from ticketlab.oracles import finite_difference, whole_set_accuracy, worst_relative_error
 
 from conftest import networks_equal
@@ -267,14 +267,16 @@ def array_bytes(arrays):
     return [a.tobytes() for a in arrays]
 
 
-# Values whose bits a select and an AND could treat differently, negative NaN included.
+# Values whose bits a select and a multiply of the bits could treat differently,
+# negative NaN included.
 SPECIAL = np.array(
     [-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1.797e308, -1.797e308, 1.5]
 )
 
 
 class TestKeepBits:
-    """The AND masking primitive equals `np.where(kept, a, 0.0)` in every bit."""
+    """The masking step, the bits of `a` times the bool mask layer, equals
+    `np.where(kept, a, 0.0)` in every bit."""
 
     @staticmethod
     def values(shape, seed):
@@ -291,15 +293,29 @@ class TestKeepBits:
         kept[rng.permutation(5, a.size)[:kept_count]] = True
         kept = kept.reshape(a.shape)
         expected = np.where(kept, a, 0.0).view(np.uint64)
-        bits = _keep_bits([kept])[0]
-        assert (bits is None) == (kept_count == a.size)
+        keep = _keep(kept)
+        assert keep is (None if kept_count == a.size else kept)
 
-        fresh = _zero_pruned(a, bits)
+        fresh = _zero_pruned(a, keep)
         assert fresh is not a
         assert np.array_equal(fresh.view(np.uint64), expected)
         in_place = a.copy()
-        assert _zero_pruned(in_place, bits, out=in_place) is in_place
+        assert _zero_pruned(in_place, keep, out=in_place) is in_place
         assert np.array_equal(in_place.view(np.uint64), expected)
+
+    def test_compacted_layer_matches_where_bit_for_bit(self):
+        """A layer run on its live columns is masked by its keep layer's copy of them."""
+        a = self.values((25, 40), seed=4)
+        layer = np.zeros(a.shape, dtype=bool)
+        layer[rng.permutation(7, 25)[:12], 3] = True
+        layer[:, [11, 30]] = rng.uniforms(8, 50).reshape(25, 2) < 0.5
+        net = DenseNetwork([a], [np.zeros(25)])
+        mask = PruneMask([layer])
+        plan = nn._plan(net, mask)
+        assert plan.cols[0].tolist() == [3, 11, 30]
+        expected = np.where(layer, a, 0.0)[:, [3, 11, 30]]
+        assert np.array_equal(plan.keep[0], layer[:, [3, 11, 30]])
+        assert np.array_equal(plan.weights(net)[0].view(np.uint64), expected.view(np.uint64))
 
     def test_masked_weights_with_all_pruned_and_all_kept_layers(self):
         arch = (40, 25, 30, 20)
@@ -310,8 +326,8 @@ class TestKeepBits:
         mask = random_mask(arch, seed=6, keep_prob=0.5)
         mask.layers[0][:] = False
         mask.layers[2][:] = True
-        bits, weights = masked_weights(net, mask)
-        assert bits[0] is not None and bits[2] is None
+        keep, weights = masked_weights(net, mask)
+        assert keep[0] is mask.layers[0] and keep[2] is None
         for w, k, out in zip(net.weights, mask.layers, weights):
             assert out is not w
             assert np.array_equal(out.view(np.uint64), np.where(k, w, 0.0).view(np.uint64))
@@ -472,7 +488,7 @@ class TestBlockedEvaluation:
 
 
 @pytest.mark.parametrize(
-    "kept, cols, has_bits, index",
+    "kept, cols, has_keep, index",
     [
         ([(r, c) for r in range(5) for c in (0, 2)], None, True, None),
         ([(0, 1), (2, 1)], [1], True, None),
@@ -485,7 +501,7 @@ class TestBlockedEvaluation:
     ids=["2-of-4-columns-whole", "1-of-4-columns-compacts", "0-columns-empty-layer",
          "15%-kept", "one-weight-under-15%", "all-kept", "no-mask"],
 )
-def test_plan_edges(kept, cols, has_bits, index):
+def test_plan_edges(kept, cols, has_keep, index):
     """`_plan` of a 4-in, 5-out layer keeping the (row, column) positions `kept`; None is
     no mask. Live columns compact under half the inputs, and a kept index comes under 15%
     of the weights of the matrix the layer runs on."""
@@ -497,9 +513,11 @@ def test_plan_edges(kept, cols, has_bits, index):
         mask = PruneMask([layer])
     plan = nn._plan(net, mask)
     assert [None if c is None else c.tolist() for c in plan.cols] == [cols]
-    assert [b is not None for b in plan.bits] == [has_bits]
-    if has_bits:
-        assert np.array_equal(plan.bits[0] != 0, nn._columns(mask.layers[0], plan.cols[0]))
+    assert [k is not None for k in plan.keep] == [has_keep]
+    if has_keep:
+        assert np.array_equal(plan.keep[0], nn._columns(mask.layers[0], plan.cols[0]))
+        # Uncompacted, the plan holds the mask's own layer; compacted, a copy of its columns.
+        assert (plan.keep[0] is mask.layers[0]) == (cols is None)
     assert [None if k is None else k.tolist() for k in plan.kept] == [index]
 
 
@@ -511,7 +529,7 @@ PATH_PARAMS = pytest.mark.parametrize(
 
 
 class TestIndexUpdate:
-    """`train`'s index update of sparse layers gives the same bits as the AND + dense update."""
+    """`train`'s index update of sparse layers gives the same bits as the masked dense update."""
 
     ARCH = (50, 20, 8, 3)
 
@@ -693,6 +711,21 @@ class TestDatasetLabels:
     def test_non_integral_labels_rejected(self, labels):
         with pytest.raises(UsageError, match="labels must be integral class indices"):
             Dataset(np.zeros((2, 1)), labels)
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[True, False], np.array(["1", "0"]), np.array([b"1", b"0"]), np.array([1, 0], dtype=object)],
+        ids=["bool", "text", "bytes", "object"],
+    )
+    def test_bool_and_text_labels_rejected(self, labels):
+        """As `check_int` refuses True and "8", a Dataset refuses them as class indices."""
+        with pytest.raises(UsageError, match="labels must be integral class indices"):
+            Dataset(np.zeros((2, 1)), labels)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint8, np.float32])
+    def test_integer_and_integral_float_dtypes_accepted(self, dtype):
+        labels = Dataset(np.zeros((2, 1)), np.array([1, 0], dtype=dtype)).labels
+        assert labels.dtype == np.int64 and labels.tolist() == [1, 0]
 
     def test_integral_float_labels_accepted(self):
         labels = Dataset(np.zeros((3, 1)), [1.0, 0.0, -0.0]).labels

@@ -22,6 +22,8 @@ from ticketlab.nn import DenseNetwork
 from ticketlab.oracles import global_prune_sorted, per_sample_fisher
 from ticketlab.strategies import _fisher_combine
 
+from conftest import LENET, lenet_rows, traced_peak
+
 
 @st.composite
 def prune_cases(draw):
@@ -320,6 +322,15 @@ class TestScoreFisher:
     def test_batch_size_cannot_exceed_sample_count(self):
         with pytest.raises(UsageError):
             FisherConfig(10, 11)
+
+    def test_lenet_batch_one_memory_budget(self):
+        """Per-sample Fisher on 1,000 LeNet-300-100 rows, one chunk, allocates under
+        14 MB at its peak, of which the chunk's layer-0 inputs are 6.3 MB: the first
+        chunk's products are the sums, with no zero-filled arrays beside them."""
+        net = init_network(LENET, seed=1)
+        data = lenet_rows(100, seed=1)
+        peak = traced_peak(lambda: score_fisher(net, full_mask(LENET), data, FisherConfig(1000, 1)))
+        assert peak < 14e6
 
 
 class TestGlobalPrune:
